@@ -18,7 +18,7 @@ import numpy as np
 
 from . import loopspace
 from .errors import ShapeMismatch
-from .loopspace import LoopConfiguration, default_grid_size
+from .loopspace import LoopConfiguration
 from .potential import PotentialSpec, grid_potential, grid_potential_hessian
 
 __all__ = ["ActionEvaluation", "action", "action_value", "action_gradient", "action_hessian"]
@@ -57,8 +57,8 @@ def _evaluate(
     need_gradient: bool,
 ):
     _check_compatible(spec, loop)
-    if n_t is None:
-        n_t = default_grid_size(loop.harmonics)
+    grid = loopspace.quadrature_grid(loop, n_t)
+    n_t = grid.times.shape[0]
     path = loopspace.sample_trajectory(loop, n_t)
     values, forces, min_sep = grid_potential(
         spec, path.times, path.positions, need_forces=need_gradient
@@ -70,23 +70,17 @@ def _evaluate(
 
     masses = spec.masses
     energies = loopspace.harmonic_energies(loop)
-    omega_sq = loop.angular_frequencies() ** 2
+    omega_sq = grid.omega**2
     kinetic = 0.25 * loop.period * (masses @ (energies @ omega_sq))
     value = kinetic - potential_integral
 
     gradient = None
     if need_gradient:
-        _, cos_b, sin_b = loopspace._basis(loop, n_t)
         kin_scale = 0.5 * loop.period * masses[:, None, None, None] * omega_sq[None, :, None, None]
         grad_kin = kin_scale * loop.coefficients
-        grad_pot = weight * np.stack(
-            [
-                np.einsum("jid,mj->imd", forces, cos_b),
-                np.einsum("jid,mj->imd", forces, sin_b),
-            ],
-            axis=2,
-        )
-        gradient = (grad_kin - grad_pot).reshape(-1)
+        projected = grid.basis @ forces.reshape(n_t, -1)  # (2M, N k)
+        grad_pot = projected.reshape(loop.harmonics, 2, loop.n_bodies, loop.dim).transpose(2, 0, 1, 3)
+        gradient = (grad_kin - weight * grad_pot).reshape(-1)
     return value, gradient, kinetic, potential_integral, min_sep
 
 
@@ -131,18 +125,23 @@ def action_hessian(
     n = N*M*2*k.
     """
     _check_compatible(spec, loop)
-    if n_t is None:
-        n_t = default_grid_size(loop.harmonics)
+    grid = loopspace.quadrature_grid(loop, n_t)
+    n_t = grid.times.shape[0]
     path = loopspace.sample_trajectory(loop, n_t)
     node_hess = grid_potential_hessian(spec, path.times, path.positions)
-    _, cos_b, sin_b = loopspace._basis(loop, n_t)
-    basis = np.stack([cos_b, sin_b], axis=1)  # (M, 2, n_t)
+    n_rows, n_pos = grid.basis.shape[0], loop.n_bodies * loop.dim
     weight = loop.period / n_t
-    pot_block = weight * np.einsum("mcj,jidpe,nfj->imcdpnfe", basis, node_hess, basis)
+    # Node sum of basis[a] basis[b] H_j as one matmul: (a b, j) @ (j, (i d)(p e)).
+    row_products = (grid.basis[:, None, :] * grid.basis[None, :, :]).reshape(-1, n_t)
+    pot_block = weight * (row_products @ node_hess.reshape(n_t, n_pos * n_pos))
+    # Axes (m, c, n, f, i, d, p, e) -> flat coefficient order (i m c d, p n f e).
+    pot_block = pot_block.reshape(
+        loop.harmonics, 2, loop.harmonics, 2, loop.n_bodies, loop.dim, loop.n_bodies, loop.dim
+    ).transpose(4, 0, 1, 5, 6, 2, 3, 7)
 
-    n_flat = loop.n_bodies * loop.harmonics * 2 * loop.dim
+    n_flat = n_rows * n_pos
     hess = -pot_block.reshape(n_flat, n_flat)
-    omega_sq = loop.angular_frequencies() ** 2
+    omega_sq = grid.omega**2
     kin_diag = (
         0.5
         * loop.period

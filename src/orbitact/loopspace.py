@@ -19,6 +19,7 @@ C-order of that array, which fixes the gradient layout used everywhere else.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +29,17 @@ from .errors import GridTooCoarse, ShapeMismatch, SingleBody
 __all__ = [
     "LoopConfiguration",
     "SampledPath",
+    "FourierGrid",
     "default_grid_size",
+    "quadrature_grid",
     "sample_trajectory",
     "sample_acceleration",
     "evaluate_positions",
     "kinetic_energy",
     "harmonic_energies",
     "min_pairwise_distance",
+    "body_pairs",
+    "pair_separations",
     "h1_distance",
     "shift_loop",
 ]
@@ -98,7 +103,7 @@ class LoopConfiguration:
 
     def angular_frequencies(self) -> np.ndarray:
         """omega_m = 2 pi m / T for each retained harmonic."""
-        return (2.0 * np.pi / self.period) * self.odd_orders.astype(self.coefficients.dtype)
+        return _odd_frequencies(self.period, self.harmonics, self.coefficients.dtype)
 
     @classmethod
     def zeros(cls, n_bodies: int, dim: int, period: float, harmonics: int) -> "LoopConfiguration":
@@ -145,12 +150,84 @@ class SampledPath:
         return self.positions.shape[1]
 
 
-def _basis(loop: LoopConfiguration, n_t: int):
-    """Cosine/sine basis matrices of shape (M, n_t) on the uniform grid."""
-    dtype = loop.coefficients.dtype
-    t = np.arange(n_t, dtype=dtype) * (loop.period / n_t)
-    angles = np.outer(loop.angular_frequencies(), t)
-    return t, np.cos(angles), np.sin(angles)
+@dataclass(frozen=True)
+class FourierGrid:
+    """Uniform quadrature nodes and the trigonometric basis sampled on them.
+
+    Row ``2*m_idx`` of each basis is cos(omega_m t) and row ``2*m_idx + 1``
+    sin(omega_m t), or their time derivatives. Every array is
+    read-only, because one instance is shared by all callers with the same key.
+
+    Attributes:
+        times: (n_t,) nodes t_j = j T / n_t.
+        omega: (M,) angular frequencies of the odd harmonics.
+        basis: (2M, n_t) cosine/sine rows.
+        velocity: (2M, n_t) time derivative of ``basis``.
+        acceleration: (2M, n_t) second time derivative of ``basis``.
+    """
+
+    times: np.ndarray
+    omega: np.ndarray
+    basis: np.ndarray
+    velocity: np.ndarray
+    acceleration: np.ndarray
+
+    def __post_init__(self):
+        for name in ("times", "omega", "basis", "velocity", "acceleration"):
+            getattr(self, name).flags.writeable = False
+
+
+def _odd_frequencies(period: float, harmonics: int, dtype) -> np.ndarray:
+    return (2.0 * np.pi / period) * np.arange(1, 2 * harmonics, 2).astype(dtype)
+
+
+def _trig_basis(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Interleaved cos/sin rows of shape (2M, len(times))."""
+    angles = np.outer(omega, times)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1, times.shape[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _fourier_grid(period: float, harmonics: int, n_t: int, dtype: np.dtype) -> FourierGrid:
+    """The shared grid for (T, M, n_t, dtype); built once, then served from a cache."""
+    times = np.arange(n_t, dtype=dtype) * (period / n_t)
+    omega = _odd_frequencies(period, harmonics, dtype)
+    basis = _trig_basis(omega, times)
+    pairs = basis.reshape(harmonics, 2, n_t)
+    rate = omega[:, None]
+    velocity = np.stack([-rate * pairs[:, 1], rate * pairs[:, 0]], axis=1)
+    acceleration = -(rate * rate)[:, None] * pairs
+    return FourierGrid(
+        times=times,
+        omega=omega,
+        basis=basis,
+        velocity=velocity.reshape(basis.shape),
+        acceleration=acceleration.reshape(basis.shape),
+    )
+
+
+def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierGrid:
+    """The grid matching a loop's period, harmonics and dtype; n_t defaults per M.
+
+    Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
+    integrate products of retained harmonics exactly.
+    """
+    m = loop.harmonics
+    if n_t is None:
+        n_t = default_grid_size(m)
+    if n_t < 4 * m + 1:
+        raise GridTooCoarse(f"n_t={n_t} < 4M+1={4 * m + 1} for M={m}")
+    return _fourier_grid(loop.period, m, n_t, loop.coefficients.dtype)
+
+
+def _synthesize(rows: np.ndarray, loop: LoopConfiguration) -> np.ndarray:
+    """Sum of (2M, n) basis rows weighted by the loop's coefficients, shape (n, N, k).
+
+    The coefficients enter as a (2M, N k) matrix: rows (harmonic, cos/sin)
+    as in :class:`FourierGrid`, columns (body, coordinate).
+    """
+    coeffs = loop.coefficients.transpose(1, 2, 0, 3).reshape(rows.shape[0], -1)
+    return (rows.T @ coeffs).reshape(-1, loop.n_bodies, loop.dim)
 
 
 def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> SampledPath:
@@ -159,32 +236,17 @@ def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> Sample
     Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
     integrate products of retained harmonics exactly.
     """
-    if n_t is None:
-        n_t = default_grid_size(loop.harmonics)
-    if n_t < 4 * loop.harmonics + 1:
-        raise GridTooCoarse(f"n_t={n_t} < 4M+1={4 * loop.harmonics + 1} for M={loop.harmonics}")
-    t, cos_b, sin_b = _basis(loop, n_t)
-    a = loop.coefficients[:, :, 0, :]
-    b = loop.coefficients[:, :, 1, :]
-    omega = loop.angular_frequencies()
-    pos = np.einsum("imd,mj->jid", a, cos_b) + np.einsum("imd,mj->jid", b, sin_b)
-    vel = np.einsum("imd,mj->jid", b * omega[None, :, None], cos_b) - np.einsum(
-        "imd,mj->jid", a * omega[None, :, None], sin_b
+    grid = quadrature_grid(loop, n_t)
+    return SampledPath(
+        times=grid.times,
+        positions=_synthesize(grid.basis, loop),
+        velocities=_synthesize(grid.velocity, loop),
     )
-    return SampledPath(times=t, positions=pos, velocities=vel)
 
 
 def sample_acceleration(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
     """Second time derivative on the same grid as :func:`sample_trajectory`."""
-    if n_t is None:
-        n_t = default_grid_size(loop.harmonics)
-    if n_t < 4 * loop.harmonics + 1:
-        raise GridTooCoarse(f"n_t={n_t} < 4M+1={4 * loop.harmonics + 1} for M={loop.harmonics}")
-    _, cos_b, sin_b = _basis(loop, n_t)
-    omega_sq = loop.angular_frequencies() ** 2
-    a = loop.coefficients[:, :, 0, :] * omega_sq[None, :, None]
-    b = loop.coefficients[:, :, 1, :] * omega_sq[None, :, None]
-    return -(np.einsum("imd,mj->jid", a, cos_b) + np.einsum("imd,mj->jid", b, sin_b))
+    return _synthesize(quadrature_grid(loop, n_t).acceleration, loop)
 
 
 def evaluate_positions(loop: LoopConfiguration, times: np.ndarray) -> np.ndarray:
@@ -194,11 +256,7 @@ def evaluate_positions(loop: LoopConfiguration, times: np.ndarray) -> np.ndarray
     of samples; it is meant for display and export, not quadrature.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    angles = np.outer(loop.angular_frequencies(), times)
-    cos_b, sin_b = np.cos(angles), np.sin(angles)
-    a = loop.coefficients[:, :, 0, :]
-    b = loop.coefficients[:, :, 1, :]
-    return np.einsum("imd,mj->jid", a, cos_b) + np.einsum("imd,mj->jid", b, sin_b)
+    return _synthesize(_trig_basis(loop.angular_frequencies(), times), loop)
 
 
 def harmonic_energies(loop: LoopConfiguration) -> np.ndarray:
@@ -231,15 +289,34 @@ def velocity_l2_norms_squared(loop: LoopConfiguration) -> np.ndarray:
     return 0.5 * loop.period * (harmonic_energies(loop) @ omega_sq)
 
 
+@functools.lru_cache(maxsize=16)
+def body_pairs(n_bodies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The P = N(N-1)/2 pairs i < j as index arrays (iu, ju) and an (N, P) incidence matrix.
+
+    Column p of the incidence matrix is +1 at body iu[p] and -1 at body
+    ju[p]: its transpose maps body positions to pair separations, and the
+    matrix itself maps per-pair forces back onto bodies. Arrays are read-only.
+    """
+    iu, ju = np.triu_indices(n_bodies, k=1)
+    incidence = np.zeros((n_bodies, iu.size))
+    incidence[iu, np.arange(iu.size)] = 1.0
+    incidence[ju, np.arange(iu.size)] = -1.0
+    for arr in (iu, ju, incidence):
+        arr.flags.writeable = False
+    return iu, ju, incidence
+
+
+def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Separations x_i - x_j, shape (n_t, P, k), and their lengths (n_t, P), over pairs i < j."""
+    diff = body_pairs(positions.shape[1])[2].T @ positions
+    return diff, np.sqrt(np.einsum("jpd,jpd->jp", diff, diff))
+
+
 def min_pairwise_distance(path: SampledPath) -> float:
     """Smallest inter-body distance over all grid times and pairs i < j."""
-    n = path.n_bodies
-    if n < 2:
+    if path.n_bodies < 2:
         raise SingleBody("pairwise distance requires at least two bodies")
-    diff = path.positions[:, :, None, :] - path.positions[:, None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    iu, ju = np.triu_indices(n, k=1)
-    return float(dist[:, iu, ju].min())
+    return float(pair_separations(path.positions)[1].min())
 
 
 def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:

@@ -30,6 +30,7 @@ from .errors import (
     SelfPair,
     ShapeMismatch,
 )
+from .loopspace import body_pairs, pair_separations
 
 __all__ = [
     "PotentialSpec",
@@ -123,91 +124,86 @@ def _blend_data(spec: PotentialSpec):
     return v0, d0, v1, d1
 
 
-def _blend_values(spec: PotentialSpec, r):
+def _blend(spec: PotentialSpec, r, order: int = 0) -> list:
+    """The blend polynomial on [r1, r2] and its first ``order`` derivatives."""
     v0, d0, v1, d1 = _blend_data(spec)
     h = spec.r2 - spec.r1
     s = (r - spec.r1) / h
     if spec.blend == BLEND_LINEAR:
-        return v0 + (v1 - v0) * s
+        return [v0 + (v1 - v0) * s, (v1 - v0) / h + 0.0 * s, 0.0 * s][: order + 1]
     h00 = (2.0 * s - 3.0) * s * s + 1.0
     h10 = ((s - 2.0) * s + 1.0) * s
     h01 = (3.0 - 2.0 * s) * s * s
     h11 = (s - 1.0) * s * s
-    return h00 * v0 + h10 * (h * d0) + h01 * v1 + h11 * (h * d1)
-
-
-def _blend_derivs(spec: PotentialSpec, r):
-    v0, d0, v1, d1 = _blend_data(spec)
-    h = spec.r2 - spec.r1
-    s = (r - spec.r1) / h
-    if spec.blend == BLEND_LINEAR:
-        return (v1 - v0) / h + 0.0 * s
-    dh00 = 6.0 * s * (s - 1.0)
-    dh10 = (3.0 * s - 4.0) * s + 1.0
-    dh01 = 6.0 * s * (1.0 - s)
-    dh11 = (3.0 * s - 2.0) * s
-    return (dh00 * v0 + dh01 * v1) / h + dh10 * d0 + dh11 * d1
-
-
-def _profile_values(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """Unit-mass radial profile w(r) on an array of positive separations."""
-    r = np.asarray(r)
-    out = np.empty_like(r)
-    inner = r < spec.r1
-    tail = r >= spec.r2
-    mid = ~(inner | tail)
-    if inner.any():
-        out[inner] = -spec.a * r[inner] ** (-spec.alpha)
-    if mid.any():
-        out[mid] = _blend_values(spec, r[mid])
-    if tail.any():
-        out[tail] = spec.g * r[tail] ** spec.theta
+    out = [h00 * v0 + h10 * (h * d0) + h01 * v1 + h11 * (h * d1)]
+    if order >= 1:
+        dh00 = 6.0 * s * (s - 1.0)
+        dh10 = (3.0 * s - 4.0) * s + 1.0
+        dh01 = 6.0 * s * (1.0 - s)
+        dh11 = (3.0 * s - 2.0) * s
+        out.append((dh00 * v0 + dh01 * v1) / h + dh10 * d0 + dh11 * d1)
+    if order >= 2:
+        d2h00 = 12.0 * s - 6.0
+        d2h10 = 6.0 * s - 4.0
+        d2h01 = 6.0 - 12.0 * s
+        d2h11 = 6.0 * s - 2.0
+        out.append((d2h00 * v0 + d2h01 * v1) / (h * h) + (d2h10 * d0 + d2h11 * d1) / h)
     return out
 
 
-def _profile_derivs(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """Radial derivative w'(r) on an array of positive separations."""
-    r = np.asarray(r)
-    out = np.empty_like(r)
-    inner = r < spec.r1
-    tail = r >= spec.r2
-    mid = ~(inner | tail)
-    if inner.any():
-        out[inner] = spec.alpha * spec.a * r[inner] ** (-spec.alpha - 1.0)
-    if mid.any():
-        out[mid] = _blend_derivs(spec, r[mid])
-    if tail.any():
-        out[tail] = spec.theta * spec.g * r[tail] ** (spec.theta - 1.0)
+def _power(coef: float, expo: float, r, order: int) -> list:
+    """c r^e and its first ``order`` derivatives, all from one power of r."""
+    value = coef * r**expo
+    out = [value]
+    if order >= 1:
+        out.append(expo * value / r)
+    if order >= 2:
+        out.append(expo * (expo - 1.0) * value / (r * r))
     return out
 
 
-def _blend_second_derivs(spec: PotentialSpec, r):
-    v0, d0, v1, d1 = _blend_data(spec)
-    h = spec.r2 - spec.r1
-    s = (r - spec.r1) / h
-    if spec.blend == BLEND_LINEAR:
-        return 0.0 * s
-    d2h00 = 12.0 * s - 6.0
-    d2h10 = 6.0 * s - 4.0
-    d2h01 = 6.0 - 12.0 * s
-    d2h11 = 6.0 * s - 2.0
-    return (d2h00 * v0 + d2h01 * v1) / (h * h) + (d2h10 * d0 + d2h11 * d1) / h
+def _inner(spec: PotentialSpec, r, order: int) -> list:
+    return _power(-spec.a, -spec.alpha, r, order)
 
 
-def _profile_second_derivs(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
-    """Second radial derivative w''(r) on an array of positive separations."""
+def _tail(spec: PotentialSpec, r, order: int) -> list:
+    return _power(spec.g, spec.theta, r, order)
+
+
+def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
+    """Unit-mass radial profile [w, w', w''][:order + 1] at positive separations.
+
+    One masked pass: each separation takes the branch it lies on. Input on a
+    single branch, such as a scalar, is evaluated without gather or scatter.
+    """
     r = np.asarray(r)
-    out = np.empty_like(r)
     inner = r < spec.r1
     tail = r >= spec.r2
-    mid = ~(inner | tail)
-    if inner.any():
-        out[inner] = -spec.alpha * (spec.alpha + 1.0) * spec.a * r[inner] ** (-spec.alpha - 2.0)
-    if mid.any():
-        out[mid] = _blend_second_derivs(spec, r[mid])
-    if tail.any():
-        out[tail] = spec.theta * (spec.theta - 1.0) * spec.g * r[tail] ** (spec.theta - 2.0)
+    branches = ((inner, _inner), (tail, _tail), (~(inner | tail), _blend))
+    for mask, branch in branches:
+        if mask.all():
+            return branch(spec, r, order)
+    out = [np.empty_like(r) for _ in range(order + 1)]
+    for mask, branch in branches:
+        if mask.any():
+            for dst, src in zip(out, branch(spec, r[mask], order)):
+                dst[mask] = src
     return out
+
+
+def _pair_terms(spec: PotentialSpec, positions: np.ndarray):
+    """Incidence matrix, pair mass products m_i m_j, separations and distances over i < j.
+
+    Raises CollisionSample if two bodies coincide at any node.
+    """
+    n = spec.n_bodies
+    if positions.shape[1] != n:
+        raise ShapeMismatch(f"positions have {positions.shape[1]} bodies, spec has {n}")
+    iu, ju, incidence = body_pairs(n)
+    diff, dist = pair_separations(positions)
+    if n > 1 and dist.min() == 0.0:
+        raise CollisionSample("two bodies coincide at a quadrature node")
+    return incidence, spec.masses[iu] * spec.masses[ju], diff, dist
 
 
 def _check_pair(spec: PotentialSpec, i: int, j: int):
@@ -223,7 +219,7 @@ def pair_potential(spec: PotentialSpec, t: float, i: int, j: int, r: float) -> f
     _check_pair(spec, i, j)
     if not r > 0:
         raise NonPositiveSeparation(f"separation must be positive, got {r}")
-    w = _profile_values(spec, np.asarray([float(r)]))[0]
+    w = _profile(spec, float(r))[0]
     return float(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
 
 
@@ -237,7 +233,7 @@ def pair_force(spec: PotentialSpec, t: float, i: int, j: int, xi: np.ndarray) ->
     r = float(np.linalg.norm(xi))
     if not r > 0:
         raise NonPositiveSeparation("separation vector must be nonzero")
-    wp = _profile_derivs(spec, np.asarray([r]))[0]
+    wp = _profile(spec, r, 1)[1]
     return float(time_modulation(spec, t)) * spec.masses[i] * spec.masses[j] * wp * (xi / r)
 
 
@@ -271,76 +267,43 @@ def grid_potential(
         (values, forces_or_None, min_separation). Raises CollisionSample if two
         bodies coincide at any grid node. min_separation is +inf for N = 1.
     """
-    n = spec.n_bodies
-    if positions.shape[1] != n:
-        raise ShapeMismatch(f"positions have {positions.shape[1]} bodies, spec has {n}")
-    if n == 1:
+    incidence, mass_prod, diff, dist = _pair_terms(spec, positions)
+    if dist.shape[1] == 0:
         zeros = np.zeros(positions.shape[0], dtype=positions.dtype)
         forces = np.zeros_like(positions) if need_forces else None
         return zeros, forces, float("inf")
-
-    diff = positions[:, :, None, :] - positions[:, None, :, :]  # (n_t, N, N, k)
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    eye = np.eye(n, dtype=bool)
-    off = ~eye
-    min_sep = float(dist[:, off].min())
-    if min_sep == 0.0:
-        raise CollisionSample("two bodies coincide at a quadrature node")
-    # Diagonal placeholder keeps the profile evaluation well-defined; the zeroed
-    # mass-product matrix removes those entries from every sum.
-    dist[:, eye] = 1.0
-    mass_prod = np.outer(spec.masses, spec.masses)
-    mass_prod[eye] = 0.0
-
-    w = _profile_values(spec, dist)
+    min_sep = float(dist.min())
     mu = time_modulation(spec, times)
-    values = 0.5 * mu * np.einsum("pq,jpq->j", mass_prod, w)
+    profile = _profile(spec, dist, 1 if need_forces else 0)
+    values = mu * (profile[0] @ mass_prod)
 
     forces = None
     if need_forces:
-        wp = _profile_derivs(spec, dist)
-        radial = mass_prod[None, :, :] * wp / dist  # (n_t, N, N)
-        forces = mu[:, None, None] * np.einsum("jpq,jpqd->jpd", radial, diff)
+        radial = mu[:, None] * mass_prod * profile[1] / dist  # (n_t, P)
+        forces = incidence @ (radial[..., None] * diff)  # (n_t, N, k)
     return values, forces, min_sep
 
 
 def grid_potential_hessian(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray):
     """Position-space Hessian of V at each grid node, shape (n_t, N, k, N, k).
 
-    Per interacting pair the block is mu m_i m_q (w'' u u^T + (w'/r)(I - u u^T))
-    with u the unit separation vector; it enters the (i, i) diagonal with +1
-    and the (i, q) off-diagonal with -1.
+    Per pair i < j the block is mu m_i m_j (w'' u u^T + (w'/r)(I - u u^T))
+    with u the unit separation vector; it enters the (i, i) and (j, j)
+    diagonal blocks with +1 and the (i, j) and (j, i) blocks with -1.
     """
-    n = spec.n_bodies
-    n_t, _, k = positions.shape
-    if positions.shape[1] != n:
-        raise ShapeMismatch(f"positions have {positions.shape[1]} bodies, spec has {n}")
-    if n == 1:
-        return np.zeros((n_t, 1, k, 1, k), dtype=positions.dtype)
-
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    eye = np.eye(n, dtype=bool)
-    if (dist[:, ~eye] == 0.0).any():
-        raise CollisionSample("two bodies coincide at a quadrature node")
-    dist[:, eye] = 1.0
-    mass_prod = np.outer(spec.masses, spec.masses)
-    mass_prod[eye] = 0.0
-
+    n_t, n, k = positions.shape
+    incidence, mass_prod, diff, dist = _pair_terms(spec, positions)
     unit = diff / dist[..., None]
-    wp = _profile_derivs(spec, dist)
-    wpp = _profile_second_derivs(spec, dist)
-    mu = time_modulation(spec, times)
-    aniso = mu[:, None, None] * mass_prod[None] * (wpp - wp / dist)  # u u^T weight
-    iso = mu[:, None, None] * mass_prod[None] * (wp / dist)  # identity weight
-    blocks = aniso[..., None, None] * np.einsum("jpqd,jpqe->jpqde", unit, unit)
-    blocks += iso[..., None, None] * np.eye(k, dtype=positions.dtype)[None, None, None]
-
-    hess = -np.transpose(blocks, (0, 1, 3, 2, 4)).copy()  # (j, i, d, q, e), pair term
-    diag = blocks.sum(axis=2)  # (j, i, d, e)
-    idx = np.arange(n)
-    hess[:, idx, :, idx, :] += np.transpose(diag, (1, 0, 2, 3))
-    return hess
+    _, wp, wpp = _profile(spec, dist, 2)
+    scale = time_modulation(spec, times)[:, None] * mass_prod
+    aniso = scale * (wpp - wp / dist)  # u u^T weight
+    iso = scale * (wp / dist)  # identity weight
+    blocks = aniso[..., None, None] * (unit[..., :, None] * unit[..., None, :])
+    blocks += iso[..., None, None] * np.eye(k, dtype=positions.dtype)
+    # Sum over pairs of inc[a, p] inc[b, p] blocks[p], as one (N N, P) matmul.
+    signs = (incidence[:, None, :] * incidence[None, :, :]).reshape(n * n, -1)
+    hess = signs @ blocks.reshape(n_t, -1, k * k)  # (n_t, N N, k k)
+    return hess.reshape(n_t, n, n, k, k).transpose(0, 1, 3, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -398,6 +361,6 @@ def strong_force_margin(spec: PotentialSpec, i: int, j: int, r: float) -> float:
     if r >= spec.r1:
         raise OutOfWitnessRange(f"margin defined below r1={spec.r1}, got r={r}")
     witness = strong_force_witness(spec, i, j)
-    w = _profile_values(spec, np.asarray([float(r)]))[0]
+    w = _profile(spec, float(r))[0]
     neg_v_min = -(1.0 - spec.modulation_eps) * spec.masses[i] * spec.masses[j] * w
     return float(neg_v_min - witness.grad_norm_sq(r))

@@ -22,10 +22,9 @@ from .errors import ShapeMismatch, SingleBody, ThetaOutOfRange
 from .loopspace import LoopConfiguration, default_grid_size
 from .potential import (
     PotentialSpec,
+    _blend,
     _blend_data,
-    _blend_derivs,
-    _blend_values,
-    _profile_values,
+    _profile,
     grid_potential,
     pair_potential,
     strong_force_margin,
@@ -152,8 +151,7 @@ def check_blend_c1(spec: PotentialSpec) -> float:
     """
     v0, d0, v1, d1 = _blend_data(spec)
     ends = np.asarray([spec.r1, spec.r2])
-    blend_vals = np.asarray([float(v) for v in _blend_values(spec, ends)])
-    blend_slopes = np.asarray([float(d) for d in _blend_derivs(spec, ends)])
+    blend_vals, blend_slopes = _blend(spec, ends, 1)
     worst = 0.0
     for got, want in (
         (blend_vals[0], v0),
@@ -253,7 +251,7 @@ def coercivity_constants(spec: PotentialSpec) -> tuple[float, float]:
     r_grid = np.concatenate(
         [np.geomspace(r_lo, spec.r2, 2048), np.asarray([spec.r1, spec.r2])]
     )
-    profile_max = float(np.abs(_profile_values(spec, r_grid)).max())
+    profile_max = float(np.abs(_profile(spec, r_grid)[0]).max())
     pair_mass_max = float((masses[iu] * masses[ju]).max()) if n >= 2 else 0.0
     b_max = (1.0 + spec.modulation_eps) * pair_mass_max * profile_max
     B = 0.5 * (n * n - n) * b_max

@@ -4,7 +4,8 @@ import pytest
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
 from orbitact.action import action, action_gradient, action_hessian, action_value
 from orbitact.errors import CollisionSample, ShapeMismatch
-from orbitact.loopspace import LoopConfiguration
+from orbitact.loopspace import LoopConfiguration, default_grid_size, pair_separations, sample_trajectory
+from orbitact.potential import grid_potential_hessian
 
 
 def fd_gradient_longdouble(spec, loop, h=1e-6):
@@ -166,3 +167,33 @@ def test_hessian_positive_on_kinetic_dominated_directions():
     loop = pair_circle(balance_radius(spec, 1), harmonics=2)
     eigvals = np.linalg.eigvalsh(action_hessian(spec, loop))
     assert eigvals.min() > -1e-9 * max(1.0, eigvals.max())
+
+
+def einsum_hessian_oracle(spec, loop):
+    """The Hessian as one 8-index einsum over a freshly built (M, 2, n_t) basis."""
+    n_t = default_grid_size(loop.harmonics)
+    times = np.arange(n_t) * (loop.period / n_t)
+    angles = np.outer(loop.angular_frequencies(), times)
+    basis = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    path = sample_trajectory(loop, n_t)
+    node_hess = grid_potential_hessian(spec, path.times, path.positions)
+    pot = (loop.period / n_t) * np.einsum("mcj,jidpe,nfj->imcdpnfe", basis, node_hess, basis)
+    n = loop.coefficients.size
+    omega_sq = loop.angular_frequencies() ** 2
+    kin = 0.5 * loop.period * spec.masses[:, None, None, None] * omega_sq[None, :, None, None]
+    kin_diag = (kin * np.ones((1, 1, 2, loop.dim))).reshape(-1)
+    return np.diag(kin_diag) - pot.reshape(n, n)
+
+
+def test_hessian_matches_einsum_contraction():
+    spec = make_spec(masses=np.array([1.0, 2.0, 0.5]), modulation_eps=0.2)
+    rng = np.random.default_rng(59)
+    inner = random_loop(rng, n_bodies=3, dim=2, harmonics=4, scale=0.4)
+    crossing = random_loop(rng, n_bodies=3, dim=2, harmonics=4, scale=1.6)
+    for loop, in_window in ((inner, False), (crossing, True)):
+        _, dist = pair_separations(sample_trajectory(loop).positions)
+        assert dist.max() < spec.r1 or in_window
+        assert bool(((dist >= spec.r1) & (dist < spec.r2)).any()) == in_window
+        oracle = einsum_hessian_oracle(spec, loop)
+        hess = action_hessian(spec, loop)
+        assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()

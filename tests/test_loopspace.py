@@ -12,6 +12,7 @@ from orbitact.loopspace import (
     kinetic_energy,
     l2_norms_squared,
     min_pairwise_distance,
+    quadrature_grid,
     sample_acceleration,
     sample_trajectory,
     shift_loop,
@@ -233,6 +234,26 @@ def test_dtype_preserved_through_sampling():
     coeff = np.zeros((1, 1, 2, 2), dtype=np.longdouble)
     coeff[0, 0, 0, 0] = np.longdouble(1) / 3
     loop = LoopConfiguration(1, 2, TWO_PI, coeff)
+    twin = LoopConfiguration(1, 2, TWO_PI, coeff.astype(float))
     assert loop.coefficients.dtype == np.longdouble
+    # float64 first, so a grid cached by (T, M, n_t) alone would be served here
+    assert quadrature_grid(twin, 8).basis.dtype == np.float64
+    grid = quadrature_grid(loop, 8)
+    assert grid is not quadrature_grid(twin, 8)
+    assert grid is quadrature_grid(loop, 8)
+    assert grid.basis.dtype == np.longdouble
     path = sample_trajectory(loop, 8)
     assert path.positions.dtype == np.longdouble
+    assert path.velocities.dtype == np.longdouble
+    assert sample_acceleration(loop, 8).dtype == np.longdouble
+
+
+def test_cached_grid_is_read_only():
+    grid = quadrature_grid(random_loop(np.random.default_rng(43), harmonics=3))
+    for arr in (grid.times, grid.omega, grid.basis, grid.velocity, grid.acceleration):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    path = sample_trajectory(random_loop(np.random.default_rng(44), harmonics=3))
+    with pytest.raises(ValueError):
+        path.times[0] = 1.0

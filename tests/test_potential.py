@@ -170,6 +170,28 @@ def test_grid_potential_matches_pairwise_sum():
     assert min_sep == pytest.approx(min(seps), abs=1e-12)
 
 
+def test_grid_forces_match_ordered_pair_loop():
+    spec = make_spec(masses=np.array([1.0, 2.0, 0.5, 3.0]), modulation_eps=0.3)
+    rng = np.random.default_rng(61)
+    times = np.array([0.0, 0.4, 1.9, 3.3, 5.0])
+    positions = rng.normal(scale=1.6, size=(5, 4, 2))
+    _, forces, _ = grid_potential(spec, times, positions, need_forces=True)
+    want = np.zeros_like(positions)
+    seps = []
+    for j, t in enumerate(times):
+        for i in range(4):
+            for q in range(4):
+                if q != i:
+                    xi = positions[j, i] - positions[j, q]
+                    seps.append(np.linalg.norm(xi))
+                    want[j, i] += pair_force(spec, t, i, q, xi)
+    seps = np.asarray(seps)
+    # every branch of the profile is exercised
+    assert (seps < spec.r1).any() and (seps >= spec.r2).any()
+    assert ((seps >= spec.r1) & (seps < spec.r2)).any()
+    assert np.abs(forces - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_grid_forces_match_finite_differences():
     spec = make_spec(masses=np.array([1.0, 2.0, 0.5]), modulation_eps=0.1)
     rng = np.random.default_rng(17)
