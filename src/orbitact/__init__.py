@@ -10,7 +10,7 @@ representation), potential (interaction profile and witnesses), action
 (external interfaces).
 """
 
-from .action import ActionEvaluation, action, action_gradient, action_value
+from .action import ActionEvaluation, action, action_value
 from .errors import (
     CollisionSample,
     ConfigInvalid,
@@ -27,13 +27,11 @@ from .errors import (
 )
 from .loopspace import (
     LoopConfiguration,
-    SampledPath,
     default_grid_size,
     evaluate_positions,
     h1_distance,
     harmonic_energies,
     kinetic_energy,
-    min_pairwise_distance,
     sample_acceleration,
     sample_trajectory,
     shift_loop,
@@ -44,12 +42,10 @@ from .potential import (
     PotentialSpec,
     StrongForceWitness,
     grid_potential,
-    pair_force,
     pair_potential,
     strong_force_margin,
     strong_force_witness,
     time_modulation,
-    total_potential,
 )
 from .runconfig import RunConfig, config_from_dict, load_config, resolved_dict
 from .solver import (
@@ -88,14 +84,12 @@ __all__ = [
     "__version__",
     # loop representation
     "LoopConfiguration",
-    "SampledPath",
     "default_grid_size",
     "sample_trajectory",
     "sample_acceleration",
     "evaluate_positions",
     "harmonic_energies",
     "kinetic_energy",
-    "min_pairwise_distance",
     "h1_distance",
     "shift_loop",
     # potential
@@ -104,8 +98,6 @@ __all__ = [
     "BLEND_LINEAR",
     "time_modulation",
     "pair_potential",
-    "pair_force",
-    "total_potential",
     "grid_potential",
     "StrongForceWitness",
     "strong_force_witness",
@@ -114,7 +106,6 @@ __all__ = [
     "ActionEvaluation",
     "action",
     "action_value",
-    "action_gradient",
     # solver
     "SolveStatus",
     "SolveOptions",

@@ -21,7 +21,7 @@ from .errors import ShapeMismatch
 from .loopspace import LoopConfiguration
 from .potential import PotentialSpec, grid_potential, grid_potential_hessian
 
-__all__ = ["ActionEvaluation", "action", "action_value", "action_gradient", "action_hessian"]
+__all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,15 @@ def _check_compatible(spec: PotentialSpec, loop: LoopConfiguration):
         )
 
 
+def _kinetic_diagonal(spec: PotentialSpec, grid: loopspace.FourierGrid, loop: LoopConfiguration):
+    """D = 0.5 T m_i omega_m^2 in coefficient shape (N, M, 1, 1).
+
+    The kinetic term is 0.5 sum D c^2 over the coefficients c, so its
+    gradient is D c and its Hessian the diagonal D.
+    """
+    return 0.5 * loop.period * spec.masses[:, None, None, None] * (grid.omega**2)[:, None, None]
+
+
 def _evaluate(
     spec: PotentialSpec,
     loop: LoopConfiguration,
@@ -59,25 +68,19 @@ def _evaluate(
     _check_compatible(spec, loop)
     grid = loopspace.quadrature_grid(loop, n_t)
     n_t = grid.times.shape[0]
-    path = loopspace.sample_trajectory(loop, n_t)
-    values, forces, min_sep = grid_potential(
-        spec, path.times, path.positions, need_forces=need_gradient
-    )
+    positions = loopspace.sample_trajectory(loop, n_t)
+    values, forces, min_sep = grid_potential(spec, grid.times, positions, need_forces=need_gradient)
     weight = loop.period / n_t
     # No float() casts: evaluating a higher-precision loop must yield a
     # higher-precision value, or finite-difference oracles lose their floor.
     potential_integral = weight * values.sum()
 
-    masses = spec.masses
-    energies = loopspace.harmonic_energies(loop)
-    omega_sq = grid.omega**2
-    kinetic = 0.25 * loop.period * (masses @ (energies @ omega_sq))
+    grad_kin = _kinetic_diagonal(spec, grid, loop) * loop.coefficients
+    kinetic = 0.5 * (grad_kin * loop.coefficients).sum()
     value = kinetic - potential_integral
 
     gradient = None
     if need_gradient:
-        kin_scale = 0.5 * loop.period * masses[:, None, None, None] * omega_sq[None, :, None, None]
-        grad_kin = kin_scale * loop.coefficients
         projected = grid.basis @ forces.reshape(n_t, -1)  # (2M, N k)
         grad_pot = projected.reshape(loop.harmonics, 2, loop.n_bodies, loop.dim).transpose(2, 0, 1, 3)
         gradient = (grad_kin - weight * grad_pot).reshape(-1)
@@ -106,20 +109,12 @@ def action_value(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None =
     return value, kinetic, min_sep
 
 
-def action_gradient(
-    spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None
-) -> np.ndarray:
-    """Gradient of the discretized action, flattened like ``LoopConfiguration.flat``."""
-    _, gradient, _, _, _ = _evaluate(spec, loop, n_t, need_gradient=True)
-    return gradient
-
-
 def action_hessian(
     spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None
 ) -> np.ndarray:
     """Exact Hessian of the discretized action in flat coefficient order.
 
-    The kinetic block is the constant diagonal 0.5 T m_i omega_m^2; the
+    The kinetic block is the constant diagonal of :func:`_kinetic_diagonal`; the
     potential block conjugates the per-node position-space Hessian of V by
     the trigonometric basis with the quadrature weight. Shape (n, n) with
     n = N*M*2*k.
@@ -127,8 +122,8 @@ def action_hessian(
     _check_compatible(spec, loop)
     grid = loopspace.quadrature_grid(loop, n_t)
     n_t = grid.times.shape[0]
-    path = loopspace.sample_trajectory(loop, n_t)
-    node_hess = grid_potential_hessian(spec, path.times, path.positions)
+    positions = loopspace.sample_trajectory(loop, n_t)
+    node_hess = grid_potential_hessian(spec, grid.times, positions)
     n_rows, n_pos = grid.basis.shape[0], loop.n_bodies * loop.dim
     weight = loop.period / n_t
     # Node sum of basis[a] basis[b] H_j as one matmul: (a b, j) @ (j, (i d)(p e)).
@@ -141,12 +136,6 @@ def action_hessian(
 
     n_flat = n_rows * n_pos
     hess = -pot_block.reshape(n_flat, n_flat)
-    omega_sq = grid.omega**2
-    kin_diag = (
-        0.5
-        * loop.period
-        * (spec.masses[:, None, None, None] * omega_sq[None, :, None, None])
-        * np.ones((1, 1, 2, loop.dim))
-    ).reshape(-1)
-    hess[np.arange(n_flat), np.arange(n_flat)] += kin_diag
+    kin_diag = np.broadcast_to(_kinetic_diagonal(spec, grid, loop), loop.coefficients.shape)
+    hess[np.arange(n_flat), np.arange(n_flat)] += kin_diag.reshape(-1)
     return hess

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, ShapeMismatch, SingleBody
+from .errors import GridTooCoarse, ShapeMismatch
 
 __all__ = [
     "LoopConfiguration",
-    "SampledPath",
     "FourierGrid",
     "default_grid_size",
     "quadrature_grid",
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_positions",
     "kinetic_energy",
     "harmonic_energies",
-    "min_pairwise_distance",
     "body_pairs",
     "pair_separations",
     "h1_distance",
@@ -96,18 +94,9 @@ class LoopConfiguration:
         """Number of retained odd harmonics M."""
         return self.coefficients.shape[1]
 
-    @property
-    def odd_orders(self) -> np.ndarray:
-        """The odd harmonic orders (1, 3, ..., 2M-1)."""
-        return np.arange(1, 2 * self.harmonics, 2)
-
     def angular_frequencies(self) -> np.ndarray:
         """omega_m = 2 pi m / T for each retained harmonic."""
         return _odd_frequencies(self.period, self.harmonics, self.coefficients.dtype)
-
-    @classmethod
-    def zeros(cls, n_bodies: int, dim: int, period: float, harmonics: int) -> "LoopConfiguration":
-        return cls(n_bodies, dim, period, np.zeros((n_bodies, harmonics, 2, dim)))
 
     @classmethod
     def from_flat(
@@ -128,52 +117,27 @@ class LoopConfiguration:
 
 
 @dataclass(frozen=True)
-class SampledPath:
-    """Positions and velocities of all bodies on a uniform time grid."""
-
-    times: np.ndarray
-    positions: np.ndarray  # (n_t, N, k)
-    velocities: np.ndarray  # (n_t, N, k)
-
-    def __post_init__(self):
-        for name in ("times", "positions", "velocities"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_times(self) -> int:
-        return self.times.shape[0]
-
-    @property
-    def n_bodies(self) -> int:
-        return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
 class FourierGrid:
     """Uniform quadrature nodes and the trigonometric basis sampled on them.
 
     Row ``2*m_idx`` of each basis is cos(omega_m t) and row ``2*m_idx + 1``
-    sin(omega_m t), or their time derivatives. Every array is
+    sin(omega_m t), or their second time derivatives. Every array is
     read-only, because one instance is shared by all callers with the same key.
 
     Attributes:
         times: (n_t,) nodes t_j = j T / n_t.
         omega: (M,) angular frequencies of the odd harmonics.
         basis: (2M, n_t) cosine/sine rows.
-        velocity: (2M, n_t) time derivative of ``basis``.
         acceleration: (2M, n_t) second time derivative of ``basis``.
     """
 
     times: np.ndarray
     omega: np.ndarray
     basis: np.ndarray
-    velocity: np.ndarray
     acceleration: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "omega", "basis", "velocity", "acceleration"):
+        for name in ("times", "omega", "basis", "acceleration"):
             getattr(self, name).flags.writeable = False
 
 
@@ -193,17 +157,8 @@ def _fourier_grid(period: float, harmonics: int, n_t: int, dtype: np.dtype) -> F
     times = np.arange(n_t, dtype=dtype) * (period / n_t)
     omega = _odd_frequencies(period, harmonics, dtype)
     basis = _trig_basis(omega, times)
-    pairs = basis.reshape(harmonics, 2, n_t)
-    rate = omega[:, None]
-    velocity = np.stack([-rate * pairs[:, 1], rate * pairs[:, 0]], axis=1)
-    acceleration = -(rate * rate)[:, None] * pairs
-    return FourierGrid(
-        times=times,
-        omega=omega,
-        basis=basis,
-        velocity=velocity.reshape(basis.shape),
-        acceleration=acceleration.reshape(basis.shape),
-    )
+    acceleration = -np.repeat(omega * omega, 2)[:, None] * basis
+    return FourierGrid(times=times, omega=omega, basis=basis, acceleration=acceleration)
 
 
 def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierGrid:
@@ -230,18 +185,13 @@ def _synthesize(rows: np.ndarray, loop: LoopConfiguration) -> np.ndarray:
     return (rows.T @ coeffs).reshape(-1, loop.n_bodies, loop.dim)
 
 
-def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> SampledPath:
-    """Evaluate positions and velocities at n_t uniform times over [0, T).
+def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
+    """Positions at the n_t nodes of :func:`quadrature_grid`, shape (n_t, N, k).
 
     Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
     integrate products of retained harmonics exactly.
     """
-    grid = quadrature_grid(loop, n_t)
-    return SampledPath(
-        times=grid.times,
-        positions=_synthesize(grid.basis, loop),
-        velocities=_synthesize(grid.velocity, loop),
-    )
+    return _synthesize(quadrature_grid(loop, n_t).basis, loop)
 
 
 def sample_acceleration(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
@@ -278,11 +228,6 @@ def kinetic_energy(loop: LoopConfiguration, masses: np.ndarray) -> float:
     return float(0.25 * loop.period * masses @ (energies @ omega_sq))
 
 
-def l2_norms_squared(loop: LoopConfiguration) -> np.ndarray:
-    """Per-body squared L^2 norms int_0^T |x_i|^2 dt, shape (N,)."""
-    return 0.5 * loop.period * harmonic_energies(loop).sum(axis=1)
-
-
 def velocity_l2_norms_squared(loop: LoopConfiguration) -> np.ndarray:
     """Per-body squared L^2 norms of the velocity, shape (N,)."""
     omega_sq = loop.angular_frequencies() ** 2
@@ -310,13 +255,6 @@ def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separations x_i - x_j, shape (n_t, P, k), and their lengths (n_t, P), over pairs i < j."""
     diff = body_pairs(positions.shape[1])[2].T @ positions
     return diff, np.sqrt(np.einsum("jpd,jpd->jp", diff, diff))
-
-
-def min_pairwise_distance(path: SampledPath) -> float:
-    """Smallest inter-body distance over all grid times and pairs i < j."""
-    if path.n_bodies < 2:
-        raise SingleBody("pairwise distance requires at least two bodies")
-    return float(pair_separations(path.positions)[1].min())
 
 
 def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:

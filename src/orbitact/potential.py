@@ -37,8 +37,6 @@ __all__ = [
     "StrongForceWitness",
     "time_modulation",
     "pair_potential",
-    "pair_force",
-    "total_potential",
     "grid_potential",
     "grid_potential_hessian",
     "strong_force_witness",
@@ -221,33 +219,6 @@ def pair_potential(spec: PotentialSpec, t: float, i: int, j: int, r: float) -> f
         raise NonPositiveSeparation(f"separation must be positive, got {r}")
     w = _profile(spec, float(r))[0]
     return float(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
-
-
-def pair_force(spec: PotentialSpec, t: float, i: int, j: int, xi: np.ndarray) -> np.ndarray:
-    """Gradient of V_ij with respect to the separation vector xi = x_i - x_j.
-
-    Radial chain rule: grad = mu(t) m_i m_j w'(|xi|) xi / |xi|.
-    """
-    _check_pair(spec, i, j)
-    xi = np.asarray(xi, dtype=float)
-    r = float(np.linalg.norm(xi))
-    if not r > 0:
-        raise NonPositiveSeparation("separation vector must be nonzero")
-    wp = _profile(spec, r, 1)[1]
-    return float(time_modulation(spec, t)) * spec.masses[i] * spec.masses[j] * wp * (xi / r)
-
-
-def total_potential(spec: PotentialSpec, t: float, positions: np.ndarray) -> float:
-    """V(t, x) = sum_{i<j} V_ij(t, x_i - x_j) for one configuration (N, k)."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[0] != spec.n_bodies:
-        raise ShapeMismatch(
-            f"positions shape {positions.shape} does not match (N={spec.n_bodies}, k)"
-        )
-    values, _, _ = grid_potential(
-        spec, np.asarray([float(t)]), positions[None, :, :], need_forces=False
-    )
-    return float(values[0])
 
 
 def grid_potential(

@@ -4,8 +4,8 @@ The descent is a limited-memory BFGS with a backtracking line search that is
 aware of the collision barrier: trial points that would cut the minimum
 pairwise separation too sharply in a single step are rejected before their
 sufficient-decrease test, which keeps the iterates out of the steep inner
-wall of the interaction profile. Every accepted step strictly decreases the
-discretized action, so the recorded trace is monotone by construction.
+wall of the interaction profile. The discretized action never increases from
+one accepted step to the next, so the recorded trace is monotone by construction.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
@@ -128,7 +128,7 @@ def descend(
     opts: SolveOptions | None = None,
     n_t: int | None = None,
 ) -> SolveReport:
-    """Minimize the discretized action from loop0; every step decreases it.
+    """Minimize the discretized action from loop0; it never increases along the run.
 
     Line-search trials must (a) sample without exact collisions, (b) keep the
     action finite, (c) not reduce the minimum pairwise separation below

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import loopspace
-from .action import action as _action
-from .errors import ShapeMismatch, SingleBody, ThetaOutOfRange
-from .loopspace import LoopConfiguration, default_grid_size
+from .action import _check_compatible, action as _action
+from .errors import SingleBody, ThetaOutOfRange
+from .loopspace import LoopConfiguration
 from .potential import (
     PotentialSpec,
     _blend,
@@ -58,13 +58,12 @@ def euler_lagrange_residual(
     (1 + kinetic) so the figure is comparable across energy scales. Zero for
     an exact solution of the motion equations.
     """
-    if spec.n_bodies != loop.n_bodies:
-        raise ShapeMismatch("spec and loop disagree on the number of bodies")
-    if n_t is None:
-        n_t = default_grid_size(loop.harmonics)
-    path = loopspace.sample_trajectory(loop, n_t)
+    _check_compatible(spec, loop)
+    grid = loopspace.quadrature_grid(loop, n_t)
+    n_t = grid.times.shape[0]
+    positions = loopspace.sample_trajectory(loop, n_t)
     acc = loopspace.sample_acceleration(loop, n_t)
-    _, forces, _ = grid_potential(spec, path.times, path.positions, need_forces=True)
+    _, forces, _ = grid_potential(spec, grid.times, positions, need_forces=True)
     res = spec.masses[None, :, None] * acc + forces
     l2 = math.sqrt(float((loop.period / n_t) * (res**2).sum()))
     kinetic = loopspace.kinetic_energy(loop, spec.masses)
@@ -470,8 +469,7 @@ def run_inequality_ledger(
     for _ in range(max(n // 10, min(n, 1))):
         loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period)
         n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
-        path = loopspace.sample_trajectory(loop, n_t)
-        pos = path.positions
+        pos = loopspace.sample_trajectory(loop, n_t)
         scale = 1.0 + float(np.abs(pos).max())
         half = n_t // 2
         worst_ap = max(worst_ap, float(np.abs(np.roll(pos, -half, axis=0) + pos).max()) / scale)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import action_gradient, action_value
+from orbitact.action import action, action_value
 from orbitact.cli import EXIT_OK, main
 from orbitact.loopspace import LoopConfiguration, sample_trajectory
 from orbitact.potential import strong_force_margin
@@ -52,15 +52,15 @@ def test_criterion_1_gradient_matches_finite_differences():
     h = np.longdouble(1e-6)
     for index in range(100):
         loop = random_loop(rng, n_bodies=3, dim=2, harmonics=8, scale=scales[index % 3])
-        path = sample_trajectory(loop)
-        diff = path.positions[:, :, None, :] - path.positions[:, None, :, :]
+        positions = sample_trajectory(loop)
+        diff = positions[:, :, None, :] - positions[:, None, :, :]
         dist = np.sqrt((diff**2).sum(axis=-1))
         iu, ju = np.triu_indices(3, k=1)
         pair_dist = dist[:, iu, ju]
         n_inner += bool(pair_dist.min() < spec.r1)
         n_outer += bool(pair_dist.max() > spec.r2)
 
-        grad = action_gradient(spec, loop)
+        grad = action(spec, loop).gradient
         flat = loop.coefficients.astype(np.longdouble).reshape(-1)
         fd = np.empty(flat.size, dtype=np.longdouble)
         for idx in range(flat.size):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import action, action_gradient, action_hessian, action_value
+from orbitact.action import action, action_hessian, action_value
 from orbitact.errors import CollisionSample, ShapeMismatch
 from orbitact.loopspace import LoopConfiguration, default_grid_size, pair_separations, sample_trajectory
 from orbitact.potential import grid_potential_hessian
@@ -50,7 +50,7 @@ def test_action_value_fast_path_agrees():
     assert value == ev.value
     assert kinetic == ev.kinetic
     assert min_sep == ev.min_separation
-    assert np.array_equal(action_gradient(spec, loop), ev.gradient)
+    assert np.array_equal(action(spec, loop).gradient, ev.gradient)
 
 
 def test_gradient_matches_extended_precision_differences():
@@ -58,7 +58,7 @@ def test_gradient_matches_extended_precision_differences():
     rng = np.random.default_rng(7)
     for scale in (0.4, 1.6):  # inner-only and blend/tail-crossing loops
         loop = random_loop(rng, n_bodies=3, dim=2, harmonics=3, scale=scale)
-        grad = action_gradient(spec3, loop)
+        grad = action(spec3, loop).gradient
         fd = fd_gradient_longdouble(spec3, loop)
         err = np.abs(fd - grad.astype(np.longdouble))
         denom = np.maximum(1.0, np.abs(grad))
@@ -72,7 +72,7 @@ def test_gradient_vanishes_on_balanced_circles():
     for winding in (1, 3):
         radius = balance_radius(spec, winding)
         loop = pair_circle(radius, winding=winding, harmonics=4)
-        grad = action_gradient(spec, loop)
+        grad = action(spec, loop).gradient
         assert np.abs(grad).max() < 1e-11
 
 
@@ -153,8 +153,8 @@ def test_hessian_symmetric_and_matches_gradient_differences():
         bumped[idx] += h
         dipped = flat.copy()
         dipped[idx] -= h
-        gp = action_gradient(spec, LoopConfiguration(2, 2, TWO_PI, bumped.reshape(loop.coefficients.shape)))
-        gm = action_gradient(spec, LoopConfiguration(2, 2, TWO_PI, dipped.reshape(loop.coefficients.shape)))
+        gp = action(spec, LoopConfiguration(2, 2, TWO_PI, bumped.reshape(loop.coefficients.shape))).gradient
+        gm = action(spec, LoopConfiguration(2, 2, TWO_PI, dipped.reshape(loop.coefficients.shape))).gradient
         fd[idx] = (gp - gm) / (2 * h)
     scale = max(1.0, np.abs(hess).max())
     assert np.abs(fd - hess).max() / scale < 1e-7
@@ -175,8 +175,7 @@ def einsum_hessian_oracle(spec, loop):
     times = np.arange(n_t) * (loop.period / n_t)
     angles = np.outer(loop.angular_frequencies(), times)
     basis = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    path = sample_trajectory(loop, n_t)
-    node_hess = grid_potential_hessian(spec, path.times, path.positions)
+    node_hess = grid_potential_hessian(spec, times, sample_trajectory(loop, n_t))
     pot = (loop.period / n_t) * np.einsum("mcj,jidpe,nfj->imcdpnfe", basis, node_hess, basis)
     n = loop.coefficients.size
     omega_sq = loop.angular_frequencies() ** 2
@@ -191,7 +190,7 @@ def test_hessian_matches_einsum_contraction():
     inner = random_loop(rng, n_bodies=3, dim=2, harmonics=4, scale=0.4)
     crossing = random_loop(rng, n_bodies=3, dim=2, harmonics=4, scale=1.6)
     for loop, in_window in ((inner, False), (crossing, True)):
-        _, dist = pair_separations(sample_trajectory(loop).positions)
+        _, dist = pair_separations(sample_trajectory(loop))
         assert dist.max() < spec.r1 or in_window
         assert bool(((dist >= spec.r1) & (dist < spec.r2)).any()) == in_window
         oracle = einsum_hessian_oracle(spec, loop)

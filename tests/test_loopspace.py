@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, pair_circle, random_loop
-from orbitact.errors import GridTooCoarse, ShapeMismatch, SingleBody
+from conftest import TWO_PI, random_loop
+from orbitact.errors import GridTooCoarse, ShapeMismatch
 from orbitact.loopspace import (
     LoopConfiguration,
     default_grid_size,
@@ -10,8 +10,6 @@ from orbitact.loopspace import (
     h1_distance,
     harmonic_energies,
     kinetic_energy,
-    l2_norms_squared,
-    min_pairwise_distance,
     quadrature_grid,
     sample_acceleration,
     sample_trajectory,
@@ -31,6 +29,17 @@ def naive_positions(loop, times):
                 out[j, i] += loop.coefficients[i, row, 0] * np.cos(ang)
                 out[j, i] += loop.coefficients[i, row, 1] * np.sin(ang)
     return out
+
+
+def analytic_velocities(loop, times):
+    # termwise time derivative of the series: d/dt (a cos wt + b sin wt)
+    omega = TWO_PI / loop.period * np.arange(1, 2 * loop.harmonics, 2)
+    angles = np.outer(times, omega)
+    a = loop.coefficients[:, :, 0]
+    b = loop.coefficients[:, :, 1]
+    return np.einsum("tm,imd->tid", -omega * np.sin(angles), a) + np.einsum(
+        "tm,imd->tid", omega * np.cos(angles), b
+    )
 
 
 def test_constructor_validation():
@@ -73,9 +82,9 @@ def test_default_grid_size_covers_quadrature_floor():
 def test_sample_trajectory_matches_naive_evaluation():
     rng = np.random.default_rng(11)
     loop = random_loop(rng, n_bodies=3, dim=2, harmonics=4)
-    path = sample_trajectory(loop, 20)
-    expected = naive_positions(loop, path.times)
-    assert np.abs(path.positions - expected).max() < 1e-13
+    positions = sample_trajectory(loop, 20)
+    expected = naive_positions(loop, quadrature_grid(loop, 20).times)
+    assert np.abs(positions - expected).max() < 1e-13
 
 
 def test_sample_trajectory_grid_floor():
@@ -85,25 +94,10 @@ def test_sample_trajectory_grid_floor():
     sample_trajectory(loop, 17)  # at the floor: fine
 
 
-def test_velocity_matches_finite_difference_of_positions():
-    rng = np.random.default_rng(3)
-    loop = random_loop(rng, harmonics=3)
-    times = np.array([0.3, 1.1, 4.0])
-    h = 1e-6
-    fd = (evaluate_positions(loop, times + h) - evaluate_positions(loop, times - h)) / (2 * h)
-    path = sample_trajectory(loop, 1024)
-    # compare at matching grid times
-    for t, want in zip(times, fd):
-        j = int(round(t / (TWO_PI / 1024)))
-        if abs(path.times[j] - t) < 1e-12:
-            assert np.abs(path.velocities[j] - want).max() < 1e-8
-
-
 def test_antiperiodicity_and_zero_mean_on_even_grid():
     rng = np.random.default_rng(7)
     loop = random_loop(rng, n_bodies=2, harmonics=5)
-    path = sample_trajectory(loop, 44)  # even: t_j + T/2 lands back on the grid
-    pos = path.positions
+    pos = sample_trajectory(loop, 44)  # even: t_j + T/2 lands back on the grid
     assert np.abs(np.roll(pos, -22, axis=0) + pos).max() < 1e-12
     assert np.abs(pos.mean(axis=0)).max() < 1e-13
 
@@ -112,13 +106,14 @@ def test_acceleration_is_second_derivative():
     rng = np.random.default_rng(5)
     loop = random_loop(rng, harmonics=3)
     acc = sample_acceleration(loop, 64)
-    path = sample_trajectory(loop, 64)
+    positions = sample_trajectory(loop, 64)
+    times = quadrature_grid(loop, 64).times
     h = 1e-5
     for j in (0, 10, 33):
-        t = path.times[j]
+        t = times[j]
         fd = (
             evaluate_positions(loop, np.array([t + h]))[0]
-            - 2 * path.positions[j]
+            - 2 * positions[j]
             + evaluate_positions(loop, np.array([t - h]))[0]
         ) / h**2
         assert np.abs(acc[j] - fd).max() < 1e-5
@@ -148,11 +143,13 @@ def test_norms_match_quadrature_on_random_loops():
     rng = np.random.default_rng(19)
     for _ in range(5):
         loop = random_loop(rng, n_bodies=2, harmonics=3)
-        path = sample_trajectory(loop, 4096)
+        positions = sample_trajectory(loop, 4096)
+        velocities = analytic_velocities(loop, quadrature_grid(loop, 4096).times)
         w = loop.period / 4096  # periodic rectangle rule, spectrally accurate
-        pos_sq = (path.positions**2).sum(axis=2).sum(axis=0) * w
-        vel_sq = (path.velocities**2).sum(axis=2).sum(axis=0) * w
-        assert np.abs(l2_norms_squared(loop) - pos_sq).max() < 1e-10
+        pos_sq = (positions**2).sum(axis=2).sum(axis=0) * w
+        vel_sq = (velocities**2).sum(axis=2).sum(axis=0) * w
+        l2_norms_sq = 0.5 * loop.period * harmonic_energies(loop).sum(axis=1)  # Parseval
+        assert np.abs(l2_norms_sq - pos_sq).max() < 1e-10
         assert np.abs(velocity_l2_norms_squared(loop) - vel_sq).max() < 1e-9
 
 
@@ -162,18 +159,6 @@ def test_harmonic_energies_shape_and_values():
     coeff[0, 1, 1, 1] = 4.0
     loop = LoopConfiguration(1, 2, TWO_PI, coeff)
     assert harmonic_energies(loop).tolist() == [[9.0, 16.0]]
-
-
-def test_min_pairwise_distance_circle():
-    loop = pair_circle(0.75)
-    path = sample_trajectory(loop, 32)
-    assert min_pairwise_distance(path) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_min_pairwise_distance_needs_two_bodies():
-    loop = LoopConfiguration(1, 2, TWO_PI, np.ones((1, 1, 2, 2)))
-    with pytest.raises(SingleBody):
-        min_pairwise_distance(sample_trajectory(loop, 16))
 
 
 def test_h1_distance_single_mode_literal():
@@ -225,9 +210,8 @@ def test_shift_by_half_period_negates():
 def test_evaluate_positions_matches_grid_sampling():
     rng = np.random.default_rng(41)
     loop = random_loop(rng, harmonics=3)
-    path = sample_trajectory(loop, 16)
-    free = evaluate_positions(loop, np.asarray(path.times))
-    assert np.abs(free - path.positions).max() < 1e-13
+    free = evaluate_positions(loop, np.asarray(quadrature_grid(loop, 16).times))
+    assert np.abs(free - sample_trajectory(loop, 16)).max() < 1e-13
 
 
 def test_dtype_preserved_through_sampling():
@@ -242,18 +226,19 @@ def test_dtype_preserved_through_sampling():
     assert grid is not quadrature_grid(twin, 8)
     assert grid is quadrature_grid(loop, 8)
     assert grid.basis.dtype == np.longdouble
-    path = sample_trajectory(loop, 8)
-    assert path.positions.dtype == np.longdouble
-    assert path.velocities.dtype == np.longdouble
+    assert sample_trajectory(loop, 8).dtype == np.longdouble
     assert sample_acceleration(loop, 8).dtype == np.longdouble
 
 
 def test_cached_grid_is_read_only():
     grid = quadrature_grid(random_loop(np.random.default_rng(43), harmonics=3))
-    for arr in (grid.times, grid.omega, grid.basis, grid.velocity, grid.acceleration):
+    for arr in (grid.times, grid.omega, grid.basis, grid.acceleration):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    path = sample_trajectory(random_loop(np.random.default_rng(44), harmonics=3))
-    with pytest.raises(ValueError):
-        path.times[0] = 1.0
+    # sampled positions are a fresh array: writing to them leaves the cache intact
+    loop = random_loop(np.random.default_rng(44), harmonics=3)
+    positions = sample_trajectory(loop)
+    first = positions.copy()
+    positions[0] = 1.0
+    assert np.array_equal(sample_trajectory(loop), first)

@@ -12,15 +12,27 @@ from orbitact.errors import (
 from orbitact.potential import (
     BLEND_LINEAR,
     PotentialSpec,
+    _profile,
     grid_potential,
     grid_potential_hessian,
-    pair_force,
     pair_potential,
     strong_force_margin,
     strong_force_witness,
     time_modulation,
-    total_potential,
 )
+
+
+def one_node_potential(spec, t, positions):
+    """V(t, x) = sum_{i<j} V_ij(t, x_i - x_j) for one configuration (N, k)."""
+    values, _, _ = grid_potential(spec, np.array([t]), positions[None], need_forces=False)
+    return float(values[0])
+
+
+def ordered_pair_force(spec, t, i, j, xi):
+    """Gradient of V_ij in the separation xi = x_i - x_j: mu(t) m_i m_j w'(|xi|) xi / |xi|."""
+    r = float(np.linalg.norm(xi))
+    wp = _profile(spec, r, 1)[1]
+    return float(time_modulation(spec, t)) * spec.masses[i] * spec.masses[j] * wp * (xi / r)
 
 
 def hermite_cubic_oracle(spec, r):
@@ -67,9 +79,10 @@ def test_inner_branch_value_and_force():
     spec = make_spec()
     # r = 0.5 on the inner branch: w = -a r^-2 = -4
     assert pair_potential(spec, 0.0, 0, 1, 0.5) == pytest.approx(-4.0, abs=1e-14)
-    # gradient wrt the separation vector (0.5, 0): w'(0.5) = 2 * 0.5^-3 = 16
-    grad = pair_force(spec, 0.0, 0, 1, np.array([0.5, 0.0]))
-    assert grad == pytest.approx([16.0, 0.0], abs=1e-12)
+    # force on body 0 at separation vector (0.5, 0): w'(0.5) = 2 * 0.5^-3 = 16
+    positions = np.array([[[0.5, 0.0], [0.0, 0.0]]])
+    _, forces, _ = grid_potential(spec, np.array([0.0]), positions, need_forces=True)
+    assert forces[0, 0] == pytest.approx([16.0, 0.0], abs=1e-12)
 
 
 def test_tail_branch_value():
@@ -119,8 +132,6 @@ def test_pair_checks():
         pair_potential(spec, 0.0, 1, 1, 1.0)
     with pytest.raises(NonPositiveSeparation):
         pair_potential(spec, 0.0, 0, 1, 0.0)
-    with pytest.raises(NonPositiveSeparation):
-        pair_force(spec, 0.0, 0, 1, np.zeros(2))
 
 
 def test_time_modulation_even_and_half_periodic():
@@ -139,13 +150,13 @@ def test_total_potential_three_body_frozen():
     # branch, hand value 2(-1) + 3(-1/2.25) + 6(-1/3.25) = -5.179487179487179
     spec = make_spec(masses=np.array([1.0, 2.0, 3.0]))
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]])
-    assert total_potential(spec, 0.0, pos) == pytest.approx(-5.179487179487179, abs=1e-12)
+    assert one_node_potential(spec, 0.0, pos) == pytest.approx(-5.179487179487179, abs=1e-12)
 
 
 def test_total_potential_shape_check():
     spec = make_spec()
     with pytest.raises(ShapeMismatch):
-        total_potential(spec, 0.0, np.zeros((3, 2)))
+        grid_potential(spec, np.array([0.0]), np.zeros((1, 3, 2)))
 
 
 def test_grid_potential_matches_pairwise_sum():
@@ -184,7 +195,7 @@ def test_grid_forces_match_ordered_pair_loop():
                 if q != i:
                     xi = positions[j, i] - positions[j, q]
                     seps.append(np.linalg.norm(xi))
-                    want[j, i] += pair_force(spec, t, i, q, xi)
+                    want[j, i] += ordered_pair_force(spec, t, i, q, xi)
     seps = np.asarray(seps)
     # every branch of the profile is exercised
     assert (seps < spec.r1).any() and (seps >= spec.r2).any()
@@ -206,7 +217,7 @@ def test_grid_forces_match_finite_differences():
             dipped = positions.copy()
             dipped[0, i, d] -= h
             fd = (
-                total_potential(spec, 0.7, bumped[0]) - total_potential(spec, 0.7, dipped[0])
+                one_node_potential(spec, 0.7, bumped[0]) - one_node_potential(spec, 0.7, dipped[0])
             ) / (2 * h)
             assert forces[0, i, d] == pytest.approx(fd, abs=1e-7)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.errors import SingleBody, ThetaOutOfRange
+from orbitact.errors import ShapeMismatch, SingleBody, ThetaOutOfRange
 from orbitact.loopspace import LoopConfiguration, kinetic_energy
 from orbitact.action import action_value
 from orbitact.potential import BLEND_LINEAR
@@ -43,6 +43,15 @@ def test_euler_lagrange_residual_near_zero_on_balanced_circle():
     # a generic loop is far from solving the motion equations
     rng = np.random.default_rng(5)
     assert euler_lagrange_residual(spec, random_loop(rng, harmonics=3)) > 1e-3
+
+
+def test_euler_lagrange_residual_rejects_incompatible_loop():
+    # the residual accepts exactly the (spec, loop) pairs that the action accepts
+    spec = make_spec()
+    with pytest.raises(ShapeMismatch):
+        euler_lagrange_residual(spec, pair_circle(0.5, period=1.0))
+    with pytest.raises(ShapeMismatch):
+        euler_lagrange_residual(spec, LoopConfiguration(3, 2, TWO_PI, np.ones((3, 1, 2, 2))))
 
 
 def test_pairwise_identity_random():
