@@ -12,6 +12,11 @@ V_ij(t + T/2, -xi) = V_ij(t, xi) holds for every pair. The Hermite blend
 matches value and one-sided slope at both ends, making the profile C^1 on
 (0, inf). A C^0-only linear blend is available as a verification hook.
 
+One kernel, grid_potential, evaluates the potential over a quadrature grid,
+graded by derivative order like the profile itself: pair separations, the
+collision check, the modulation and one [w, w', w''][:order + 1] profile pass
+serve the values, the body forces and the position-space Hessian alike.
+
 The inner branch keeps the classical strong-force barrier: for alpha >= 2
 there is a witness function U with U(r) -> -inf as r -> 0+ and
 -V_ij(t, r) >= |U'(r)|^2 below r1, with equality at the modulation minimum.
@@ -38,7 +43,6 @@ __all__ = [
     "time_modulation",
     "pair_potential",
     "grid_potential",
-    "grid_potential_hessian",
     "strong_force_witness",
     "strong_force_margin",
 ]
@@ -189,21 +193,6 @@ def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
     return out
 
 
-def _pair_terms(spec: PotentialSpec, positions: np.ndarray):
-    """Incidence matrix, pair mass products m_i m_j, separations and distances over i < j.
-
-    Raises CollisionSample if two bodies coincide at any node.
-    """
-    n = spec.n_bodies
-    if positions.shape[1] != n:
-        raise ShapeMismatch(f"positions have {positions.shape[1]} bodies, spec has {n}")
-    iu, ju, incidence = body_pairs(n)
-    diff, dist = pair_separations(positions)
-    if n > 1 and dist.min() == 0.0:
-        raise CollisionSample("two bodies coincide at a quadrature node")
-    return incidence, spec.masses[iu] * spec.masses[ju], diff, dist
-
-
 def _check_pair(spec: PotentialSpec, i: int, j: int):
     n = spec.n_bodies
     if not (0 <= i < n and 0 <= j < n):
@@ -221,60 +210,44 @@ def pair_potential(spec: PotentialSpec, t: float, i: int, j: int, r: float) -> f
     return float(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
 
 
-def grid_potential(
-    spec: PotentialSpec,
-    times: np.ndarray,
-    positions: np.ndarray,
-    need_forces: bool = False,
-):
-    """Vectorized V(t_j, x(t_j)) over a whole grid, optionally with body forces.
+def grid_potential(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray, order: int = 0):
+    """[V, grad V, Hessian of V][:order + 1] at every node, and the minimum separation.
 
-    Args:
-        times: (n_t,) evaluation times.
-        positions: (n_t, N, k) body positions.
-        need_forces: also return grad_{x_i} V of shape (n_t, N, k).
-
-    Returns:
-        (values, forces_or_None, min_separation). Raises CollisionSample if two
-        bodies coincide at any grid node. min_separation is +inf for N = 1.
-    """
-    incidence, mass_prod, diff, dist = _pair_terms(spec, positions)
-    if dist.shape[1] == 0:
-        zeros = np.zeros(positions.shape[0], dtype=positions.dtype)
-        forces = np.zeros_like(positions) if need_forces else None
-        return zeros, forces, float("inf")
-    min_sep = float(dist.min())
-    mu = time_modulation(spec, times)
-    profile = _profile(spec, dist, 1 if need_forces else 0)
-    values = mu * (profile[0] @ mass_prod)
-
-    forces = None
-    if need_forces:
-        radial = mu[:, None] * mass_prod * profile[1] / dist  # (n_t, P)
-        forces = incidence @ (radial[..., None] * diff)  # (n_t, N, k)
-    return values, forces, min_sep
-
-
-def grid_potential_hessian(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray):
-    """Position-space Hessian of V at each grid node, shape (n_t, N, k, N, k).
-
-    Per pair i < j the block is mu m_i m_j (w'' u u^T + (w'/r)(I - u u^T))
-    with u the unit separation vector; it enters the (i, i) and (j, j)
-    diagonal blocks with +1 and the (i, j) and (j, i) blocks with -1.
+    times (n_t,) and positions (n_t, N, k) give the nodes. The body forces
+    grad_{x_i} V have shape (n_t, N, k) and the Hessian (n_t, N, k, N, k): per
+    pair i < j its block mu m_i m_j (w'' u u^T + (w'/r)(I - u u^T)), with u the
+    unit separation, enters blocks (i, i) and (j, j) with +1 and (i, j) and
+    (j, i) with -1. Raises CollisionSample if two bodies coincide at a node.
+    min_separation is +inf when there are no pairs (N = 1).
     """
     n_t, n, k = positions.shape
-    incidence, mass_prod, diff, dist = _pair_terms(spec, positions)
-    unit = diff / dist[..., None]
-    _, wp, wpp = _profile(spec, dist, 2)
-    scale = time_modulation(spec, times)[:, None] * mass_prod
-    aniso = scale * (wpp - wp / dist)  # u u^T weight
-    iso = scale * (wp / dist)  # identity weight
-    blocks = aniso[..., None, None] * (unit[..., :, None] * unit[..., None, :])
-    blocks += iso[..., None, None] * np.eye(k, dtype=positions.dtype)
-    # Sum over pairs of inc[a, p] inc[b, p] blocks[p], as one (N N, P) matmul.
-    signs = (incidence[:, None, :] * incidence[None, :, :]).reshape(n * n, -1)
-    hess = signs @ blocks.reshape(n_t, -1, k * k)  # (n_t, N N, k k)
-    return hess.reshape(n_t, n, n, k, k).transpose(0, 1, 3, 2, 4)
+    if n != spec.n_bodies:
+        raise ShapeMismatch(f"positions have {n} bodies, spec has {spec.n_bodies}")
+    iu, ju, incidence = body_pairs(n)
+    diff, dist = pair_separations(positions)
+    closest = dist.min(initial=np.inf)
+    if closest == 0.0:
+        raise CollisionSample("two bodies coincide at a quadrature node")
+    mass_prod = spec.masses[iu] * spec.masses[ju]
+    mu = time_modulation(spec, times)
+    profile = _profile(spec, dist, order)
+    out = [mu * (profile[0] @ mass_prod)]
+    if order >= 1:
+        scale = mu[:, None] * mass_prod  # (n_t, P)
+        radial = scale * profile[1] / dist
+        out.append(incidence @ (radial[..., None] * diff))  # (n_t, N, k)
+    if order >= 2:
+        _, wp, wpp = profile
+        unit = diff / dist[..., None]
+        aniso = scale * (wpp - wp / dist)  # u u^T weight
+        iso = scale * (wp / dist)  # identity weight
+        blocks = aniso[..., None, None] * (unit[..., :, None] * unit[..., None, :])
+        blocks += iso[..., None, None] * np.eye(k, dtype=positions.dtype)
+        # Sum over pairs of inc[a, p] inc[b, p] blocks[p], as one (N N, P) matmul.
+        signs = (incidence[:, None, :] * incidence[None, :, :]).reshape(n * n, -1)
+        hess = signs @ blocks.reshape(n_t, -1, k * k)  # (n_t, N N, k k)
+        out.append(hess.reshape(n_t, n, n, k, k).transpose(0, 1, 3, 2, 4))
+    return out, float(closest)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ resolved form embedded in outputs is complete.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid
+from .loopspace import default_grid_size
 from .potential import BLEND_HERMITE, BLEND_LINEAR, PotentialSpec
-from .solver import SolveOptions, _require_valid_winding
+from .solver import ACTION_REL_TOL, EL_RESIDUAL_TOL, PATH_TOL, SolveOptions, _require_valid_winding
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "resolved_dict"]
 
@@ -38,6 +40,7 @@ _SECTION_KEYS = {
     "output": ("directory", "action_rel_tol", "path_tol", "el_residual_tol"),
 }
 _REQUIRED_SECTIONS = ("problem", "potential", "output")
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,13 @@ def _number(sec: dict, section: str, key: str, default=None) -> float:
         if default is None:
             raise ConfigInvalid(f"missing required key {key!r} in section {section!r}")
         return default
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{section}.{key} must be a number, got {value!r}")
+    return _finite(sec[key], f"{section}.{key}")
+
+
+def _finite(value, name: str) -> float:
+    """value as a float, or ConfigInvalid naming ``name``; json.load parses Infinity and NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -116,10 +123,9 @@ def config_from_dict(data: dict) -> RunConfig:
     masses = problem.get("masses")
     if masses is None:
         raise ConfigInvalid("missing required key 'masses' in section 'problem'")
-    if not isinstance(masses, list) or not all(
-        isinstance(m, (int, float)) and not isinstance(m, bool) for m in masses
-    ):
+    if not isinstance(masses, list):
         raise ConfigInvalid("problem.masses must be a list of numbers")
+    masses = [_finite(m, f"problem.masses[{i}]") for i, m in enumerate(masses)]
     if len(masses) != n_bodies:
         raise ConfigInvalid(
             f"problem.masses must list exactly n_bodies = {n_bodies} masses, got {len(masses)}"
@@ -149,7 +155,7 @@ def config_from_dict(data: dict) -> RunConfig:
     harmonics = _integer(discretization, "discretization", "harmonics", default=8, minimum=1)
     n_t_floor = 4 * harmonics + 1
     n_t = _integer(
-        discretization, "discretization", "n_t", default=4 * harmonics + 9, minimum=1
+        discretization, "discretization", "n_t", default=default_grid_size(harmonics), minimum=1
     )
     if n_t < n_t_floor:
         raise ConfigInvalid(
@@ -157,13 +163,14 @@ def config_from_dict(data: dict) -> RunConfig:
             f"quadrature resolves every retained harmonic; got {n_t}"
         )
 
+    defaults = SolveOptions()
     try:
         options = SolveOptions(
-            max_iters=_integer(solver, "solver", "max_iters", default=500, minimum=1),
-            grad_tol=_number(solver, "solver", "grad_tol", default=1e-9),
-            history_len=_integer(solver, "solver", "history_len", default=10, minimum=1),
-            seed=_integer(solver, "solver", "seed", default=0, minimum=0),
-            step_guard=_number(solver, "solver", "step_guard", default=0.5),
+            max_iters=_integer(solver, "solver", "max_iters", default=defaults.max_iters, minimum=1),
+            grad_tol=_number(solver, "solver", "grad_tol", default=defaults.grad_tol),
+            history_len=_integer(solver, "solver", "history_len", default=defaults.history_len, minimum=1),
+            seed=_integer(solver, "solver", "seed", default=defaults.seed, minimum=0),
+            step_guard=_number(solver, "solver", "step_guard", default=defaults.step_guard),
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
@@ -181,9 +188,9 @@ def config_from_dict(data: dict) -> RunConfig:
     directory = output.get("directory")
     if not isinstance(directory, str) or not directory:
         raise ConfigInvalid("output.directory must be a non-empty string")
-    action_rel_tol = _number(output, "output", "action_rel_tol", default=1e-6)
-    path_tol = _number(output, "output", "path_tol", default=0.5)
-    el_residual_tol = _number(output, "output", "el_residual_tol", default=1e-7)
+    action_rel_tol = _number(output, "output", "action_rel_tol", default=ACTION_REL_TOL)
+    path_tol = _number(output, "output", "path_tol", default=PATH_TOL)
+    el_residual_tol = _number(output, "output", "el_residual_tol", default=EL_RESIDUAL_TOL)
     for name, value in (
         ("action_rel_tol", action_rel_tol),
         ("path_tol", path_tol),

@@ -52,6 +52,14 @@ __all__ = [
 ]
 
 
+# Default filter and grouping tolerances of multistart and dedupe.
+ACTION_REL_TOL = 1e-6
+PATH_TOL = 0.5
+EL_RESIDUAL_TOL = 1e-7
+TIME_SHIFTS = 256  # uniform time shifts tried when matching loops without modulation
+SEED_RADIUS = 0.25  # circular start radius at winding 1, in units of r1
+
+
 class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
@@ -364,14 +372,13 @@ def circular_seed(
     winding: int,
     start_index: int,
     base_seed: int,
-    radius_factor: float = 0.25,
     noise: float = 0.02,
 ) -> LoopConfiguration:
     """Perturbed rotating start: bodies evenly phased on one circle.
 
     The circle lives in the span of the first two coordinate axes, populates
     the single harmonic of the requested winding number, and has radius
-    radius_factor * r1 * winding^(-2/(alpha+2)), which shrinks with winding
+    SEED_RADIUS * r1 * winding^(-2/(alpha+2)), which shrinks with winding
     the way force balance on the inner branch does. Gaussian noise with
     per-harmonic scale noise * radius / m^2 keeps distinct start indices
     distinct while preserving positive separations.
@@ -381,7 +388,7 @@ def circular_seed(
     _require_valid_winding(winding, harmonics)
     n = spec.n_bodies
     rng = np.random.default_rng([base_seed, winding, start_index])
-    radius = radius_factor * spec.r1 * float(winding) ** (-2.0 / (spec.alpha + 2.0))
+    radius = SEED_RADIUS * spec.r1 * float(winding) ** (-2.0 / (spec.alpha + 2.0))
     coeffs = np.zeros((n, harmonics, 2, dim))
     row = (winding - 1) // 2
     for i in range(n):
@@ -452,9 +459,9 @@ def multistart(
     dim: int = 2,
     harmonics: int = 8,
     n_t: int | None = None,
-    action_rel_tol: float = 1e-6,
-    path_tol: float = 0.5,
-    el_residual_tol: float = 1e-7,
+    action_rel_tol: float = ACTION_REL_TOL,
+    path_tol: float = PATH_TOL,
+    el_residual_tol: float = EL_RESIDUAL_TOL,
     workers: int | None = None,
 ) -> MultistartResult:
     """Run descents from every (winding class, start index) pair and dedup.
@@ -532,19 +539,13 @@ def multistart(
     )
 
 
-def _min_shift_h1(a: LoopConfiguration, b: LoopConfiguration, n_shifts: int, half_period_only: bool):
-    if half_period_only:
-        taus = [0.0, 0.5 * a.period]
-    else:
-        taus = [k * a.period / n_shifts for k in range(n_shifts)]
-    return min(h1_distance(shift_loop(a, tau), b) for tau in taus)
-
-
-def _same_orbit(a: OrbitRecord, b: OrbitRecord, action_rel_tol, path_tol, n_shifts, half_period_only):
+def _same_orbit(a: OrbitRecord, b: OrbitRecord, action_rel_tol, path_tol, half_period_only):
     fa, fb = a.action_value, b.action_value
     if abs(fa - fb) > action_rel_tol * (1.0 + max(abs(fa), abs(fb))):
         return False
-    return _min_shift_h1(a.loop, b.loop, n_shifts, half_period_only) < path_tol
+    count = 2 if half_period_only else TIME_SHIFTS
+    taus = [k * a.loop.period / count for k in range(count)]
+    return min(h1_distance(shift_loop(a.loop, tau), b.loop) for tau in taus) < path_tol
 
 
 def _dedup_key(record: OrbitRecord) -> str:
@@ -558,10 +559,9 @@ def _dedup_key(record: OrbitRecord) -> str:
 
 def dedupe(
     records,
-    action_rel_tol: float = 1e-6,
-    path_tol: float = 0.5,
+    action_rel_tol: float = ACTION_REL_TOL,
+    path_tol: float = PATH_TOL,
     *,
-    n_shifts: int = 256,
     half_period_only: bool = False,
 ):
     """Group records that agree in action and in shift-minimized H^1 distance.
@@ -569,10 +569,11 @@ def dedupe(
     Records are scanned in (action, winding, start) order and matched greedily
     against existing groups, so the grouping is deterministic. Two records
     match when their action values differ by at most action_rel_tol relatively
-    and the H^1 distance minimized over time shifts (a uniform n_shifts grid,
-    or just {0, T/2} when the potential's time modulation breaks continuous
-    shift freedom) is below path_tol. Each group is represented by its member
-    of smallest gradient norm, tagged with a content hash.
+    and the H^1 distance minimized over time shifts (the TIME_SHIFTS = 256
+    shifts k T / 256, or just {0, T/2} when the potential's time modulation
+    breaks continuous shift freedom) is below path_tol. Each group is
+    represented by its member of smallest gradient norm, tagged with a
+    content hash.
     """
     ordered = sorted(
         records, key=lambda r: (r.action_value, r.winding_seed_class, r.start_index)
@@ -580,7 +581,7 @@ def dedupe(
     groups: list[list[OrbitRecord]] = []
     for rec in ordered:
         for group in groups:
-            if _same_orbit(group[0], rec, action_rel_tol, path_tol, n_shifts, half_period_only):
+            if _same_orbit(group[0], rec, action_rel_tol, path_tol, half_period_only):
                 group.append(rec)
                 break
         else:

@@ -63,7 +63,7 @@ def euler_lagrange_residual(
     n_t = grid.times.shape[0]
     positions = loopspace.sample_trajectory(loop, n_t)
     acc = loopspace.sample_acceleration(loop, n_t)
-    _, forces, _ = grid_potential(spec, grid.times, positions, need_forces=True)
+    (_, forces), _ = grid_potential(spec, grid.times, positions, 1)
     res = spec.masses[None, :, None] * acc + forces
     l2 = math.sqrt(float((loop.period / n_t) * (res**2).sum()))
     kinetic = loopspace.kinetic_energy(loop, spec.masses)

@@ -4,8 +4,14 @@ import pytest
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
 from orbitact.action import action, action_hessian, action_value
 from orbitact.errors import CollisionSample, ShapeMismatch
-from orbitact.loopspace import LoopConfiguration, default_grid_size, pair_separations, sample_trajectory
-from orbitact.potential import grid_potential_hessian
+from orbitact.loopspace import (
+    LoopConfiguration,
+    default_grid_size,
+    pair_separations,
+    quadrature_grid,
+    sample_trajectory,
+)
+from orbitact.potential import grid_potential
 
 
 def fd_gradient_longdouble(spec, loop, h=1e-6):
@@ -39,6 +45,34 @@ def test_action_circle_closed_form():
     assert ev.potential_integral == pytest.approx(-2 * np.pi, abs=1e-12)
     assert ev.min_separation == pytest.approx(1.0, abs=1e-13)
     assert ev.value == ev.kinetic - ev.potential_integral
+
+
+def test_single_body_has_only_kinetic_terms():
+    # one body has no pairs: every potential term vanishes at every order,
+    # and the action is its kinetic part 0.5 sum D c^2 with D = 0.5 T m omega^2
+    spec = make_spec(masses=np.array([2.0]))
+    loop = random_loop(np.random.default_rng(71), n_bodies=1, harmonics=3)
+    grid = quadrature_grid(loop)
+    positions = sample_trajectory(loop)
+    n_t = positions.shape[0]
+    shapes = [(n_t,), (n_t, 1, 2), (n_t, 1, 2, 1, 2)]
+    for order in range(3):
+        terms, min_sep = grid_potential(spec, grid.times, positions, order)
+        assert min_sep == np.inf
+        assert [term.shape for term in terms] == shapes[: order + 1]
+        assert not any(term.any() for term in terms)
+    omega_sq = loop.angular_frequencies() ** 2
+    kin_diag = np.broadcast_to(
+        0.5 * loop.period * 2.0 * omega_sq[None, :, None, None], loop.coefficients.shape
+    ).reshape(-1)
+    ev = action(spec, loop)
+    assert ev.value == ev.kinetic
+    assert ev.potential_integral == 0.0
+    assert ev.min_separation == np.inf
+    flat = loop.coefficients.reshape(-1)
+    assert ev.kinetic == pytest.approx(0.5 * (kin_diag * flat**2).sum(), rel=1e-14)
+    np.testing.assert_allclose(ev.gradient, kin_diag * flat, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(action_hessian(spec, loop), np.diag(kin_diag), rtol=1e-14, atol=0.0)
 
 
 def test_action_value_fast_path_agrees():
@@ -175,7 +209,7 @@ def einsum_hessian_oracle(spec, loop):
     times = np.arange(n_t) * (loop.period / n_t)
     angles = np.outer(loop.angular_frequencies(), times)
     basis = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    node_hess = grid_potential_hessian(spec, times, sample_trajectory(loop, n_t))
+    (_, _, node_hess), _ = grid_potential(spec, times, sample_trajectory(loop, n_t), 2)
     pot = (loop.period / n_t) * np.einsum("mcj,jidpe,nfj->imcdpnfe", basis, node_hess, basis)
     n = loop.coefficients.size
     omega_sq = loop.angular_frequencies() ** 2

@@ -88,6 +88,15 @@ def test_solve_invalid_config_exit_code(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.json")]) == EXIT_INVALID_INPUT
 
 
+def test_infinity_literal_in_config_exits_invalid(tmp_path, capsys):
+    for command, dotted in (("solve", "solver.grad_tol"), ("ledger", "potential.r2")):
+        cfg = write_config(tmp_path, **{dotted: float("inf")})
+        assert "Infinity" in cfg.read_text(encoding="utf-8")
+        assert main([command, str(cfg)]) == EXIT_INVALID_INPUT
+        assert dotted in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_invalid_threads_env(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("ORBITACT_THREADS", "-2")

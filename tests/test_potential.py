@@ -14,7 +14,6 @@ from orbitact.potential import (
     PotentialSpec,
     _profile,
     grid_potential,
-    grid_potential_hessian,
     pair_potential,
     strong_force_margin,
     strong_force_witness,
@@ -24,7 +23,7 @@ from orbitact.potential import (
 
 def one_node_potential(spec, t, positions):
     """V(t, x) = sum_{i<j} V_ij(t, x_i - x_j) for one configuration (N, k)."""
-    values, _, _ = grid_potential(spec, np.array([t]), positions[None], need_forces=False)
+    (values,), _ = grid_potential(spec, np.array([t]), positions[None])
     return float(values[0])
 
 
@@ -81,7 +80,7 @@ def test_inner_branch_value_and_force():
     assert pair_potential(spec, 0.0, 0, 1, 0.5) == pytest.approx(-4.0, abs=1e-14)
     # force on body 0 at separation vector (0.5, 0): w'(0.5) = 2 * 0.5^-3 = 16
     positions = np.array([[[0.5, 0.0], [0.0, 0.0]]])
-    _, forces, _ = grid_potential(spec, np.array([0.0]), positions, need_forces=True)
+    (_, forces), _ = grid_potential(spec, np.array([0.0]), positions, 1)
     assert forces[0, 0] == pytest.approx([16.0, 0.0], abs=1e-12)
 
 
@@ -164,7 +163,7 @@ def test_grid_potential_matches_pairwise_sum():
     rng = np.random.default_rng(13)
     times = np.array([0.0, 1.0, 2.5])
     positions = rng.normal(scale=1.2, size=(3, 3, 2))
-    values, forces, min_sep = grid_potential(spec, times, positions, need_forces=True)
+    (values, forces), min_sep = grid_potential(spec, times, positions, 1)
     for j, t in enumerate(times):
         hand = sum(
             pair_potential(spec, t, i, q, float(np.linalg.norm(positions[j, i] - positions[j, q])))
@@ -186,7 +185,7 @@ def test_grid_forces_match_ordered_pair_loop():
     rng = np.random.default_rng(61)
     times = np.array([0.0, 0.4, 1.9, 3.3, 5.0])
     positions = rng.normal(scale=1.6, size=(5, 4, 2))
-    _, forces, _ = grid_potential(spec, times, positions, need_forces=True)
+    (_, forces), _ = grid_potential(spec, times, positions, 1)
     want = np.zeros_like(positions)
     seps = []
     for j, t in enumerate(times):
@@ -208,7 +207,7 @@ def test_grid_forces_match_finite_differences():
     rng = np.random.default_rng(17)
     positions = rng.normal(scale=1.3, size=(1, 3, 2))
     t = np.array([0.7])
-    _, forces, _ = grid_potential(spec, t, positions, need_forces=True)
+    (_, forces), _ = grid_potential(spec, t, positions, 1)
     h = 1e-6
     for i in range(3):
         for d in range(2):
@@ -226,7 +225,7 @@ def test_grid_potential_collision_raises():
     spec = make_spec()
     positions = np.zeros((1, 2, 2))  # both bodies at the origin
     with pytest.raises(CollisionSample):
-        grid_potential(spec, np.array([0.0]), positions, need_forces=False)
+        grid_potential(spec, np.array([0.0]), positions)
 
 
 def test_grid_hessian_matches_force_differences():
@@ -234,7 +233,7 @@ def test_grid_hessian_matches_force_differences():
     rng = np.random.default_rng(29)
     positions = rng.normal(scale=1.3, size=(2, 3, 2))
     times = np.array([0.0, 0.9])
-    hess = grid_potential_hessian(spec, times, positions)
+    (_, _, hess), _ = grid_potential(spec, times, positions, 2)
     assert hess.shape == (2, 3, 2, 3, 2)
     h = 1e-6
     for j in range(2):
@@ -244,8 +243,8 @@ def test_grid_hessian_matches_force_differences():
                 bumped[j, q, e] += h
                 dipped = positions.copy()
                 dipped[j, q, e] -= h
-                _, fp, _ = grid_potential(spec, times, bumped, need_forces=True)
-                _, fm, _ = grid_potential(spec, times, dipped, need_forces=True)
+                (_, fp), _ = grid_potential(spec, times, bumped, 1)
+                (_, fm), _ = grid_potential(spec, times, dipped, 1)
                 fd = (fp[j] - fm[j]) / (2 * h)
                 assert np.abs(hess[j, :, :, q, e] - fd).max() < 1e-5
     # symmetry of each time slice as a (N k, N k) matrix

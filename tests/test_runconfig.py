@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_types_are_strict():
         config_from_dict(minimal_config(**{"problem.masses": [1.0, "heavy"]}))
     with pytest.raises(ConfigInvalid, match="directory"):
         config_from_dict(minimal_config(**{"output.directory": ""}))
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("-inf"), float("nan"), 10**400], ids=["inf", "-inf", "nan", "huge-int"]
+)
+def test_non_finite_numbers_are_rejected_by_key(value):
+    # json.load parses Infinity and NaN, so they reach the validator
+    for dotted, edit, key in (
+        ("potential.r2", value, "potential.r2"),
+        ("solver.grad_tol", value, "solver.grad_tol"),
+        ("problem.masses", [1.0, value], "problem.masses[1]"),
+    ):
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{key} must be a finite number")):
+            config_from_dict(minimal_config(**{dotted: edit}))
 
 
 def test_mass_count_must_match_bodies():
