@@ -20,7 +20,15 @@ import numpy as np
 from .errors import ConfigInvalid
 from .loopspace import default_grid_size
 from .potential import BLEND_HERMITE, BLEND_LINEAR, PotentialSpec
-from .solver import ACTION_REL_TOL, EL_RESIDUAL_TOL, PATH_TOL, SolveOptions, _require_valid_winding
+from .solver import (
+    ACTION_REL_TOL,
+    DEFAULT_DIM,
+    DEFAULT_HARMONICS,
+    EL_RESIDUAL_TOL,
+    PATH_TOL,
+    SolveOptions,
+    _require_valid_winding,
+)
 
 __all__ = ["RunConfig", "load_config", "config_from_dict", "resolved_dict"]
 
@@ -118,7 +126,7 @@ def config_from_dict(data: dict) -> RunConfig:
     output = _section(data, "output")
 
     n_bodies = _integer(problem, "problem", "n_bodies", minimum=1)
-    dim = _integer(problem, "problem", "dim", default=2, minimum=2)
+    dim = _integer(problem, "problem", "dim", default=DEFAULT_DIM, minimum=2)
     period = _number(problem, "problem", "period")
     masses = problem.get("masses")
     if masses is None:
@@ -152,7 +160,9 @@ def config_from_dict(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
 
-    harmonics = _integer(discretization, "discretization", "harmonics", default=8, minimum=1)
+    harmonics = _integer(
+        discretization, "discretization", "harmonics", default=DEFAULT_HARMONICS, minimum=1
+    )
     n_t_floor = 4 * harmonics + 1
     n_t = _integer(
         discretization, "discretization", "n_t", default=default_grid_size(harmonics), minimum=1

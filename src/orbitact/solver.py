@@ -4,8 +4,10 @@ The descent is a limited-memory BFGS with a backtracking line search that is
 aware of the collision barrier: trial points that would cut the minimum
 pairwise separation too sharply in a single step are rejected before their
 sufficient-decrease test, which keeps the iterates out of the steep inner
-wall of the interaction profile. The discretized action never increases from
-one accepted step to the next, so the recorded trace is monotone by construction.
+wall of the interaction profile. Each trial is evaluated with its gradient,
+so the accepted trial becomes the next iterate without a second evaluation.
+The discretized action never increases from one accepted step to the next,
+so the recorded trace is monotone by construction.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -26,7 +29,8 @@ import numpy as np
 
 from .action import action as _action
 from .action import action_hessian as _action_hessian
-from .action import action_value as _action_value
+# Unused here; kept bound because perfbench/tracing.py and its smoke test look it up by name.
+from .action import action_value as _action_value  # noqa: F401
 from .errors import CollisionSample, InvalidStart, OrbitactError
 from .loopspace import (
     LoopConfiguration,
@@ -52,7 +56,9 @@ __all__ = [
 ]
 
 
-# Default filter and grouping tolerances of multistart and dedupe.
+# Default problem size, filter and grouping tolerances of multistart and dedupe.
+DEFAULT_DIM = 2
+DEFAULT_HARMONICS = 8
 ACTION_REL_TOL = 1e-6
 PATH_TOL = 0.5
 EL_RESIDUAL_TOL = 1e-7
@@ -111,19 +117,22 @@ def _tail_quiet(ps_trace) -> bool:
     )
 
 
-def _two_loop(s_list, y_list, grad):
-    """L-BFGS two-loop recursion; returns the preconditioned gradient H g."""
+def _two_loop(history, grad):
+    """L-BFGS two-loop recursion over (s, y, s.y) pairs, oldest first; returns H g.
+
+    The initial matrix is gamma I with gamma = s.y / y.y of the newest pair.
+    """
     q = grad.copy()
-    if not s_list:
+    if not history:
         return q
     stack = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        rho = 1.0 / float(y @ s)
+    for s, y, sy in reversed(history):
+        rho = 1.0 / sy
         a = rho * float(s @ q)
         q -= a * y
         stack.append((rho, a, s, y))
-    last_s, last_y = s_list[-1], y_list[-1]
-    q *= float(last_s @ last_y) / float(last_y @ last_y)
+    _, last_y, last_sy = history[-1]
+    q *= last_sy / float(last_y @ last_y)
     for rho, a, s, y in reversed(stack):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -141,9 +150,10 @@ def descend(
     Line-search trials must (a) sample without exact collisions, (b) keep the
     action finite, (c) not reduce the minimum pairwise separation below
     (1 - step_guard) times its current value, and (d) satisfy an Armijo
-    sufficient-decrease test. Curvature pairs are stored only when
-    s.y > 1e-10 ||s|| ||y||, and a non-descent quasi-Newton direction falls
-    back to steepest descent.
+    sufficient-decrease test. Each trial is evaluated once, with its
+    gradient, and the accepted trial becomes the next iterate. Curvature
+    pairs are stored as (s, y, s.y) only when s.y > 1e-10 ||s|| ||y||, and a
+    non-descent quasi-Newton direction falls back to steepest descent.
 
     Near a minimum the achievable decrease per step is quadratic in the
     gradient norm and eventually drops below the floating-point resolution
@@ -171,15 +181,15 @@ def descend(
         raise InvalidStart("initial loop has non-finite action")
     f = ev.value
     g = ev.gradient
+    grad_norm = float(np.linalg.norm(g))
     kinetic = ev.kinetic
     min_sep = ev.min_separation
     guard_active = loop0.n_bodies >= 2
 
-    ps_trace = [(f, float(np.linalg.norm(g)))]
+    ps_trace = [(f, grad_norm)]
     kin_trace = [kinetic]
     sep_trace = [min_sep]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    history = deque(maxlen=opts.history_len)  # (s, y, s.y) pairs, oldest first
     c1 = 1e-4
     iterations = 0
 
@@ -200,7 +210,6 @@ def descend(
         # Quasi-Newton phase with Armijo backtracking.
         want_polish = False
         while True:
-            grad_norm = float(np.linalg.norm(g))
             if grad_norm < opts.grad_tol:
                 if _tail_quiet(ps_trace):
                     status = SolveStatus.CONVERGED
@@ -213,23 +222,26 @@ def descend(
                 status = SolveStatus.MAX_ITERS
                 break
 
-            direction = -_two_loop(s_list, y_list, g)
+            direction = -_two_loop(history, g)
             slope = float(g @ direction)
             if not slope < 0:
                 direction = -g
                 slope = -grad_norm * grad_norm
-            alpha = 1.0 if s_list else min(1.0, 1.0 / max(1.0, grad_norm))
+            alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, grad_norm))
 
             accepted = False
             for _ in range(60):
                 x_trial = x + alpha * direction
                 try:
-                    f_trial, _, sep_trial = _action_value(spec, loop0.with_flat(x_trial), n_t)
+                    ev_new = _action(spec, loop0.with_flat(x_trial), n_t)
                 except CollisionSample:
                     guard_hit = True
                     alpha *= 0.5
                     continue
-                if trial_guards_ok(f_trial, sep_trial) and f_trial <= f + c1 * alpha * slope:
+                if (
+                    trial_guards_ok(ev_new.value, ev_new.min_separation)
+                    and ev_new.value <= f + c1 * alpha * slope
+                ):
                     accepted = True
                     break
                 alpha *= 0.5
@@ -237,22 +249,18 @@ def descend(
                 want_polish = True
                 break
 
-            ev_new = _action(spec, loop0.with_flat(x_trial), n_t)
             g_new = ev_new.gradient
             s = x_trial - x
             y = g_new - g
             sy = float(s @ y)
             if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                s_list.append(s)
-                y_list.append(y)
-                if len(s_list) > opts.history_len:
-                    s_list.pop(0)
-                    y_list.pop(0)
+                history.append((s, y, sy))
 
             x, f, g = x_trial, ev_new.value, g_new
+            grad_norm = float(np.linalg.norm(g))
             kinetic, min_sep = ev_new.kinetic, ev_new.min_separation
             iterations += 1
-            ps_trace.append((f, float(np.linalg.norm(g))))
+            ps_trace.append((f, grad_norm))
             kin_trace.append(kinetic)
             sep_trace.append(min_sep)
             if -alpha * slope <= 8.0 * eps_f * (1.0 + abs(f)):
@@ -264,9 +272,8 @@ def descend(
             break
 
         # Newton polish on the critical-point equation.
-        entry_grad = float(np.linalg.norm(g))
+        entry_grad = grad_norm
         while iterations < opts.max_iters:
-            grad_norm = float(np.linalg.norm(g))
             if grad_norm < opts.grad_tol and _tail_quiet(ps_trace):
                 break
             hess = _action_hessian(spec, loop0.with_flat(x), n_t)
@@ -288,21 +295,20 @@ def descend(
                 if (
                     trial_guards_ok(ev_trial.value, ev_trial.min_separation)
                     and ev_trial.value <= f
-                    and float(np.linalg.norm(ev_trial.gradient)) <= 0.9 * grad_norm
+                    and (trial_norm := float(np.linalg.norm(ev_trial.gradient))) <= 0.9 * grad_norm
                 ):
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted:
                 break
-            x, f, g = x_trial, ev_trial.value, ev_trial.gradient
+            x, f, g, grad_norm = x_trial, ev_trial.value, ev_trial.gradient, trial_norm
             kinetic, min_sep = ev_trial.kinetic, ev_trial.min_separation
             iterations += 1
-            ps_trace.append((f, float(np.linalg.norm(g))))
+            ps_trace.append((f, grad_norm))
             kin_trace.append(kinetic)
             sep_trace.append(min_sep)
 
-        grad_norm = float(np.linalg.norm(g))
         if grad_norm < opts.grad_tol:
             status = SolveStatus.CONVERGED
         elif iterations >= opts.max_iters:
@@ -310,8 +316,7 @@ def descend(
         elif grad_norm <= 0.5 * entry_grad:
             # Real progress: hand back to the quasi-Newton phase with a
             # clean memory.
-            s_list.clear()
-            y_list.clear()
+            history.clear()
         else:
             status = (
                 SolveStatus.STALLED_NEAR_COLLISION if guard_hit else SolveStatus.MAX_ITERS
@@ -322,7 +327,7 @@ def descend(
         status=status,
         action_value=f,
         kinetic=kinetic,
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=grad_norm,
         iterations=iterations,
         ps_trace=tuple(ps_trace),
         kinetic_trace=tuple(kin_trace),
@@ -456,8 +461,8 @@ def multistart(
     starts_per_class: int,
     opts: SolveOptions | None = None,
     *,
-    dim: int = 2,
-    harmonics: int = 8,
+    dim: int = DEFAULT_DIM,
+    harmonics: int = DEFAULT_HARMONICS,
     n_t: int | None = None,
     action_rel_tol: float = ACTION_REL_TOL,
     path_tol: float = PATH_TOL,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -5,6 +6,7 @@ import pytest
 
 from orbitact.errors import ConfigInvalid
 from orbitact.runconfig import config_from_dict, load_config, resolved_dict
+from orbitact.solver import multistart
 
 
 def minimal_config(**edits):
@@ -37,6 +39,15 @@ def test_minimal_config_fills_defaults():
     assert cfg.path_tol == 0.5
     assert cfg.el_residual_tol == 1e-7
     assert cfg.output_dir == "out"
+
+
+def test_omitted_dim_and_harmonics_take_multistart_defaults():
+    data = minimal_config()
+    assert "dim" not in data["problem"] and "discretization" not in data
+    defaults = inspect.signature(multistart).parameters
+    cfg = config_from_dict(data)
+    assert cfg.dim == defaults["dim"].default
+    assert cfg.harmonics == defaults["harmonics"].default
 
 
 def test_unknown_section_and_key_are_named():

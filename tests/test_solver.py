@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from orbitact.solver import (
     OrbitRecord,
     SolveOptions,
     SolveStatus,
+    _two_loop,
     circular_seed,
     dedupe,
     descend,
@@ -85,6 +88,48 @@ def test_max_iters_status():
     report = descend(spec, start, SolveOptions(max_iters=2))
     assert report.status is SolveStatus.MAX_ITERS
     assert report.iterations <= 2
+
+
+def test_each_accepted_step_evaluates_the_action_once(monkeypatch):
+    # From this start every line search accepts its first trial, so a run of
+    # n steps makes one start evaluation plus one trial evaluation per step.
+    action_module = importlib.import_module("orbitact.action")
+    original = action_module.grid_potential
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(action_module, "grid_potential", counting)
+    spec = make_spec()
+    report = descend(spec, circular_seed(spec, 2, 4, 1, 2, base_seed=0), SolveOptions(max_iters=5))
+    assert report.status is SolveStatus.MAX_ITERS
+    assert report.iterations == 5
+    assert len(calls) == 1 + report.iterations
+
+
+def test_two_loop_matches_dense_bfgs_inverse():
+    rng = np.random.default_rng(7)
+    n = 6
+    history = []
+    while len(history) < 4:
+        s = rng.standard_normal(n)
+        y = s + 0.5 * rng.standard_normal(n)
+        sy = float(s @ y)
+        if sy > 0:
+            history.append((s, y, sy))
+    # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair first,
+    # from gamma I with gamma = s.y / y.y of the newest pair.
+    _, last_y, last_sy = history[-1]
+    h = (last_sy / float(last_y @ last_y)) * np.eye(n)
+    for s, y, sy in history:
+        rho = 1.0 / sy
+        left = np.eye(n) - rho * np.outer(s, y)
+        h = left @ h @ left.T + rho * np.outer(s, s)
+    g = rng.standard_normal(n)
+    np.testing.assert_allclose(_two_loop(history, g), h @ g, rtol=1e-12, atol=0.0)
+    assert np.array_equal(_two_loop([], g), g)
 
 
 def test_step_guard_limits_separation_drop():
