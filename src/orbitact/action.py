@@ -117,7 +117,7 @@ def action(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None)
 
 
 def action_value(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
-    """Value-only fast path used by line searches: (value, kinetic, min_separation)."""
+    """Value-only path for oracles and checks: (value, kinetic, min_separation)."""
     (value,), kinetic, _, min_sep = _evaluate(spec, loop, n_t, 0)
     return value, kinetic, min_sep
 

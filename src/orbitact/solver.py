@@ -1,11 +1,12 @@
 """Quasi-Newton minimization over loop coefficients, with multistart search.
 
-The descent is a limited-memory BFGS with a backtracking line search that is
-aware of the collision barrier: trial points that would cut the minimum
-pairwise separation too sharply in a single step are rejected before their
-sufficient-decrease test, which keeps the iterates out of the steep inner
-wall of the interaction profile. Each trial is evaluated with its gradient,
-so the accepted trial becomes the next iterate without a second evaluation.
+The descent is a limited-memory BFGS finished by a Newton polish. Both phases
+step through one backtracking line search that is aware of the collision
+barrier: trial points that would cut the minimum pairwise separation too
+sharply in a single step are rejected before their acceptance test, which
+keeps the iterates out of the steep inner wall of the interaction profile.
+Each trial is evaluated with its gradient, so the accepted trial becomes the
+next iterate without a second evaluation.
 The discretized action never increases from one accepted step to the next,
 so the recorded trace is monotone by construction.
 
@@ -24,6 +25,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -139,6 +141,133 @@ def _two_loop(history, grad):
     return q
 
 
+class _Descent:
+    """One descent run from loop0: the iterate, its evaluation and one row per iterate.
+
+    Each row is (f, grad_norm, kinetic, min_separation); the start is row 0,
+    so the iteration count is the number of rows after it.
+    """
+
+    def __init__(self, spec, loop0, opts, n_t, x, ev):
+        self.spec = spec
+        self.loop0 = loop0
+        self.opts = opts
+        self.n_t = n_t
+        self.guard_active = loop0.n_bodies >= 2
+        self.guard_hit = False
+        self.rows = []
+        self.step(x, ev)
+
+    @property
+    def iterations(self):
+        return len(self.rows) - 1
+
+    def step(self, x, ev):
+        """Make (x, ev) the iterate and record its row."""
+        self.x, self.ev = x, ev
+        self.grad_norm = float(np.linalg.norm(ev.gradient))
+        self.rows.append((ev.value, self.grad_norm, ev.kinetic, ev.min_separation))
+
+    def search(self, direction, alpha, tries, accept):
+        """Try up to tries steps along direction from alpha, halving it after each rejection.
+
+        A trial is rejected when it samples an exact collision or cuts the
+        minimum separation below (1 - step_guard) times the current one (both
+        set guard_hit), or when its action is not finite; otherwise
+        accept(alpha, ev) decides. Returns (alpha, x_trial, ev) of the first
+        accepted trial, or None.
+        """
+        bound = (1.0 - self.opts.step_guard) * self.ev.min_separation
+        for _ in range(tries):
+            x_trial = self.x + alpha * direction
+            try:
+                ev = _action(self.spec, self.loop0.with_flat(x_trial), self.n_t)
+            except CollisionSample:
+                self.guard_hit = True
+            else:
+                if np.isfinite(ev.value):
+                    if self.guard_active and ev.min_separation < bound:
+                        self.guard_hit = True
+                    elif accept(alpha, ev):
+                        return alpha, x_trial, ev
+            alpha *= 0.5
+        return None
+
+    def quasi_newton(self):
+        """L-BFGS with Armijo backtracking from an empty memory.
+
+        Returns a status, or None to hand over to the polish.
+        """
+        opts = self.opts
+        history = deque(maxlen=opts.history_len)  # (s, y, s.y) pairs, oldest first
+        c1 = 1e-4
+        eps_f = float(np.finfo(np.float64).eps)
+        while True:
+            if self.grad_norm < opts.grad_tol:
+                # Converged in gradient; a noisy trace tail is left to the
+                # polish, which appends settled steps.
+                return SolveStatus.CONVERGED if _tail_quiet(self.rows) else None
+            if self.iterations >= opts.max_iters:
+                return SolveStatus.MAX_ITERS
+
+            f, g, grad_norm = self.ev.value, self.ev.gradient, self.grad_norm
+            direction = -_two_loop(history, g)
+            slope = float(g @ direction)
+            if not slope < 0:
+                direction = -g
+                slope = -grad_norm * grad_norm
+            alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, grad_norm))
+            trial = self.search(direction, alpha, 60, lambda t, ev: ev.value <= f + c1 * t * slope)
+            if trial is None:
+                return None
+
+            alpha, x_trial, ev = trial
+            s = x_trial - self.x
+            y = ev.gradient - g
+            sy = float(s @ y)
+            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                history.append((s, y, sy))
+            self.step(x_trial, ev)
+            if -alpha * slope <= 8.0 * eps_f * (1.0 + abs(ev.value)):
+                # Sufficient decrease is no longer representable in f;
+                # switch to gradient-certified Newton steps.
+                return None
+
+    def polish(self):
+        """Newton polish on the critical-point equation.
+
+        Returns a status, or None after real progress, to resume the
+        quasi-Newton phase with a clean memory.
+        """
+        opts = self.opts
+        entry_grad = self.grad_norm
+        while self.iterations < opts.max_iters:
+            if self.grad_norm < opts.grad_tol and _tail_quiet(self.rows):
+                break
+            hess = _action_hessian(self.spec, self.loop0.with_flat(self.x), self.n_t)
+            eigvals, eigvecs = np.linalg.eigh(hess)
+            floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
+            # Modified Newton: |eigenvalue| keeps the step bounded and
+            # gradient-reducing near saddles as well as minima.
+            step = -(eigvecs @ ((eigvecs.T @ self.ev.gradient) / np.maximum(np.abs(eigvals), floor)))
+            f, norm_cap = self.ev.value, 0.9 * self.grad_norm
+            trial = self.search(
+                step, 1.0, 12,
+                lambda _, ev: ev.value <= f and float(np.linalg.norm(ev.gradient)) <= norm_cap,
+            )
+            if trial is None:
+                break
+            self.step(*trial[1:])
+
+        if self.grad_norm < opts.grad_tol:
+            return SolveStatus.CONVERGED
+        if self.iterations >= opts.max_iters:
+            return SolveStatus.MAX_ITERS
+        if self.grad_norm <= 0.5 * entry_grad:
+            return None
+        return SolveStatus.STALLED_NEAR_COLLISION if self.guard_hit else SolveStatus.MAX_ITERS
+
+
 def descend(
     spec: PotentialSpec,
     loop0: LoopConfiguration,
@@ -147,25 +276,30 @@ def descend(
 ) -> SolveReport:
     """Minimize the discretized action from loop0; it never increases along the run.
 
-    Line-search trials must (a) sample without exact collisions, (b) keep the
-    action finite, (c) not reduce the minimum pairwise separation below
-    (1 - step_guard) times its current value, and (d) satisfy an Armijo
-    sufficient-decrease test. Each trial is evaluated once, with its
-    gradient, and the accepted trial becomes the next iterate. Curvature
-    pairs are stored as (s, y, s.y) only when s.y > 1e-10 ||s|| ||y||, and a
-    non-descent quasi-Newton direction falls back to steepest descent.
+    Both phases below step through one guarded backtracking line search.
+    Its trials must (a) sample without exact collisions, (b) keep the action
+    finite, (c) not reduce the minimum pairwise separation below
+    (1 - step_guard) times its current value, and (d) pass the phase's own
+    acceptance test. Each trial is evaluated once, with its gradient, and
+    the accepted trial becomes the next iterate.
+
+    The quasi-Newton phase is L-BFGS with an Armijo sufficient-decrease test
+    and up to 60 halvings. Curvature pairs are stored as (s, y, s.y) only
+    when s.y > 1e-10 ||s|| ||y||, and a non-descent quasi-Newton direction
+    falls back to steepest descent.
 
     Near a minimum the achievable decrease per step is quadratic in the
     gradient norm and eventually drops below the floating-point resolution
     of f, where Armijo certification becomes meaningless. When that floor is
     reached (or the line search fails outright), the run switches to a
     Newton polish on the critical-point equation: exact-Hessian steps with
-    clipped eigenvalues, accepted only when f does not increase and the
-    gradient norm shrinks, which converges through the rounding floor while
-    keeping the recorded trace non-increasing. A run that can certify no
-    further progress in either phase ends as STALLED_NEAR_COLLISION when
-    some trial was rejected by the separation guard, and MAX_ITERS
-    otherwise.
+    clipped eigenvalues and up to 12 halvings, accepted only when f does not
+    increase and the gradient norm shrinks, which converges through the
+    rounding floor while keeping the recorded trace non-increasing. A polish
+    that halves the gradient norm hands back to the quasi-Newton phase with
+    an empty memory. A run that can certify no further progress in either
+    phase ends as STALLED_NEAR_COLLISION when some trial was rejected by the
+    separation guard or sampled a collision, and MAX_ITERS otherwise.
     """
     if opts is None:
         opts = SolveOptions()
@@ -179,159 +313,23 @@ def descend(
         raise InvalidStart("initial loop samples an exact collision") from exc
     if not np.isfinite(ev.value):
         raise InvalidStart("initial loop has non-finite action")
-    f = ev.value
-    g = ev.gradient
-    grad_norm = float(np.linalg.norm(g))
-    kinetic = ev.kinetic
-    min_sep = ev.min_separation
-    guard_active = loop0.n_bodies >= 2
 
-    ps_trace = [(f, grad_norm)]
-    kin_trace = [kinetic]
-    sep_trace = [min_sep]
-    history = deque(maxlen=opts.history_len)  # (s, y, s.y) pairs, oldest first
-    c1 = 1e-4
-    iterations = 0
-
-    eps_f = float(np.finfo(np.float64).eps)
+    run = _Descent(spec, loop0, opts, n_t, x, ev)
     status = None
-    guard_hit = False
-
-    def trial_guards_ok(f_trial, sep_trial):
-        nonlocal guard_hit
-        if not np.isfinite(f_trial):
-            return False
-        if guard_active and sep_trial < (1.0 - opts.step_guard) * min_sep:
-            guard_hit = True
-            return False
-        return True
-
     while status is None:
-        # Quasi-Newton phase with Armijo backtracking.
-        want_polish = False
-        while True:
-            if grad_norm < opts.grad_tol:
-                if _tail_quiet(ps_trace):
-                    status = SolveStatus.CONVERGED
-                    break
-                # Converged in gradient but with a noisy trace tail; let the
-                # polish phase append settled steps.
-                want_polish = True
-                break
-            if iterations >= opts.max_iters:
-                status = SolveStatus.MAX_ITERS
-                break
+        status = run.quasi_newton() or run.polish()
 
-            direction = -_two_loop(history, g)
-            slope = float(g @ direction)
-            if not slope < 0:
-                direction = -g
-                slope = -grad_norm * grad_norm
-            alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, grad_norm))
-
-            accepted = False
-            for _ in range(60):
-                x_trial = x + alpha * direction
-                try:
-                    ev_new = _action(spec, loop0.with_flat(x_trial), n_t)
-                except CollisionSample:
-                    guard_hit = True
-                    alpha *= 0.5
-                    continue
-                if (
-                    trial_guards_ok(ev_new.value, ev_new.min_separation)
-                    and ev_new.value <= f + c1 * alpha * slope
-                ):
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                want_polish = True
-                break
-
-            g_new = ev_new.gradient
-            s = x_trial - x
-            y = g_new - g
-            sy = float(s @ y)
-            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                history.append((s, y, sy))
-
-            x, f, g = x_trial, ev_new.value, g_new
-            grad_norm = float(np.linalg.norm(g))
-            kinetic, min_sep = ev_new.kinetic, ev_new.min_separation
-            iterations += 1
-            ps_trace.append((f, grad_norm))
-            kin_trace.append(kinetic)
-            sep_trace.append(min_sep)
-            if -alpha * slope <= 8.0 * eps_f * (1.0 + abs(f)):
-                # Sufficient decrease is no longer representable in f;
-                # switch to gradient-certified Newton steps.
-                want_polish = True
-                break
-        if status is not None or not want_polish:
-            break
-
-        # Newton polish on the critical-point equation.
-        entry_grad = grad_norm
-        while iterations < opts.max_iters:
-            if grad_norm < opts.grad_tol and _tail_quiet(ps_trace):
-                break
-            hess = _action_hessian(spec, loop0.with_flat(x), n_t)
-            eigvals, eigvecs = np.linalg.eigh(hess)
-            floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
-            # Modified Newton: |eigenvalue| keeps the step bounded and
-            # gradient-reducing near saddles as well as minima.
-            step = -(eigvecs @ ((eigvecs.T @ g) / np.maximum(np.abs(eigvals), floor)))
-            alpha = 1.0
-            accepted = False
-            for _ in range(12):
-                x_trial = x + alpha * step
-                try:
-                    ev_trial = _action(spec, loop0.with_flat(x_trial), n_t)
-                except CollisionSample:
-                    guard_hit = True
-                    alpha *= 0.5
-                    continue
-                if (
-                    trial_guards_ok(ev_trial.value, ev_trial.min_separation)
-                    and ev_trial.value <= f
-                    and (trial_norm := float(np.linalg.norm(ev_trial.gradient))) <= 0.9 * grad_norm
-                ):
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-            x, f, g, grad_norm = x_trial, ev_trial.value, ev_trial.gradient, trial_norm
-            kinetic, min_sep = ev_trial.kinetic, ev_trial.min_separation
-            iterations += 1
-            ps_trace.append((f, grad_norm))
-            kin_trace.append(kinetic)
-            sep_trace.append(min_sep)
-
-        if grad_norm < opts.grad_tol:
-            status = SolveStatus.CONVERGED
-        elif iterations >= opts.max_iters:
-            status = SolveStatus.MAX_ITERS
-        elif grad_norm <= 0.5 * entry_grad:
-            # Real progress: hand back to the quasi-Newton phase with a
-            # clean memory.
-            history.clear()
-        else:
-            status = (
-                SolveStatus.STALLED_NEAR_COLLISION if guard_hit else SolveStatus.MAX_ITERS
-            )
-
+    values, grad_norms, kinetics, separations = zip(*run.rows)
     return SolveReport(
-        final_loop=loop0.with_flat(x),
+        final_loop=loop0.with_flat(run.x),
         status=status,
-        action_value=f,
-        kinetic=kinetic,
-        grad_norm=grad_norm,
-        iterations=iterations,
-        ps_trace=tuple(ps_trace),
-        kinetic_trace=tuple(kin_trace),
-        min_separation_trace=tuple(sep_trace),
+        action_value=values[-1],
+        kinetic=kinetics[-1],
+        grad_norm=grad_norms[-1],
+        iterations=run.iterations,
+        ps_trace=tuple(zip(values, grad_norms)),
+        kinetic_trace=kinetics,
+        min_separation_trace=separations,
     )
 
 
@@ -437,22 +435,15 @@ def resolve_workers(explicit: int | None = None, n_tasks: int = 1) -> int:
         else:
             try:
                 workers = int(raw)
+                if workers < 0:
+                    raise ValueError(raw)
             except ValueError:
                 raise OrbitactError(
                     f"ORBITACT_THREADS must be a nonnegative integer, got {raw!r}"
                 ) from None
-            if workers < 0:
-                raise OrbitactError(
-                    f"ORBITACT_THREADS must be a nonnegative integer, got {raw!r}"
-                )
             if workers == 0:
                 workers = os.cpu_count() or 1
     return max(1, min(workers, max(n_tasks, 1)))
-
-
-def _descend_task(payload):
-    spec, loop, opts, n_t = payload
-    return descend(spec, loop, opts, n_t)
 
 
 def multistart(
@@ -488,28 +479,22 @@ def multistart(
         _require_valid_winding(w, harmonics)
 
     tasks = [(w, s) for w in classes for s in range(starts_per_class)]
-    payloads = [
-        (spec, circular_seed(spec, dim, harmonics, w, s, opts.seed), opts, n_t)
-        for (w, s) in tasks
-    ]
+    seeds = [circular_seed(spec, dim, harmonics, w, s, opts.seed) for (w, s) in tasks]
+    args = (repeat(spec), seeds, repeat(opts), repeat(n_t))
     n_workers = resolve_workers(workers, len(tasks))
     if n_workers == 1:
-        raw_reports = [_descend_task(p) for p in payloads]
+        raw_reports = list(map(descend, *args))
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            raw_reports = list(pool.map(_descend_task, payloads))
+            raw_reports = list(pool.map(descend, *args))
 
-    reports = tuple(
-        StartReport(winding_class=w, start_index=s, report=rep)
-        for (w, s), rep in zip(tasks, raw_reports)
-    )
+    reports = []
     kept = []
     n_converged = 0
-    n_unconverged = 0
     n_residual = 0
     for (w, s), rep in zip(tasks, raw_reports):
+        reports.append(StartReport(winding_class=w, start_index=s, report=rep))
         if rep.status is not SolveStatus.CONVERGED:
-            n_unconverged += 1
             continue
         n_converged += 1
         residual = euler_lagrange_residual(spec, rep.final_loop, n_t)
@@ -536,10 +521,10 @@ def multistart(
     )
     return MultistartResult(
         records=tuple(records),
-        reports=reports,
+        reports=tuple(reports),
         n_started=len(tasks),
         n_converged=n_converged,
-        n_dropped_unconverged=n_unconverged,
+        n_dropped_unconverged=len(tasks) - n_converged,
         n_dropped_residual=n_residual,
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.errors import InvalidStart, OrbitactError
+from orbitact.errors import CollisionSample, InvalidStart, OrbitactError
 from orbitact.loopspace import LoopConfiguration, h1_distance, shift_loop
 from orbitact.solver import (
     OrbitRecord,
@@ -88,6 +88,35 @@ def test_max_iters_status():
     report = descend(spec, start, SolveOptions(max_iters=2))
     assert report.status is SolveStatus.MAX_ITERS
     assert report.iterations <= 2
+
+
+def test_stalled_near_collision_status():
+    # From this crowded three-body start the separation guard keeps rejecting
+    # trials, and neither phase can certify progress before max_iters.
+    spec = make_spec(masses=np.ones(3))
+    start = random_loop(np.random.default_rng(38), n_bodies=3, dim=2, harmonics=3, scale=0.3)
+    opts = SolveOptions(max_iters=200, step_guard=0.05)
+    report = descend(spec, start, opts)
+    assert report.status is SolveStatus.STALLED_NEAR_COLLISION
+    assert report.grad_norm > opts.grad_tol
+
+
+def test_colliding_trial_is_halved_not_raised(monkeypatch):
+    solver_module = importlib.import_module("orbitact.solver")
+    original = solver_module._action
+    calls = []
+
+    def first_trial_collides(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # call 1 evaluates the start
+            raise CollisionSample("injected collision")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_action", first_trial_collides)
+    spec = make_spec()
+    report = descend(spec, circular_seed(spec, 2, 4, 1, 0, base_seed=0), SolveOptions(max_iters=300))
+    assert len(calls) > 2
+    assert report.status is SolveStatus.CONVERGED
 
 
 def test_each_accepted_step_evaluates_the_action_once(monkeypatch):

@@ -1,0 +1,90 @@
+"""Print a digest of every multistart report, to check that a change is bit-identical.
+
+Runs serial ``multistart`` on the benchmark's problem (equal unit masses,
+windings {1, 3, 5} x 4 starts, default solver options) for ladder2 (N=2,
+M=8) at seeds 0-4 and ring6 (N=6, M=24) at seeds 0-2. For each start it
+hashes, with SHA-256, the final coefficients, status, iterations, action,
+kinetic energy, gradient norm and the three traces; it also lists every
+kept record's ``dedup_key``. The result goes to stdout as canonical JSON, so
+two checkouts agree bit for bit exactly when their outputs are equal:
+
+    python3 tools/report_digest.py > after.json
+    diff before.json after.json
+
+It takes no arguments and runs the sources of the checkout it sits in.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from orbitact.potential import PotentialSpec  # noqa: E402
+from orbitact.solver import SolveOptions, multistart  # noqa: E402
+
+# name -> (bodies, harmonics, seeds)
+CASES = {"ladder2": (2, 8, range(5)), "ring6": (6, 24, range(3))}
+WINDINGS = (1, 3, 5)
+STARTS_PER_CLASS = 4
+
+
+def _floats(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+def report_digest(report) -> str:
+    digest = hashlib.sha256()
+    digest.update(_floats(report.final_loop.coefficients))
+    digest.update(report.status.value.encode())
+    digest.update(struct.pack("<q", report.iterations))
+    digest.update(_floats([report.action_value, report.kinetic, report.grad_norm]))
+    digest.update(_floats(report.ps_trace))
+    digest.update(_floats(report.kinetic_trace))
+    digest.update(_floats(report.min_separation_trace))
+    return digest.hexdigest()
+
+
+def main() -> None:
+    out = {}
+    for name, (n_bodies, harmonics, seeds) in CASES.items():
+        spec = PotentialSpec(
+            masses=np.ones(n_bodies),
+            a=1.0,
+            g=0.01,
+            alpha=2.0,
+            theta=1.0,
+            r1=2.0,
+            r2=3.0,
+            modulation_eps=0.0,
+            period=2.0 * np.pi,
+        )
+        for seed in seeds:
+            result = multistart(
+                spec,
+                WINDINGS,
+                STARTS_PER_CLASS,
+                SolveOptions(seed=seed),
+                dim=2,
+                harmonics=harmonics,
+                workers=1,
+            )
+            out[f"{name}/seed{seed}"] = {
+                "starts": {
+                    f"w{s.winding_class}/start{s.start_index}": report_digest(s.report)
+                    for s in result.reports
+                },
+                "dedup_keys": [record.dedup_key for record in result.records],
+            }
+    json.dump(out, sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
