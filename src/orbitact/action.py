@@ -59,45 +59,101 @@ def _kinetic_diagonal(spec: PotentialSpec, grid: loopspace.FourierGrid, loop: Lo
     return 0.5 * loop.period * spec.masses[:, None, None, None] * (grid.omega**2)[:, None, None]
 
 
-def _evaluate(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None, order: int):
-    """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation).
+class _Evaluator:
+    """The discretized action of loops shaped like one template loop, bound once.
 
-    Derivatives are in flat coefficient order; the potential part of each is
-    the matching grid_potential term projected onto the basis with weight T/n_t.
+    Binding checks the template against spec, looks up its quadrature grid
+    and builds the kinetic diagonal; ``evaluate`` then takes only a flat
+    coefficient vector, so repeated evaluations (a descent's line-search
+    trials) repeat none of that work and build no LoopConfiguration.
     """
-    _check_compatible(spec, loop)
-    grid = loopspace.quadrature_grid(loop, n_t)
-    n_t = grid.times.shape[0]
-    positions = loopspace.sample_trajectory(loop, n_t)
-    terms, min_sep = grid_potential(spec, grid.times, positions, order)
-    weight = loop.period / n_t
-    # No float() casts: evaluating a higher-precision loop must yield a
-    # higher-precision value, or finite-difference oracles lose their floor.
-    potential_integral = weight * terms[0].sum()
 
-    kin_diag = _kinetic_diagonal(spec, grid, loop)
-    grad_kin = kin_diag * loop.coefficients
-    kinetic = 0.5 * (grad_kin * loop.coefficients).sum()
-    out = [kinetic - potential_integral]
+    def __init__(self, spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
+        _check_compatible(spec, loop)
+        self.spec = spec
+        self.grid = loopspace.quadrature_grid(loop, n_t)
+        self.n_t = self.grid.times.shape[0]
+        self.shape = loop.coefficients.shape
+        self.size = loop.coefficients.size
+        self.weight = loop.period / self.n_t
+        self.kin_diag = _kinetic_diagonal(spec, self.grid, loop)
 
-    n_pos = loop.n_bodies * loop.dim
-    if order >= 1:
-        projected = grid.basis @ terms[1].reshape(n_t, n_pos)  # (2M, N k)
-        grad_pot = projected.reshape(loop.harmonics, 2, loop.n_bodies, loop.dim).transpose(2, 0, 1, 3)
-        out.append((grad_kin - weight * grad_pot).reshape(-1))
-    if order >= 2:
-        # Node sum of basis[a] basis[b] H_j as one matmul: (a b, j) @ (j, (i d)(p e)).
-        row_products = (grid.basis[:, None, :] * grid.basis[None, :, :]).reshape(-1, n_t)
-        pot_block = weight * (row_products @ terms[2].reshape(n_t, n_pos * n_pos))
-        # Axes (m, c, n, f, i, d, p, e) -> flat coefficient order (i m c d, p n f e).
-        pot_block = pot_block.reshape(
-            loop.harmonics, 2, loop.harmonics, 2, loop.n_bodies, loop.dim, loop.n_bodies, loop.dim
-        ).transpose(4, 0, 1, 5, 6, 2, 3, 7)
-        n_flat = loop.coefficients.size
-        hess = -pot_block.reshape(n_flat, n_flat)
-        hess[np.diag_indices(n_flat)] += np.broadcast_to(kin_diag, loop.coefficients.shape).reshape(-1)
-        out.append(hess)
-    return out, kinetic, potential_integral, min_sep
+    def evaluate(self, x: np.ndarray, order: int):
+        """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
+
+        x is a flat coefficient vector in the template's layout. It is checked
+        as LoopConfiguration checks coefficients: a wrong size or a non-finite
+        entry raises ShapeMismatch.
+        """
+        if x.size != self.size:
+            raise ShapeMismatch(f"flat vector has {x.size} entries, expected {self.size}")
+        if not np.all(np.isfinite(x)):
+            raise ShapeMismatch("coefficients must be finite")
+        coefficients = x.reshape(self.shape)
+        positions = loopspace._synthesize(self.grid.basis, coefficients)
+        return self.evaluate_sampled(coefficients, positions, order)
+
+    def evaluate_sampled(self, coefficients: np.ndarray, positions: np.ndarray, order: int):
+        """As ``evaluate``, for (N, M, 2, k) coefficients already sampled at the grid nodes.
+
+        Derivatives are in flat coefficient order; the potential part of each
+        is the matching grid_potential term projected onto the basis with
+        weight T/n_t.
+        """
+        grid, weight, n_t = self.grid, self.weight, self.n_t
+        terms, min_sep = grid_potential(self.spec, grid.times, positions, order)
+        # No float() casts: evaluating a higher-precision loop must yield a
+        # higher-precision value, or finite-difference oracles lose their floor.
+        potential_integral = weight * terms[0].sum()
+
+        grad_kin = self.kin_diag * coefficients
+        kinetic = 0.5 * (grad_kin * coefficients).sum()
+        out = [kinetic - potential_integral]
+
+        n_bodies, harmonics, _, dim = self.shape
+        n_pos = n_bodies * dim
+        if order >= 1:
+            projected = grid.basis @ terms[1].reshape(n_t, n_pos)  # (2M, N k)
+            grad_pot = projected.reshape(harmonics, 2, n_bodies, dim).transpose(2, 0, 1, 3)
+            out.append((grad_kin - weight * grad_pot).reshape(-1))
+        if order >= 2:
+            # Node sum of basis[a] basis[b] H_j as one matmul: (a b, j) @ (j, (i d)(p e)).
+            row_products = (grid.basis[:, None, :] * grid.basis[None, :, :]).reshape(-1, n_t)
+            pot_block = weight * (row_products @ terms[2].reshape(n_t, n_pos * n_pos))
+            # Axes (m, c, n, f, i, d, p, e) -> flat coefficient order (i m c d, p n f e).
+            pot_block = pot_block.reshape(
+                harmonics, 2, harmonics, 2, n_bodies, dim, n_bodies, dim
+            ).transpose(4, 0, 1, 5, 6, 2, 3, 7)
+            hess = -pot_block.reshape(self.size, self.size)
+            hess[np.diag_indices(self.size)] += np.broadcast_to(self.kin_diag, self.shape).reshape(-1)
+            out.append(hess)
+        return out, kinetic, potential_integral, min_sep
+
+    def action(self, x: np.ndarray) -> ActionEvaluation:
+        """:func:`action` at the flat coefficient vector x."""
+        return _evaluation(self.evaluate(x, 1))
+
+
+def _evaluate(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None, order: int):
+    """Bind an evaluator to loop and evaluate loop itself once.
+
+    The loop is sampled with loopspace.sample_trajectory, so these one-off
+    paths still count as one sampling each where that function is traced.
+    """
+    evaluator = _Evaluator(spec, loop, n_t)
+    positions = loopspace.sample_trajectory(loop, evaluator.n_t)
+    return evaluator.evaluate_sampled(loop.coefficients, positions, order)
+
+
+def _evaluation(result) -> ActionEvaluation:
+    (value, gradient), kinetic, pot, min_sep = result
+    return ActionEvaluation(
+        value=value,
+        gradient=gradient,
+        kinetic=kinetic,
+        potential_integral=pot,
+        min_separation=min_sep,
+    )
 
 
 def action(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None) -> ActionEvaluation:
@@ -106,14 +162,7 @@ def action(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None)
     Raises CollisionSample if two bodies coincide at a quadrature node and
     GridTooCoarse if n_t < 4M + 1.
     """
-    (value, gradient), kinetic, pot, min_sep = _evaluate(spec, loop, n_t, 1)
-    return ActionEvaluation(
-        value=value,
-        gradient=gradient,
-        kinetic=kinetic,
-        potential_integral=pot,
-        min_separation=min_sep,
-    )
+    return _evaluation(_evaluate(spec, loop, n_t, 1))
 
 
 def action_value(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):

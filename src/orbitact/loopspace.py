@@ -175,14 +175,15 @@ def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierG
     return _fourier_grid(loop.period, m, n_t, loop.coefficients.dtype)
 
 
-def _synthesize(rows: np.ndarray, loop: LoopConfiguration) -> np.ndarray:
-    """Sum of (2M, n) basis rows weighted by the loop's coefficients, shape (n, N, k).
+def _synthesize(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Sum of (2M, n) basis rows weighted by (N, M, 2, k) coefficients, shape (n, N, k).
 
     The coefficients enter as a (2M, N k) matrix: rows (harmonic, cos/sin)
     as in :class:`FourierGrid`, columns (body, coordinate).
     """
-    coeffs = loop.coefficients.transpose(1, 2, 0, 3).reshape(rows.shape[0], -1)
-    return (rows.T @ coeffs).reshape(-1, loop.n_bodies, loop.dim)
+    n_bodies, _, _, dim = coefficients.shape
+    coeffs = coefficients.transpose(1, 2, 0, 3).reshape(rows.shape[0], -1)
+    return (rows.T @ coeffs).reshape(-1, n_bodies, dim)
 
 
 def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
@@ -191,12 +192,12 @@ def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> np.nda
     Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
     integrate products of retained harmonics exactly.
     """
-    return _synthesize(quadrature_grid(loop, n_t).basis, loop)
+    return _synthesize(quadrature_grid(loop, n_t).basis, loop.coefficients)
 
 
 def sample_acceleration(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
     """Second time derivative on the same grid as :func:`sample_trajectory`."""
-    return _synthesize(quadrature_grid(loop, n_t).acceleration, loop)
+    return _synthesize(quadrature_grid(loop, n_t).acceleration, loop.coefficients)
 
 
 def evaluate_positions(loop: LoopConfiguration, times: np.ndarray) -> np.ndarray:
@@ -206,7 +207,7 @@ def evaluate_positions(loop: LoopConfiguration, times: np.ndarray) -> np.ndarray
     of samples; it is meant for display and export, not quadrature.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    return _synthesize(_trig_basis(loop.angular_frequencies(), times), loop)
+    return _synthesize(_trig_basis(loop.angular_frequencies(), times), loop.coefficients)
 
 
 def harmonic_energies(loop: LoopConfiguration) -> np.ndarray:
@@ -257,11 +258,10 @@ def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.sqrt(np.einsum("jpd,jpd->jp", diff, diff))
 
 
-def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:
-    """H^1 distance ( int |dx|^2 + |dxdot|^2 dt )^{1/2} of the difference loop.
+def _common_harmonics(first: LoopConfiguration, second: LoopConfiguration):
+    """Both coefficient arrays over the same harmonics, the shorter tail zero-padded.
 
-    Computed in closed form from the coefficient difference. Loops must agree
-    on bodies, dimension, and period; the shorter harmonic tail is zero-padded.
+    Raises ShapeMismatch when the loops differ in bodies, dimension or period.
     """
     if (
         first.n_bodies != second.n_bodies
@@ -278,11 +278,49 @@ def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:
         pad = np.zeros((loop.n_bodies, m - loop.harmonics, 2, loop.dim), dtype=c.dtype)
         return np.concatenate([c, pad], axis=1)
 
-    delta = padded(first) - padded(second)
+    return padded(first), padded(second)
+
+
+def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:
+    """H^1 distance ( int |dx|^2 + |dxdot|^2 dt )^{1/2} of the difference loop.
+
+    Computed in closed form from the coefficient difference. Loops must agree
+    on bodies, dimension, and period; the shorter harmonic tail is zero-padded.
+    """
+    a, b = _common_harmonics(first, second)
+    m = a.shape[1]
+    delta = a - b
     energies = (delta**2).sum(axis=(2, 3)).sum(axis=0)  # (M,)
     orders = np.arange(1, 2 * m, 2, dtype=float)
     omega_sq = ((2.0 * np.pi / first.period) * orders) ** 2
     return float(np.sqrt(0.5 * first.period * ((1.0 + omega_sq) @ energies)))
+
+
+def _shift_distances_sq(first: LoopConfiguration, second: LoopConfiguration, shifts: int):
+    """Squared H^1 distances from first shifted by tau_k = k T / shifts to second, k < shifts.
+
+    Entry k equals h1_distance(shift_loop(first, tau_k), second)**2 up to
+    rounding, from per-harmonic cross terms instead of one shifted loop per
+    tau. A shift rotates each harmonic's (a, b) block and keeps its energy,
+    so with w_m = (T/2)(1 + omega_m^2), E = sum_m w_m (|A_m|^2 + |B_m|^2)
+    over both loops, P_m = w_m sum (a_c.b_c + a_s.b_s) and
+    Q_m = w_m sum (a_s.b_c - a_c.b_s):
+
+        d^2(tau) = E - 2 (cos(tau omega).P + sin(tau omega).Q),
+
+    one cos/sin table and two matrix-vector products for the whole grid.
+    Rounding can leave an entry slightly below zero when the loops coincide.
+    Checks and pads the loops as h1_distance does.
+    """
+    a, b = _common_harmonics(first, second)
+    omega = _odd_frequencies(first.period, a.shape[1], float)
+    weights = 0.5 * first.period * (1.0 + omega * omega)
+    energy = weights @ (np.einsum("imcd,imcd->m", a, a) + np.einsum("imcd,imcd->m", b, b))
+    dots = np.einsum("imcd,imed->mce", a, b)  # dots[m, c, e] = sum a_c . b_e, 0 = cos, 1 = sin
+    p = weights * (dots[:, 0, 0] + dots[:, 1, 1])
+    q = weights * (dots[:, 1, 0] - dots[:, 0, 1])
+    angles = np.outer(np.arange(shifts) * first.period / shifts, omega)
+    return energy - 2.0 * (np.cos(angles) @ p + np.sin(angles) @ q)
 
 
 def shift_loop(loop: LoopConfiguration, tau: float) -> LoopConfiguration:

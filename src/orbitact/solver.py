@@ -5,15 +5,18 @@ step through one backtracking line search that is aware of the collision
 barrier: trial points that would cut the minimum pairwise separation too
 sharply in a single step are rejected before their acceptance test, which
 keeps the iterates out of the steep inner wall of the interaction profile.
-Each trial is evaluated with its gradient, so the accepted trial becomes the
-next iterate without a second evaluation.
+Each trial is evaluated with its gradient, through one action evaluator bound
+to the start loop once per descent, so the accepted trial becomes the next
+iterate without a second evaluation.
 The discretized action never increases from one accepted step to the next,
 so the recorded trace is monotone by construction.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
 the motion equations, and groups duplicates by action value plus
-time-shift-minimized H^1 distance.
+time-shift-minimized H^1 distance. That distance comes from per-harmonic cross
+terms of the two loops, evaluated on the whole shift grid at once, not from
+one shifted loop per shift.
 """
 
 from __future__ import annotations
@@ -29,17 +32,13 @@ from itertools import repeat
 
 import numpy as np
 
+from .action import _Evaluator
 from .action import action as _action
 from .action import action_hessian as _action_hessian
 # Unused here; kept bound because perfbench/tracing.py and its smoke test look it up by name.
 from .action import action_value as _action_value  # noqa: F401
 from .errors import CollisionSample, InvalidStart, OrbitactError
-from .loopspace import (
-    LoopConfiguration,
-    default_grid_size,
-    h1_distance,
-    shift_loop,
-)
+from .loopspace import LoopConfiguration, _shift_distances_sq, default_grid_size
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
 
@@ -145,12 +144,14 @@ class _Descent:
     """One descent run from loop0: the iterate, its evaluation and one row per iterate.
 
     Each row is (f, grad_norm, kinetic, min_separation); the start is row 0,
-    so the iteration count is the number of rows after it.
+    so the iteration count is the number of rows after it. One action
+    evaluator, bound to loop0 once, evaluates every line-search trial.
     """
 
     def __init__(self, spec, loop0, opts, n_t, x, ev):
         self.spec = spec
         self.loop0 = loop0
+        self.evaluator = _Evaluator(spec, loop0, n_t)
         self.opts = opts
         self.n_t = n_t
         self.guard_active = loop0.n_bodies >= 2
@@ -181,7 +182,7 @@ class _Descent:
         for _ in range(tries):
             x_trial = self.x + alpha * direction
             try:
-                ev = _action(self.spec, self.loop0.with_flat(x_trial), self.n_t)
+                ev = self.evaluator.action(x_trial)
             except CollisionSample:
                 self.guard_hit = True
             else:
@@ -533,9 +534,8 @@ def _same_orbit(a: OrbitRecord, b: OrbitRecord, action_rel_tol, path_tol, half_p
     fa, fb = a.action_value, b.action_value
     if abs(fa - fb) > action_rel_tol * (1.0 + max(abs(fa), abs(fb))):
         return False
-    count = 2 if half_period_only else TIME_SHIFTS
-    taus = [k * a.loop.period / count for k in range(count)]
-    return min(h1_distance(shift_loop(a.loop, tau), b.loop) for tau in taus) < path_tol
+    shifts = 2 if half_period_only else TIME_SHIFTS
+    return _shift_distances_sq(a.loop, b.loop, shifts).min() < path_tol * path_tol
 
 
 def _dedup_key(record: OrbitRecord) -> str:
@@ -561,9 +561,11 @@ def dedupe(
     match when their action values differ by at most action_rel_tol relatively
     and the H^1 distance minimized over time shifts (the TIME_SHIFTS = 256
     shifts k T / 256, or just {0, T/2} when the potential's time modulation
-    breaks continuous shift freedom) is below path_tol. Each group is
-    represented by its member of smallest gradient norm, tagged with a
-    content hash.
+    breaks continuous shift freedom) is below path_tol. The squared distance
+    on that grid is E - 2 (cos(tau omega).P + sin(tau omega).Q), from the
+    loops' H^1 energies E and per-harmonic cross terms P, Q, and its minimum
+    is compared with path_tol^2. Each group is represented by its member of
+    smallest gradient norm, tagged with a content hash.
     """
     ordered = sorted(
         records, key=lambda r: (r.action_value, r.winding_seed_class, r.start_index)

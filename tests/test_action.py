@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import action, action_hessian, action_value
+from orbitact.action import _Evaluator, action, action_hessian, action_value
 from orbitact.errors import CollisionSample, ShapeMismatch
 from orbitact.loopspace import (
     LoopConfiguration,
@@ -230,3 +230,41 @@ def test_hessian_matches_einsum_contraction():
         oracle = einsum_hessian_oracle(spec, loop)
         hess = action_hessian(spec, loop)
         assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_bound_evaluator_matches_fresh_action_bit_for_bit():
+    spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
+    rng = np.random.default_rng(53)
+    loop0 = random_loop(rng, n_bodies=3, dim=2, harmonics=3, scale=0.4)
+    crossing = random_loop(rng, n_bodies=3, dim=2, harmonics=3, scale=1.6)
+    _, dist = pair_separations(sample_trajectory(crossing))
+    assert dist.min() < spec3.r1 < dist.max()  # passes through the blend window
+    direction = rng.standard_normal(loop0.coefficients.size)
+    xs = [loop0.flat(), crossing.flat()] + [loop0.flat() + t * direction for t in (1e-3, 0.05)]
+    evaluator = _Evaluator(spec3, loop0)
+    for x in xs:
+        got = evaluator.action(x)
+        loop = loop0.with_flat(x)
+        want = action(spec3, loop)
+        assert got.value == want.value
+        assert np.array_equal(got.gradient, want.gradient)
+        assert got.kinetic == want.kinetic
+        assert got.min_separation == want.min_separation
+        assert np.array_equal(evaluator.evaluate(x, 2)[0][2], action_hessian(spec3, loop))
+
+
+def test_bound_evaluator_rejects_collisions_and_bad_vectors():
+    spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
+    loop0 = random_loop(np.random.default_rng(59), n_bodies=3, dim=2, harmonics=3, scale=0.4)
+    evaluator = _Evaluator(spec3, loop0)
+    colliding = loop0.coefficients.copy()
+    colliding[1] = colliding[0]  # bodies 0 and 1 coincide at every node
+    with pytest.raises(CollisionSample):
+        evaluator.action(colliding.reshape(-1))
+    for bad in (np.nan, np.inf):
+        x = loop0.flat()
+        x[4] = bad
+        with pytest.raises(ShapeMismatch):
+            evaluator.action(x)
+    with pytest.raises(ShapeMismatch):
+        evaluator.action(loop0.flat()[:-1])

@@ -5,6 +5,7 @@ from conftest import TWO_PI, random_loop
 from orbitact.errors import GridTooCoarse, ShapeMismatch
 from orbitact.loopspace import (
     LoopConfiguration,
+    _shift_distances_sq,
     default_grid_size,
     evaluate_positions,
     h1_distance,
@@ -16,6 +17,7 @@ from orbitact.loopspace import (
     shift_loop,
     velocity_l2_norms_squared,
 )
+from orbitact.solver import TIME_SHIFTS
 
 
 def naive_positions(loop, times):
@@ -242,3 +244,40 @@ def test_cached_grid_is_read_only():
     first = positions.copy()
     positions[0] = 1.0
     assert np.array_equal(sample_trajectory(loop), first)
+
+
+def test_shift_distances_match_shifted_h1_oracle():
+    rng = np.random.default_rng(43)
+    for shifts in (TIME_SHIFTS, 2):  # dedupe's full and half-period grids
+        taus = [k * TWO_PI / shifts for k in range(shifts)]
+        for harmonics in ((4, 4), (3, 5)):  # (3, 5) pads the shorter tail
+            a = random_loop(rng, n_bodies=3, harmonics=harmonics[0])
+            b = random_loop(rng, n_bodies=3, harmonics=harmonics[1])
+            got = _shift_distances_sq(a, b, shifts)
+            want = np.array([h1_distance(shift_loop(a, tau), b) ** 2 for tau in taus])
+            assert got.shape == (shifts,)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+            assert abs(got.min() - want.min()) <= 1e-12 * want.min()
+
+
+def test_shift_distances_find_own_shifted_copy():
+    rng = np.random.default_rng(47)
+    loop = random_loop(rng, n_bodies=3, harmonics=4)
+    for shifts, k in ((TIME_SHIFTS, 5), (2, 1)):
+        copy = shift_loop(loop, k * TWO_PI / shifts)
+        got = _shift_distances_sq(loop, copy, shifts)
+        # cancellation may leave the match a few ulp below zero; no sqrt, so no NaN
+        assert np.all(np.isfinite(got))
+        assert int(got.argmin()) == k
+        assert got.min() < 1e-12
+
+
+def test_shift_distances_reject_mismatched_loops():
+    base = LoopConfiguration(2, 2, TWO_PI, np.zeros((2, 1, 2, 2)))
+    for other in (
+        LoopConfiguration(3, 2, TWO_PI, np.zeros((3, 1, 2, 2))),
+        LoopConfiguration(2, 3, TWO_PI, np.zeros((2, 1, 2, 3))),
+        LoopConfiguration(2, 2, 1.0, np.zeros((2, 1, 2, 2))),
+    ):
+        with pytest.raises(ShapeMismatch):
+            _shift_distances_sq(base, other, 2)

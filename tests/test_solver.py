@@ -102,8 +102,8 @@ def test_stalled_near_collision_status():
 
 
 def test_colliding_trial_is_halved_not_raised(monkeypatch):
-    solver_module = importlib.import_module("orbitact.solver")
-    original = solver_module._action
+    action_module = importlib.import_module("orbitact.action")
+    original = action_module.grid_potential
     calls = []
 
     def first_trial_collides(*args, **kwargs):
@@ -112,7 +112,7 @@ def test_colliding_trial_is_halved_not_raised(monkeypatch):
             raise CollisionSample("injected collision")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "_action", first_trial_collides)
+    monkeypatch.setattr(action_module, "grid_potential", first_trial_collides)
     spec = make_spec()
     report = descend(spec, circular_seed(spec, 2, 4, 1, 0, base_seed=0), SolveOptions(max_iters=300))
     assert len(calls) > 2
