@@ -309,7 +309,7 @@ def descend(
 
     x = loop0.flat()
     try:
-        ev = _action(spec, loop0.with_flat(x), n_t)
+        ev = _action(spec, loop0, n_t)
     except CollisionSample as exc:
         raise InvalidStart("initial loop samples an exact collision") from exc
     if not np.isfinite(ev.value):

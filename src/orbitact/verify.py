@@ -12,7 +12,7 @@ witness from its own constants rather than reusing the potential formula).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray) -> float:
     """
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    n = masses.size
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju, _ = loopspace.body_pairs(masses.size)
     sq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
     lhs = float((masses[iu] * masses[ju] * sq).sum())
     total = masses.sum()
@@ -103,7 +102,7 @@ def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float) 
         raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    iu, ju = np.triu_indices(masses.size, k=1)
+    iu, ju, _ = loopspace.body_pairs(masses.size)
     w = masses[iu] * masses[ju]
     rsq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
     lhs = float((w * rsq ** (theta / 2.0)).sum())
@@ -231,9 +230,9 @@ def coercivity_constants(spec: PotentialSpec) -> tuple[float, float]:
     |V| over t and r in [1e-3 r1, r2] times the number of pairs.
     """
     masses = spec.masses
-    n = spec.n_bodies
-    iu, ju = np.triu_indices(n, k=1)
-    sum_pair = float((masses[iu] * masses[ju]).sum())
+    iu, ju, _ = loopspace.body_pairs(spec.n_bodies)
+    pair_masses = masses[iu] * masses[ju]
+    sum_pair = float(pair_masses.sum())
     sum_mass = float(masses.sum())
     theta = spec.theta
     T = spec.period
@@ -251,9 +250,9 @@ def coercivity_constants(spec: PotentialSpec) -> tuple[float, float]:
         [np.geomspace(r_lo, spec.r2, 2048), np.asarray([spec.r1, spec.r2])]
     )
     profile_max = float(np.abs(_profile(spec, r_grid)[0]).max())
-    pair_mass_max = float((masses[iu] * masses[ju]).max()) if n >= 2 else 0.0
+    pair_mass_max = float(pair_masses.max()) if iu.size else 0.0
     b_max = (1.0 + spec.modulation_eps) * pair_mass_max * profile_max
-    B = 0.5 * (n * n - n) * b_max
+    B = iu.size * b_max
     return float(C), float(B)
 
 
@@ -326,13 +325,7 @@ class LedgerCheck:
         object.__setattr__(self, "passed", bool(self.passed))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_slack": self.worst_slack,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -366,6 +359,28 @@ def _random_loop(rng, n_bodies: int, dim: int, harmonics: int, period: float, fi
     return LoopConfiguration(n_bodies, dim, period, coeffs)
 
 
+def _random_bodies(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two to six bodies: masses in [0.1, 3) and normal positions, drawn in that order."""
+    bodies = int(rng.integers(2, 7))
+    masses = rng.uniform(0.1, 3.0, size=bodies)
+    positions = rng.normal(scale=1.5, size=(bodies, dim))
+    return masses, positions
+
+
+def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
+    """Reduce one check's normalized per-sample slacks to its ledger entry.
+
+    A lower check needs every slack >= -tolerance and reports the smallest;
+    an upper check needs every slack <= tolerance and reports the largest.
+    A NaN slack fails the check. An empty list passes vacuously with worst slack 0.
+    """
+    if not slacks:
+        return LedgerCheck(name, 0, 0.0, tolerance, True)
+    worst = float(np.min(slacks) if lower else np.max(slacks))
+    passed = worst >= -tolerance if lower else worst <= tolerance
+    return LedgerCheck(name, len(slacks), worst, tolerance, passed)
+
+
 def run_inequality_ledger(
     spec: PotentialSpec,
     dim: int,
@@ -373,112 +388,92 @@ def run_inequality_ledger(
     n_samples: int,
     seed: int,
 ) -> LedgerReport:
-    """Sample every ledger check n_samples times with a seeded generator.
+    """Sample every ledger check with a seeded generator; n_samples < 0 raises ValueError.
 
-    With n_samples = 0 every check reports vacuously (zero samples, pass);
-    callers are expected to warn in that case.
+    A check takes n = n_samples samples, except wirtinger_first_harmonic
+    (every fourth Wirtinger sample, ceil(n/4)), antiperiodicity and zero_mean
+    (max(floor(n/10), 1) shared loops) and blend_c1 (one). With n = 0 every
+    check reports vacuously (zero samples, pass); callers should warn then.
     """
+    if n_samples < 0:
+        raise ValueError("n_samples must be >= 0")
     rng = np.random.default_rng(seed)
     n = n_samples
     checks = []
 
     # Pairwise-distance identity over random masses and positions.
-    worst = 0.0
+    slacks = []
     for _ in range(n):
-        bodies = int(rng.integers(2, 7))
-        masses = rng.uniform(0.1, 3.0, size=bodies)
-        positions = rng.normal(scale=1.5, size=(bodies, dim))
+        masses, positions = _random_bodies(rng, dim)
         lhs_scale = 1.0 + float(
             (np.add.outer(masses, masses) * ((positions[:, None] - positions[None, :]) ** 2).sum(-1)).sum()
         )
-        worst = max(worst, check_pairwise_identity(masses, positions) / lhs_scale)
-    checks.append(LedgerCheck("pairwise_identity", n, worst, 1e-10, worst <= 1e-10))
+        slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
+    checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
 
     # Pairwise power-sum upper bound, exponents in the valid band [0, 2).
     theta_grid = [0.0, 0.5, 1.0, 1.5, 1.9]
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
-    worst = np.inf if n else 0.0
+    slacks = []
     for idx in range(n):
-        bodies = int(rng.integers(2, 7))
-        masses = rng.uniform(0.1, 3.0, size=bodies)
-        positions = rng.normal(scale=1.5, size=(bodies, dim))
+        masses, positions = _random_bodies(rng, dim)
         theta = theta_grid[idx % len(theta_grid)]
         slack = check_holder_bound(masses, positions, theta)
-        iu, ju = np.triu_indices(bodies, k=1)
+        iu, ju, _ = loopspace.body_pairs(masses.size)
         w = masses[iu] * masses[ju]
         rsq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
         rhs = w.sum() ** ((2 - theta) / 2) * (w @ rsq) ** (theta / 2)
-        worst = min(worst, slack / (1.0 + rhs))
-    checks.append(
-        LedgerCheck("holder_upper_bound", n, float(worst), 1e-12, (not n) or worst >= -1e-12)
-    )
+        slacks.append(slack / (1.0 + rhs))
+    checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
 
     # Wirtinger comparison on random loops, plus tightness at pure first harmonic.
-    worst = np.inf if n else 0.0
-    worst_eq = 0.0
+    slacks, slacks_eq = [], []
     for idx in range(n):
-        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period, first_only=(idx % 4 == 0))
+        first_only = idx % 4 == 0
+        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period, first_only=first_only)
         slack = check_wirtinger(loop)
         scale = 1.0 + wirtinger_kinetic_side(loop)
-        worst = min(worst, float((slack / scale).min()))
-        if idx % 4 == 0:
-            worst_eq = max(worst_eq, float((np.abs(slack) / scale).max()))
-    checks.append(LedgerCheck("wirtinger", n, float(worst), 1e-12, (not n) or worst >= -1e-12))
-    checks.append(
-        LedgerCheck("wirtinger_first_harmonic", (n + 3) // 4, worst_eq, 1e-12, worst_eq <= 1e-12)
-    )
+        slacks.append(float((slack / scale).min()))
+        if first_only:
+            slacks_eq.append(float((np.abs(slack) / scale).max()))
+    checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
+    checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
 
     # Strong-force margin on a log grid below r1.
     pair_spec = spec if spec.n_bodies >= 2 else replace(
         spec, masses=np.asarray([spec.masses[0], spec.masses[0]])
     )
-    worst = np.inf if n else 0.0
+    v_coeff = (1.0 - spec.modulation_eps) * pair_spec.masses[0] * pair_spec.masses[1] * spec.a
+    slacks = []
     for _ in range(n):
         r = float(np.exp(rng.uniform(np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12)))))
         margin = strong_force_margin(pair_spec, 0, 1, r)
-        v_scale = (
-            (1.0 - spec.modulation_eps)
-            * pair_spec.masses[0]
-            * pair_spec.masses[1]
-            * spec.a
-            * r**-spec.alpha
-        )
-        worst = min(worst, margin / max(v_scale, 1e-300))
-    checks.append(
-        LedgerCheck("strong_force_margin", n, float(worst), 1e-12, (not n) or worst >= -1e-12)
-    )
+        slacks.append(margin / max(v_coeff * r**-spec.alpha, 1e-300))
+    checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
 
     # Half-period reflection symmetry of the modulated pair potential.
-    worst = 0.0
+    slacks = []
     for _ in range(n):
         t = float(rng.uniform(0.0, spec.period))
         xi = rng.normal(size=dim)
         xi = xi / max(np.linalg.norm(xi), 1e-12) * float(rng.uniform(0.05, 3.0 * spec.r2))
-        worst = max(worst, check_modulation_symmetry(pair_spec, 0, 1, t, xi))
-    checks.append(LedgerCheck("modulation_symmetry", n, worst, 1e-12, worst <= 1e-12))
+        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, t, xi))
+    checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
 
     # One-sided C^1 regularity of the blend window.
-    c1_samples = 1 if n else 0
-    c1_worst = check_blend_c1(spec) if c1_samples else 0.0
-    checks.append(LedgerCheck("blend_c1", c1_samples, c1_worst, 1e-10, c1_worst <= 1e-10))
+    checks.append(_ledger_check("blend_c1", [check_blend_c1(spec)] if n else [], 1e-10, lower=False))
 
     # Antiperiodicity and zero mean of the representation.
-    worst_ap = 0.0
-    worst_zm = 0.0
+    slacks_ap, slacks_zm = [], []
+    n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
     for _ in range(max(n // 10, min(n, 1))):
         loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period)
-        n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
         pos = loopspace.sample_trajectory(loop, n_t)
         scale = 1.0 + float(np.abs(pos).max())
-        half = n_t // 2
-        worst_ap = max(worst_ap, float(np.abs(np.roll(pos, -half, axis=0) + pos).max()) / scale)
-        worst_zm = max(worst_zm, float(np.abs(pos.mean(axis=0)).max()) / scale)
-    checks.append(
-        LedgerCheck("antiperiodicity", max(n // 10, min(n, 1)), worst_ap, 1e-12, worst_ap <= 1e-12)
-    )
-    checks.append(
-        LedgerCheck("zero_mean", max(n // 10, min(n, 1)), worst_zm, 1e-12, worst_zm <= 1e-12)
-    )
+        slacks_ap.append(float(np.abs(np.roll(pos, -(n_t // 2), axis=0) + pos).max()) / scale)
+        slacks_zm.append(float(np.abs(pos.mean(axis=0)).max()) / scale)
+    checks.append(_ledger_check("antiperiodicity", slacks_ap, 1e-12, lower=False))
+    checks.append(_ledger_check("zero_mean", slacks_zm, 1e-12, lower=False))
 
     return LedgerReport(checks=tuple(checks), samples=n, seed=seed)

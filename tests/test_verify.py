@@ -9,6 +9,7 @@ from orbitact.loopspace import LoopConfiguration, kinetic_energy
 from orbitact.action import action_value
 from orbitact.potential import BLEND_LINEAR
 from orbitact.verify import (
+    _ledger_check,
     check_blend_c1,
     check_holder_bound,
     check_modulation_symmetry,
@@ -228,3 +229,30 @@ def test_ledger_deterministic():
     a = run_inequality_ledger(make_spec(), 2, 4, 30, seed=3)
     b = run_inequality_ledger(make_spec(), 2, 4, 30, seed=3)
     assert a.to_dict() == b.to_dict()
+
+
+def test_ledger_rejects_negative_samples():
+    with pytest.raises(ValueError, match="n_samples must be >= 0"):
+        run_inequality_ledger(make_spec(), 2, 4, -5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (1, [1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        (7, [7, 7, 7, 2, 7, 7, 1, 1, 1]),
+        (25, [25, 25, 25, 7, 25, 25, 1, 2, 2]),
+    ],
+)
+def test_ledger_per_check_sample_counts(n, counts):
+    # n per sampled check, ceil(n/4) first-harmonic loops, one blend check and
+    # max(n // 10, 1) representation loops, in the report's check order
+    report = run_inequality_ledger(make_spec(modulation_eps=0.2), 2, 4, n, seed=1)
+    assert [c.samples for c in report.checks] == counts
+    assert report.samples == n
+
+
+def test_ledger_check_fails_on_nan_slack():
+    for lower in (True, False):
+        check = _ledger_check("probe", [0.0, float("nan"), 0.0], 1e-12, lower=lower)
+        assert check.samples == 3 and not check.passed

@@ -1,12 +1,15 @@
-"""Print a digest of every multistart report, to check that a change is bit-identical.
+"""Print a digest of every benchmark workload's result, to check that a change is bit-identical.
 
 Runs serial ``multistart`` on the benchmark's problem (equal unit masses,
 windings {1, 3, 5} x 4 starts, default solver options) for ladder2 (N=2,
 M=8) at seeds 0-4 and ring6 (N=6, M=24) at seeds 0-2. For each start it
 hashes, with SHA-256, the final coefficients, status, iterations, action,
 kinetic energy, gradient norm and the three traces; it also lists every
-kept record's ``dedup_key``. The result goes to stdout as canonical JSON, so
-two checkouts agree bit for bit exactly when their outputs are equal:
+kept record's ``dedup_key``. It also runs the ledger workload's inequality
+ledger (N=4 unit masses, modulation 0.3, dim 2, M=8, 5000 samples) at seeds
+0-2 and hashes each report's ``to_dict()`` as JSON in its own key order. The
+result goes to stdout as canonical JSON, so two checkouts agree bit for bit
+exactly when their outputs are equal:
 
     python3 tools/report_digest.py > after.json
     diff before.json after.json
@@ -28,11 +31,14 @@ import numpy as np  # noqa: E402
 
 from orbitact.potential import PotentialSpec  # noqa: E402
 from orbitact.solver import SolveOptions, multistart  # noqa: E402
+from orbitact.verify import run_inequality_ledger  # noqa: E402
 
 # name -> (bodies, harmonics, seeds)
 CASES = {"ladder2": (2, 8, range(5)), "ring6": (6, 24, range(3))}
 WINDINGS = (1, 3, 5)
 STARTS_PER_CLASS = 4
+# the ledger workload: bodies, modulation, harmonics, samples, seeds
+LEDGER = (4, 0.3, 8, 5000, range(3))
 
 
 def _floats(values) -> bytes:
@@ -51,20 +57,24 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
+def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0) -> PotentialSpec:
+    return PotentialSpec(
+        masses=np.ones(n_bodies),
+        a=1.0,
+        g=0.01,
+        alpha=2.0,
+        theta=1.0,
+        r1=2.0,
+        r2=3.0,
+        modulation_eps=modulation_eps,
+        period=2.0 * np.pi,
+    )
+
+
 def main() -> None:
     out = {}
     for name, (n_bodies, harmonics, seeds) in CASES.items():
-        spec = PotentialSpec(
-            masses=np.ones(n_bodies),
-            a=1.0,
-            g=0.01,
-            alpha=2.0,
-            theta=1.0,
-            r1=2.0,
-            r2=3.0,
-            modulation_eps=0.0,
-            period=2.0 * np.pi,
-        )
+        spec = benchmark_spec(n_bodies)
         for seed in seeds:
             result = multistart(
                 spec,
@@ -82,6 +92,12 @@ def main() -> None:
                 },
                 "dedup_keys": [record.dedup_key for record in result.records],
             }
+    n_bodies, modulation_eps, harmonics, samples, seeds = LEDGER
+    spec = benchmark_spec(n_bodies, modulation_eps)
+    for seed in seeds:
+        report = run_inequality_ledger(spec, 2, harmonics, samples, seed)
+        serialized = json.dumps(report.to_dict()).encode()
+        out[f"ledger/seed{seed}"] = hashlib.sha256(serialized).hexdigest()
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
