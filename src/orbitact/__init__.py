@@ -26,6 +26,7 @@ from .errors import (
     ThetaOutOfRange,
 )
 from .loopspace import (
+    LoopBatch,
     LoopConfiguration,
     default_grid_size,
     evaluate_positions,
@@ -84,6 +85,7 @@ __all__ = [
     "__version__",
     # loop representation
     "LoopConfiguration",
+    "LoopBatch",
     "default_grid_size",
     "sample_trajectory",
     "sample_acceleration",

@@ -28,6 +28,7 @@ from .errors import GridTooCoarse, ShapeMismatch
 
 __all__ = [
     "LoopConfiguration",
+    "LoopBatch",
     "FourierGrid",
     "default_grid_size",
     "quadrature_grid",
@@ -114,6 +115,30 @@ class LoopConfiguration:
 
     def with_flat(self, flat: np.ndarray) -> "LoopConfiguration":
         return LoopConfiguration.from_flat(flat, self.n_bodies, self.dim, self.period, self.harmonics)
+
+
+@dataclass(frozen=True)
+class LoopBatch:
+    """Loops of one period stacked along leading axes, coefficients (..., N, M, 2, k).
+
+    Functions that read only a loop's coefficients and period
+    (:func:`harmonic_energies`, :func:`velocity_l2_norms_squared` and the
+    Wirtinger checks in ``verify``) accept a batch in place of a
+    :class:`LoopConfiguration` and return results with the same leading axes.
+    Unlike a LoopConfiguration, a batch neither copies nor validates its
+    coefficients.
+    """
+
+    period: float
+    coefficients: np.ndarray = field(repr=False)
+
+    @property
+    def harmonics(self) -> int:
+        return self.coefficients.shape[-3]
+
+    def angular_frequencies(self) -> np.ndarray:
+        """omega_m = 2 pi m / T for each retained harmonic."""
+        return _odd_frequencies(self.period, self.harmonics, self.coefficients.dtype)
 
 
 @dataclass(frozen=True)
@@ -210,9 +235,9 @@ def evaluate_positions(loop: LoopConfiguration, times: np.ndarray) -> np.ndarray
     return _synthesize(_trig_basis(loop.angular_frequencies(), times), loop.coefficients)
 
 
-def harmonic_energies(loop: LoopConfiguration) -> np.ndarray:
-    """|a_{i,m}|^2 + |b_{i,m}|^2 per body and harmonic, shape (N, M)."""
-    return (loop.coefficients**2).sum(axis=(2, 3))
+def harmonic_energies(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
+    """|a_{i,m}|^2 + |b_{i,m}|^2 per body and harmonic, shape (..., N, M)."""
+    return (loop.coefficients**2).sum(axis=(-2, -1))
 
 
 def kinetic_energy(loop: LoopConfiguration, masses: np.ndarray) -> float:
@@ -229,8 +254,8 @@ def kinetic_energy(loop: LoopConfiguration, masses: np.ndarray) -> float:
     return float(0.25 * loop.period * masses @ (energies @ omega_sq))
 
 
-def velocity_l2_norms_squared(loop: LoopConfiguration) -> np.ndarray:
-    """Per-body squared L^2 norms of the velocity, shape (N,)."""
+def velocity_l2_norms_squared(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
+    """Per-body squared L^2 norms of the velocity, shape (..., N)."""
     omega_sq = loop.angular_frequencies() ** 2
     return 0.5 * loop.period * (harmonic_energies(loop) @ omega_sq)
 

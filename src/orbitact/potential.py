@@ -201,13 +201,24 @@ def _check_pair(spec: PotentialSpec, i: int, j: int):
         raise SelfPair(f"pair potential undefined for i == j == {i}")
 
 
-def pair_potential(spec: PotentialSpec, t: float, i: int, j: int, r: float) -> float:
-    """V_ij(t, r) = mu(t) m_i m_j w(r) for separation r > 0."""
+def _float_if_scalar(value):
+    """value as a Python float when it is a scalar, else the array unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def pair_potential(spec: PotentialSpec, t, i: int, j: int, r):
+    """V_ij(t, r) = mu(t) m_i m_j w(r) for separation r > 0.
+
+    t and r may be arrays with leading batch axes; they broadcast against each
+    other and give an array of values. Scalars give a float. Each entry equals
+    the scalar call on that (t, r) bit for bit.
+    """
     _check_pair(spec, i, j)
-    if not r > 0:
-        raise NonPositiveSeparation(f"separation must be positive, got {r}")
-    w = _profile(spec, float(r))[0]
-    return float(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
+        raise NonPositiveSeparation(f"separation must be positive, got {r.min()}")
+    w = _profile(spec, r)[0]
+    return _float_if_scalar(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
 
 
 def grid_potential(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray, order: int = 0):
@@ -272,13 +283,22 @@ class StrongForceWitness:
             return self.c * float(np.log(r))
         return -self.c * r ** (-self.beta)
 
-    def grad_norm_sq(self, r: float) -> float:
-        """|U'(r)|^2, computed from the witness's own constants."""
-        if not 0 < r < self.r1:
+    def grad_norm_sq(self, r):
+        """|U'(r)|^2, computed from the witness's own constants.
+
+        r may be an array, which gives an array. The power of r is the C
+        library's pow (np.float_power), as for a Python float, so each entry
+        equals the scalar call bit for bit; numpy's ``**`` on arrays rounds
+        differently.
+        """
+        r = np.asarray(r, dtype=float)
+        if not np.all((0 < r) & (r < self.r1)):
             raise OutOfWitnessRange(f"witness valid on (0, {self.r1}), got r={r}")
         if self.form == "log":
-            return self.c**2 / r**2
-        return (self.c * self.beta) ** 2 * r ** (-2.0 * self.beta - 2.0)
+            return _float_if_scalar(self.c**2 / np.float_power(r, 2.0))
+        return _float_if_scalar(
+            (self.c * self.beta) ** 2 * np.float_power(r, -2.0 * self.beta - 2.0)
+        )
 
 
 def strong_force_witness(spec: PotentialSpec, i: int, j: int) -> StrongForceWitness:
@@ -293,18 +313,21 @@ def strong_force_witness(spec: PotentialSpec, i: int, j: int) -> StrongForceWitn
     return StrongForceWitness(form="power", c=scale / beta, beta=beta, r1=spec.r1)
 
 
-def strong_force_margin(spec: PotentialSpec, i: int, j: int, r: float) -> float:
+def strong_force_margin(spec: PotentialSpec, i: int, j: int, r):
     """min_t(-V_ij(t, r)) - |U'(r)|^2 on the inner branch; >= 0, tight at eps = 0.
 
     The modulation minimum min_t mu(t) = 1 - eps is attained (at t = T/4), so
-    the minimum over t is exact rather than sampled.
+    the minimum over t is exact rather than sampled. An array r gives an
+    array whose entries equal the scalar calls bit for bit; a scalar gives a
+    float.
     """
     _check_pair(spec, i, j)
-    if not r > 0:
-        raise NonPositiveSeparation(f"separation must be positive, got {r}")
-    if r >= spec.r1:
-        raise OutOfWitnessRange(f"margin defined below r1={spec.r1}, got r={r}")
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
+        raise NonPositiveSeparation(f"separation must be positive, got {r.min()}")
+    if np.any(r >= spec.r1):
+        raise OutOfWitnessRange(f"margin defined below r1={spec.r1}, got r={r.max()}")
     witness = strong_force_witness(spec, i, j)
-    w = _profile(spec, float(r))[0]
+    w = _profile(spec, r)[0]
     neg_v_min = -(1.0 - spec.modulation_eps) * spec.masses[i] * spec.masses[j] * w
-    return float(neg_v_min - witness.grad_norm_sq(r))
+    return _float_if_scalar(neg_v_min - witness.grad_norm_sq(r))

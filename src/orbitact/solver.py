@@ -22,6 +22,7 @@ one shifted loop per shift.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from collections import deque
@@ -118,6 +119,11 @@ def _tail_quiet(ps_trace) -> bool:
     )
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector; np.linalg.norm computes the same sqrt(v.v)."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def _two_loop(history, grad):
     """L-BFGS two-loop recursion over (s, y, s.y) pairs, oldest first; returns H g.
 
@@ -129,13 +135,13 @@ def _two_loop(history, grad):
     stack = []
     for s, y, sy in reversed(history):
         rho = 1.0 / sy
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         q -= a * y
         stack.append((rho, a, s, y))
     _, last_y, last_sy = history[-1]
-    q *= last_sy / float(last_y @ last_y)
+    q *= last_sy / float(last_y.dot(last_y))
     for rho, a, s, y in reversed(stack):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return q
 
@@ -166,7 +172,7 @@ class _Descent:
     def step(self, x, ev):
         """Make (x, ev) the iterate and record its row."""
         self.x, self.ev = x, ev
-        self.grad_norm = float(np.linalg.norm(ev.gradient))
+        self.grad_norm = _norm(ev.gradient)
         self.rows.append((ev.value, self.grad_norm, ev.kinetic, ev.min_separation))
 
     def search(self, direction, alpha, tries, accept):
@@ -213,7 +219,7 @@ class _Descent:
 
             f, g, grad_norm = self.ev.value, self.ev.gradient, self.grad_norm
             direction = -_two_loop(history, g)
-            slope = float(g @ direction)
+            slope = float(g.dot(direction))
             if not slope < 0:
                 direction = -g
                 slope = -grad_norm * grad_norm
@@ -225,8 +231,8 @@ class _Descent:
             alpha, x_trial, ev = trial
             s = x_trial - self.x
             y = ev.gradient - g
-            sy = float(s @ y)
-            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            sy = float(s.dot(y))
+            if sy > 1e-10 * _norm(s) * _norm(y):
                 history.append((s, y, sy))
             self.step(x_trial, ev)
             if -alpha * slope <= 8.0 * eps_f * (1.0 + abs(ev.value)):
@@ -254,7 +260,7 @@ class _Descent:
             f, norm_cap = self.ev.value, 0.9 * self.grad_norm
             trial = self.search(
                 step, 1.0, 12,
-                lambda _, ev: ev.value <= f and float(np.linalg.norm(ev.gradient)) <= norm_cap,
+                lambda _, ev: ev.value <= f and _norm(ev.gradient) <= norm_cap,
             )
             if trial is None:
                 break

@@ -7,6 +7,13 @@ sublevel sets of the action, and a collision blow-up probe. The checks are
 deliberately computed through routes independent of the code paths they
 audit wherever that is meaningful (e.g. the strong-force margin evaluates the
 witness from its own constants rather than reusing the potential formula).
+
+The sampled checks accept leading batch axes, so the inequality ledger
+checks a chunk of samples per call. A batched call equals a loop of single
+calls bit for bit: sums over pairs run along a contiguous axis, dot products
+go through the same 1-D kernel per row, and the powers that a single call
+takes of numpy scalars stay the C library's pow (np.float_power); numpy's
+array ``**`` rounds differently.
 """
 
 from __future__ import annotations
@@ -19,11 +26,12 @@ import numpy as np
 from . import loopspace
 from .action import _check_compatible, action as _action
 from .errors import SingleBody, ThetaOutOfRange
-from .loopspace import LoopConfiguration
+from .loopspace import LoopBatch, LoopConfiguration
 from .potential import (
     PotentialSpec,
     _blend,
     _blend_data,
+    _float_if_scalar,
     _profile,
     grid_potential,
     pair_potential,
@@ -70,25 +78,80 @@ def euler_lagrange_residual(
     return l2 / (1.0 + kinetic)
 
 
-def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, shape (...).
+
+    Each row goes through the same 1-D dot kernel as ``a @ b`` on one pair of
+    vectors, so a stacked call rounds exactly like a loop of single ones; a
+    sum of elementwise products may not.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each equal to np.linalg.norm of its row."""
+    return np.sqrt(_dot(v, v))
+
+
+def _pair_table(masses: np.ndarray, positions: np.ndarray):
+    """Pair weights m_i m_j and squared separations |x_i - x_j|^2 over i < j, each (..., P).
+
+    Both come out C-contiguous, so that sums over pairs run along the
+    contiguous axis and round as for one configuration; fancy indexing behind
+    an ellipsis would put the pair axis outermost in memory.
+    """
+    iu, ju, _ = loopspace.body_pairs(masses.shape[-1])
+    weights = np.take(masses, iu, axis=-1) * np.take(masses, ju, axis=-1)
+    diff = np.take(positions, iu, axis=-2) - np.take(positions, ju, axis=-2)
+    return weights, (diff**2).sum(axis=-1)
+
+
+def _pairwise_sides(masses: np.ndarray, positions: np.ndarray):
+    """Both sides (lhs, rhs) of the weighted pairwise-distance identity, each (...)."""
+    masses = np.asarray(masses, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    weights, sq = _pair_table(masses, positions)
+    lhs = (weights * sq).sum(axis=-1)
+    total = masses.sum(axis=-1)
+    weighted = (masses * (positions**2).sum(axis=-1)).sum(axis=-1)
+    center = (masses[..., None] * positions).sum(axis=-2)
+    rhs = total * weighted - (center**2).sum(axis=-1)
+    return lhs, rhs
+
+
+def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray):
     """|LHS - RHS| of the weighted pairwise-distance identity.
 
     sum_{i<j} m_i m_j |x_i - x_j|^2
         == (sum_i m_i)(sum_i m_i |x_i|^2) - |sum_i m_i x_i|^2.
+
+    masses (..., N) and positions (..., N, k) may carry the same leading
+    batch axes, giving one value per configuration; one configuration gives
+    a numpy float. Each entry equals the single call bit for bit.
     """
+    lhs, rhs = _pairwise_sides(masses, positions)
+    return np.abs(lhs - rhs)
+
+
+def _holder_sides(masses: np.ndarray, positions: np.ndarray, theta: float):
+    """Both sides (lhs, rhs) of the pairwise power-sum bound, each (...).
+
+    The two powers of the RHS are the C library's pow (np.float_power), as
+    for the numpy scalars of one configuration, so batches round the same.
+    """
+    if theta >= 2:
+        raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    iu, ju, _ = loopspace.body_pairs(masses.size)
-    sq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
-    lhs = float((masses[iu] * masses[ju] * sq).sum())
-    total = masses.sum()
-    weighted = float((masses * (positions**2).sum(axis=1)).sum())
-    center = (masses[:, None] * positions).sum(axis=0)
-    rhs = total * weighted - float((center**2).sum())
-    return abs(lhs - rhs)
+    weights, rsq = _pair_table(masses, positions)
+    lhs = (weights * rsq ** (theta / 2.0)).sum(axis=-1)
+    rhs = np.float_power(weights.sum(axis=-1), (2.0 - theta) / 2.0) * np.float_power(
+        _dot(weights, rsq), theta / 2.0
+    )
+    return lhs, rhs
 
 
-def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float) -> float:
+def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float):
     """Slack RHS - LHS of the pairwise power-sum upper bound.
 
     LHS = sum_{i<j} m_i m_j r_ij^theta,
@@ -97,26 +160,21 @@ def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float) 
     The bound LHS <= RHS holds for theta in [0, 2) (it is Holder's inequality
     with exponents 2/(2-theta) and 2/theta). For theta < 0 the power mean runs
     the other way and the slack can be negative; the function still reports it.
+    Batch axes work as in :func:`check_pairwise_identity`; one configuration
+    gives a float.
     """
-    if theta >= 2:
-        raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
-    masses = np.asarray(masses, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    iu, ju, _ = loopspace.body_pairs(masses.size)
-    w = masses[iu] * masses[ju]
-    rsq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
-    lhs = float((w * rsq ** (theta / 2.0)).sum())
-    rhs = float(w.sum() ** ((2.0 - theta) / 2.0) * (w @ rsq) ** (theta / 2.0))
-    return rhs - lhs
+    lhs, rhs = _holder_sides(masses, positions, theta)
+    return _float_if_scalar(rhs - lhs)
 
 
-def check_wirtinger(loop: LoopConfiguration) -> np.ndarray:
-    """Per-body slack (T/2pi)^2 ||xdot_i||^2 - ||x_i||^2 in L^2, shape (N,).
+def check_wirtinger(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
+    """Per-body slack (T/2pi)^2 ||xdot_i||^2 - ||x_i||^2 in L^2, shape (..., N).
 
     Through the coefficient sums the slack is (T/2) sum_m (m^2 - 1) E_{i,m}
     with E the harmonic energies, so it is nonnegative and vanishes exactly
     when only the first harmonic is populated. Computed termwise to avoid
-    cancellation between harmonics.
+    cancellation between harmonics. A :class:`LoopBatch` gives one row per
+    loop, each equal to the single call bit for bit.
     """
     energies = loopspace.harmonic_energies(loop)
     scaled = (loop.period / (2.0 * np.pi)) * loop.angular_frequencies()
@@ -124,20 +182,22 @@ def check_wirtinger(loop: LoopConfiguration) -> np.ndarray:
     return 0.5 * loop.period * (energies @ factors)
 
 
-def wirtinger_kinetic_side(loop: LoopConfiguration) -> np.ndarray:
-    """Per-body (T/2pi)^2 ||xdot_i||^2, the large side of the comparison."""
+def wirtinger_kinetic_side(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
+    """Per-body (T/2pi)^2 ||xdot_i||^2, the large side of the comparison, shape (..., N)."""
     scale = (loop.period / (2.0 * np.pi)) ** 2
     return scale * loopspace.velocity_l2_norms_squared(loop)
 
 
-def check_modulation_symmetry(
-    spec: PotentialSpec, i: int, j: int, t: float, xi: np.ndarray
-) -> float:
-    """Normalized |V_ij(t + T/2, -xi) - V_ij(t, xi)|; zero by construction."""
+def check_modulation_symmetry(spec: PotentialSpec, i: int, j: int, t, xi):
+    """Normalized |V_ij(t + T/2, -xi) - V_ij(t, xi)|; zero by construction.
+
+    t (...) and xi (..., k) may carry the same leading batch axes, giving one
+    value per sample; a single sample gives a float.
+    """
     xi = np.asarray(xi, dtype=float)
-    v_a = pair_potential(spec, t, i, j, float(np.linalg.norm(xi)))
-    v_b = pair_potential(spec, t + 0.5 * spec.period, i, j, float(np.linalg.norm(-xi)))
-    return abs(v_b - v_a) / (1.0 + abs(v_a))
+    v_a = pair_potential(spec, t, i, j, _norm(xi))
+    v_b = pair_potential(spec, t + 0.5 * spec.period, i, j, _norm(-xi))
+    return _float_if_scalar(np.abs(v_b - v_a) / (1.0 + np.abs(v_a)))
 
 
 def check_blend_c1(spec: PotentialSpec) -> float:
@@ -349,13 +409,23 @@ class LedgerReport:
         }
 
 
-def _random_loop(rng, n_bodies: int, dim: int, harmonics: int, period: float, first_only=False):
-    shape = (n_bodies, harmonics, 2, dim)
-    coeffs = rng.standard_normal(shape)
+# Samples per batched call in the ledger; bounds its working memory.
+LEDGER_CHUNK = 256
+
+
+def _random_coefficients(rng, batch: tuple, n_bodies: int, dim: int, harmonics: int) -> np.ndarray:
+    """Normal coefficients (*batch, N, M, 2, k) damped by 1/m^2, drawn in one call.
+
+    One call over a batch draws the same stream as one call per loop.
+    """
+    coeffs = rng.standard_normal((*batch, n_bodies, harmonics, 2, dim))
     orders = np.arange(1, 2 * harmonics, 2, dtype=float)
-    coeffs /= orders[None, :, None, None] ** 2
-    if first_only:
-        coeffs[:, 1:] = 0.0
+    coeffs /= (orders**2)[:, None, None]
+    return coeffs
+
+
+def _random_loop(rng, n_bodies: int, dim: int, harmonics: int, period: float) -> LoopConfiguration:
+    coeffs = _random_coefficients(rng, (), n_bodies, dim, harmonics)
     return LoopConfiguration(n_bodies, dim, period, coeffs)
 
 
@@ -367,18 +437,40 @@ def _random_bodies(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return masses, positions
 
 
-def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
-    """Reduce one check's normalized per-sample slacks to its ledger entry.
+def _chunks(n: int):
+    """Sample indices 0..n-1 in consecutive aranges of at most LEDGER_CHUNK."""
+    for start in range(0, n, LEDGER_CHUNK):
+        yield np.arange(start, min(start + LEDGER_CHUNK, n))
 
-    A lower check needs every slack >= -tolerance and reports the smallest;
-    an upper check needs every slack <= tolerance and reports the largest.
-    A NaN slack fails the check. An empty list passes vacuously with worst slack 0.
+
+def _stacked_groups(keys, samples):
+    """Stack the samples that share a key: yields (key, [stacked field, ...]) per key.
+
+    Each sample is a tuple of arrays; the samples of one key must agree in
+    shape field by field (the ledger keys on body count).
     """
-    if not slacks:
+    groups = {}
+    for key, sample in zip(keys, samples):
+        groups.setdefault(key, []).append(sample)
+    for key, members in groups.items():
+        yield key, [np.stack(field) for field in zip(*members)]
+
+
+def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
+    """Reduce one check's normalized slacks to its ledger entry.
+
+    slacks holds per-sample slacks, as scalars or as arrays of them (one
+    array per batched call). A lower check needs every slack >= -tolerance
+    and reports the smallest; an upper check needs every slack <= tolerance
+    and reports the largest. A NaN slack fails the check. No slacks pass
+    vacuously with worst slack 0.
+    """
+    values = np.concatenate([np.ravel(s) for s in slacks]) if slacks else np.empty(0)
+    if values.size == 0:
         return LedgerCheck(name, 0, 0.0, tolerance, True)
-    worst = float(np.min(slacks) if lower else np.max(slacks))
+    worst = float(values.min() if lower else values.max())
     passed = worst >= -tolerance if lower else worst <= tolerance
-    return LedgerCheck(name, len(slacks), worst, tolerance, passed)
+    return LedgerCheck(name, values.size, worst, tolerance, passed)
 
 
 def run_inequality_ledger(
@@ -394,6 +486,14 @@ def run_inequality_ledger(
     (every fourth Wirtinger sample, ceil(n/4)), antiperiodicity and zero_mean
     (max(floor(n/10), 1) shared loops) and blend_c1 (one). With n = 0 every
     check reports vacuously (zero samples, pass); callers should warn then.
+
+    Samples are checked in chunks of LEDGER_CHUNK, with one batched call per
+    check and chunk, or per body count (and theta) where the sample sizes
+    vary. Draws keep the order of one sample at a time: bodies and the
+    symmetry block's (t, xi, radius) are drawn sample by sample, the
+    Wirtinger loops and strong-force radii in one call per chunk, which
+    yields the same stream. Reports equal those of checking every sample on
+    its own bit for bit.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -403,12 +503,13 @@ def run_inequality_ledger(
 
     # Pairwise-distance identity over random masses and positions.
     slacks = []
-    for _ in range(n):
-        masses, positions = _random_bodies(rng, dim)
-        lhs_scale = 1.0 + float(
-            (np.add.outer(masses, masses) * ((positions[:, None] - positions[None, :]) ** 2).sum(-1)).sum()
-        )
-        slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
+    for rows in _chunks(n):
+        bodies = [_random_bodies(rng, dim) for _ in rows]
+        for _, (masses, positions) in _stacked_groups([m.size for m, _ in bodies], bodies):
+            diffs = positions[..., :, None, :] - positions[..., None, :, :]
+            mass_sums = masses[..., :, None] + masses[..., None, :]
+            lhs_scale = 1.0 + (mass_sums * (diffs**2).sum(-1)).sum(axis=(-2, -1))
+            slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
 
     # Pairwise power-sum upper bound, exponents in the valid band [0, 2).
@@ -416,27 +517,25 @@ def run_inequality_ledger(
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
     slacks = []
-    for idx in range(n):
-        masses, positions = _random_bodies(rng, dim)
-        theta = theta_grid[idx % len(theta_grid)]
-        slack = check_holder_bound(masses, positions, theta)
-        iu, ju, _ = loopspace.body_pairs(masses.size)
-        w = masses[iu] * masses[ju]
-        rsq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
-        rhs = w.sum() ** ((2 - theta) / 2) * (w @ rsq) ** (theta / 2)
-        slacks.append(slack / (1.0 + rhs))
+    for rows in _chunks(n):
+        bodies = [_random_bodies(rng, dim) for _ in rows]
+        keys = [(m.size, theta_grid[idx % len(theta_grid)]) for idx, (m, _) in zip(rows, bodies)]
+        for (_, theta), (masses, positions) in _stacked_groups(keys, bodies):
+            lhs, rhs = _holder_sides(masses, positions, theta)
+            slacks.append((rhs - lhs) / (1.0 + rhs))
     checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
 
     # Wirtinger comparison on random loops, plus tightness at pure first harmonic.
     slacks, slacks_eq = [], []
-    for idx in range(n):
-        first_only = idx % 4 == 0
-        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period, first_only=first_only)
-        slack = check_wirtinger(loop)
-        scale = 1.0 + wirtinger_kinetic_side(loop)
-        slacks.append(float((slack / scale).min()))
-        if first_only:
-            slacks_eq.append(float((np.abs(slack) / scale).max()))
+    for rows in _chunks(n):
+        coeffs = _random_coefficients(rng, (rows.size,), spec.n_bodies, dim, harmonics)
+        first_only = rows % 4 == 0
+        coeffs[first_only, :, 1:] = 0.0
+        loops = LoopBatch(spec.period, coeffs)
+        slack = check_wirtinger(loops)
+        scale = 1.0 + wirtinger_kinetic_side(loops)
+        slacks.append((slack / scale).min(axis=-1))
+        slacks_eq.append((np.abs(slack[first_only]) / scale[first_only]).max(axis=-1))
     checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
     checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
 
@@ -445,20 +544,25 @@ def run_inequality_ledger(
         spec, masses=np.asarray([spec.masses[0], spec.masses[0]])
     )
     v_coeff = (1.0 - spec.modulation_eps) * pair_spec.masses[0] * pair_spec.masses[1] * spec.a
+    log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
     slacks = []
-    for _ in range(n):
-        r = float(np.exp(rng.uniform(np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12)))))
+    for rows in _chunks(n):
+        r = np.exp(rng.uniform(log_lo, log_hi, size=rows.size))
         margin = strong_force_margin(pair_spec, 0, 1, r)
-        slacks.append(margin / max(v_coeff * r**-spec.alpha, 1e-300))
+        # float_power is the C library's pow, as for one float r
+        slacks.append(margin / np.maximum(v_coeff * np.float_power(r, -spec.alpha), 1e-300))
     checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
 
     # Half-period reflection symmetry of the modulated pair potential.
     slacks = []
-    for _ in range(n):
-        t = float(rng.uniform(0.0, spec.period))
-        xi = rng.normal(size=dim)
-        xi = xi / max(np.linalg.norm(xi), 1e-12) * float(rng.uniform(0.05, 3.0 * spec.r2))
-        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, t, xi))
+    for rows in _chunks(n):
+        times, directions, radii = np.empty(rows.size), np.empty((rows.size, dim)), np.empty(rows.size)
+        for row in range(rows.size):
+            times[row] = rng.uniform(0.0, spec.period)
+            directions[row] = rng.normal(size=dim)
+            radii[row] = rng.uniform(0.05, 3.0 * spec.r2)
+        xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
+        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
 
     # One-sided C^1 regularity of the blend window.

@@ -292,3 +292,40 @@ def test_masses_are_read_only_and_spec_frozen():
         spec.masses[0] = 5.0
     with pytest.raises(AttributeError):
         spec.a = 2.0
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("alpha, eps", [(2.0, 0.0), (3.0, 0.3)])
+def test_scalar_profile_path_batched_equals_single_calls(n_bodies, alpha, eps):
+    # a stacked call must round exactly like a loop of scalar calls, on every
+    # branch and for both witness forms (log at alpha = 2, power above)
+    masses = np.linspace(0.5, 2.5, n_bodies)
+    spec = make_spec(masses=masses, alpha=alpha, modulation_eps=eps)
+    rng = np.random.default_rng(10 * n_bodies + int(alpha))
+    i, j = 0, n_bodies - 1
+    t = rng.uniform(0.0, spec.period, size=(3, 40))
+    r = rng.uniform(0.05, 2.0 * spec.r2, size=(3, 40))  # inner, blend and tail branches
+    got = pair_potential(spec, t, i, j, r)
+    assert got.shape == (3, 40)
+    assert np.array_equal(got, [[pair_potential(spec, float(a), i, j, float(b)) for a, b in zip(*row)]
+                                for row in zip(t, r)])
+
+    inner = np.exp(rng.uniform(np.log(1e-8 * spec.r1), np.log(0.999 * spec.r1), size=200))
+    wit = strong_force_witness(spec, i, j)
+    assert np.array_equal(wit.grad_norm_sq(inner), [wit.grad_norm_sq(float(x)) for x in inner])
+    margins = strong_force_margin(spec, i, j, inner)
+    assert np.array_equal(margins, [strong_force_margin(spec, i, j, float(x)) for x in inner])
+    # one sample gives a float, as before batching
+    assert type(pair_potential(spec, 0.3, i, j, 1.0)) is float
+    assert type(strong_force_margin(spec, i, j, 0.5)) is float
+    assert type(wit.grad_norm_sq(0.5)) is float
+
+
+def test_batched_scalar_path_checks_every_entry():
+    spec = make_spec()
+    with pytest.raises(NonPositiveSeparation):
+        pair_potential(spec, 0.0, 0, 1, np.array([1.0, 0.0]))
+    with pytest.raises(OutOfWitnessRange):
+        strong_force_margin(spec, 0, 1, np.array([0.5, 2.0]))
+    with pytest.raises(OutOfWitnessRange):
+        strong_force_witness(spec, 0, 1).grad_norm_sq(np.array([0.5, 3.0]))

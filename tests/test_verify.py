@@ -1,15 +1,21 @@
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
+from orbitact import loopspace
 from orbitact.errors import ShapeMismatch, SingleBody, ThetaOutOfRange
-from orbitact.loopspace import LoopConfiguration, kinetic_energy
+from orbitact.loopspace import LoopBatch, LoopConfiguration, harmonic_energies, kinetic_energy
 from orbitact.action import action_value
-from orbitact.potential import BLEND_LINEAR
+from orbitact.potential import BLEND_LINEAR, strong_force_margin
 from orbitact.verify import (
+    LEDGER_CHUNK,
     _ledger_check,
+    _random_bodies,
+    _random_loop,
     check_blend_c1,
     check_holder_bound,
     check_modulation_symmetry,
@@ -256,3 +262,148 @@ def test_ledger_check_fails_on_nan_slack():
     for lower in (True, False):
         check = _ledger_check("probe", [0.0, float("nan"), 0.0], 1e-12, lower=lower)
         assert check.samples == 3 and not check.passed
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_pair_checks_batched_equal_single_calls(n_bodies, dim):
+    # two leading batch axes; every entry equals the single call bit for bit
+    rng = np.random.default_rng(10 * n_bodies + dim)
+    masses = rng.uniform(0.1, 3.0, size=(4, 10, n_bodies))
+    positions = rng.normal(scale=1.5, size=(4, 10, n_bodies, dim))
+    pairs = list(zip(masses.reshape(40, -1), positions.reshape(40, n_bodies, dim)))
+    got = check_pairwise_identity(masses, positions)
+    assert got.shape == (4, 10)
+    assert np.array_equal(got.ravel(), [check_pairwise_identity(m, x) for m, x in pairs])
+    for theta in (-0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 1.9):
+        got = check_holder_bound(masses, positions, theta)
+        assert np.array_equal(got.ravel(), [check_holder_bound(m, x, theta) for m, x in pairs])
+    # one configuration keeps its scalar type
+    assert type(check_pairwise_identity(*pairs[0])) is np.float64
+    assert type(check_holder_bound(*pairs[0], 0.5)) is float
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_loop_checks_batched_equal_single_calls(n_bodies, dim):
+    rng = np.random.default_rng(20 * n_bodies + dim)
+    coeffs = rng.standard_normal((3, 7, n_bodies, 5, 2, dim))
+    coeffs[:, ::4, :, 1:] = 0.0  # some pure first-harmonic loops
+    batch = LoopBatch(3.7, coeffs)
+    loops = [LoopConfiguration(n_bodies, dim, 3.7, c) for c in coeffs.reshape(21, n_bodies, 5, 2, dim)]
+    for fn in (check_wirtinger, wirtinger_kinetic_side, harmonic_energies):
+        got = fn(batch)
+        assert got.shape[:2] == (3, 7)
+        assert np.array_equal(got.reshape(21, *got.shape[2:]), [fn(loop) for loop in loops])
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_modulation_symmetry_batched_equals_single_calls(n_bodies, dim):
+    spec = make_spec(masses=np.linspace(0.5, 2.5, n_bodies), modulation_eps=0.3)
+    rng = np.random.default_rng(30 * n_bodies + dim)
+    t = rng.uniform(0.0, spec.period, size=60)
+    xi = rng.normal(scale=3.0, size=(60, dim))
+    got = check_modulation_symmetry(spec, 0, n_bodies - 1, t, xi)
+    want = [check_modulation_symmetry(spec, 0, n_bodies - 1, float(a), b) for a, b in zip(t, xi)]
+    assert np.array_equal(got, want)
+    assert type(want[0]) is float
+
+
+def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
+    """The ledger checked one sample at a time, as before batching: the oracle."""
+    rng = np.random.default_rng(seed)
+    n = n_samples
+    checks = []
+
+    slacks = []
+    for _ in range(n):
+        masses, positions = _random_bodies(rng, dim)
+        lhs_scale = 1.0 + float(
+            (np.add.outer(masses, masses) * ((positions[:, None] - positions[None, :]) ** 2).sum(-1)).sum()
+        )
+        slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
+    checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
+
+    theta_grid = [0.0, 0.5, 1.0, 1.5, 1.9]
+    if 0.0 <= spec.theta < 2.0:
+        theta_grid.append(spec.theta)
+    slacks = []
+    for idx in range(n):
+        masses, positions = _random_bodies(rng, dim)
+        theta = theta_grid[idx % len(theta_grid)]
+        slack = check_holder_bound(masses, positions, theta)
+        iu, ju, _ = loopspace.body_pairs(masses.size)
+        w = masses[iu] * masses[ju]
+        rsq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
+        rhs = w.sum() ** ((2 - theta) / 2) * (w @ rsq) ** (theta / 2)
+        slacks.append(slack / (1.0 + rhs))
+    checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
+
+    slacks, slacks_eq = [], []
+    orders = np.arange(1, 2 * harmonics, 2, dtype=float)
+    for idx in range(n):
+        coeffs = rng.standard_normal((spec.n_bodies, harmonics, 2, dim))
+        coeffs /= orders[None, :, None, None] ** 2
+        if idx % 4 == 0:
+            coeffs[:, 1:] = 0.0
+        loop = LoopConfiguration(spec.n_bodies, dim, spec.period, coeffs)
+        slack = check_wirtinger(loop)
+        scale = 1.0 + wirtinger_kinetic_side(loop)
+        slacks.append(float((slack / scale).min()))
+        if idx % 4 == 0:
+            slacks_eq.append(float((np.abs(slack) / scale).max()))
+    checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
+    checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
+
+    pair_spec = spec if spec.n_bodies >= 2 else replace(
+        spec, masses=np.asarray([spec.masses[0], spec.masses[0]])
+    )
+    v_coeff = (1.0 - spec.modulation_eps) * pair_spec.masses[0] * pair_spec.masses[1] * spec.a
+    slacks = []
+    for _ in range(n):
+        r = float(np.exp(rng.uniform(np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12)))))
+        margin = strong_force_margin(pair_spec, 0, 1, r)
+        slacks.append(margin / max(v_coeff * r**-spec.alpha, 1e-300))
+    checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
+
+    slacks = []
+    for _ in range(n):
+        t = float(rng.uniform(0.0, spec.period))
+        xi = rng.normal(size=dim)
+        xi = xi / max(np.linalg.norm(xi), 1e-12) * float(rng.uniform(0.05, 3.0 * spec.r2))
+        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, t, xi))
+    checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
+
+    checks.append(_ledger_check("blend_c1", [check_blend_c1(spec)] if n else [], 1e-10, lower=False))
+
+    slacks_ap, slacks_zm = [], []
+    n_t = 4 * harmonics + 10
+    for _ in range(max(n // 10, min(n, 1))):
+        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period)
+        pos = loopspace.sample_trajectory(loop, n_t)
+        scale = 1.0 + float(np.abs(pos).max())
+        slacks_ap.append(float(np.abs(np.roll(pos, -(n_t // 2), axis=0) + pos).max()) / scale)
+        slacks_zm.append(float(np.abs(pos.mean(axis=0)).max()) / scale)
+    checks.append(_ledger_check("antiperiodicity", slacks_ap, 1e-12, lower=False))
+    checks.append(_ledger_check("zero_mean", slacks_zm, 1e-12, lower=False))
+    return {"samples": n, "seed": seed, "passed": all(c.passed for c in checks),
+            "checks": [c.to_dict() for c in checks]}
+
+
+@pytest.mark.parametrize(
+    "n_bodies, dim, theta, eps, n_samples",
+    [
+        (n_bodies, dim, theta, eps, n_samples)
+        for n_bodies, dim, (theta, eps), n_samples in itertools.product(
+            (1, 2, 6), (1, 3), ((1.0, 0.0), (-0.5, 0.3)), (0, 1, 300)
+        )
+    ],
+)
+def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samples):
+    # 300 samples cross a chunk boundary
+    assert 300 > LEDGER_CHUNK
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), theta=theta, modulation_eps=eps)
+    seed = 11 * n_bodies + dim
+    report = run_inequality_ledger(spec, dim, 3, n_samples, seed)
+    assert report.to_dict() == _sample_by_sample_ledger(spec, dim, 3, n_samples, seed)

@@ -7,9 +7,12 @@ hashes, with SHA-256, the final coefficients, status, iterations, action,
 kinetic energy, gradient norm and the three traces; it also lists every
 kept record's ``dedup_key``. It also runs the ledger workload's inequality
 ledger (N=4 unit masses, modulation 0.3, dim 2, M=8, 5000 samples) at seeds
-0-2 and hashes each report's ``to_dict()`` as JSON in its own key order. The
-result goes to stdout as canonical JSON, so two checkouts agree bit for bit
-exactly when their outputs are equal:
+0-2 and hashes each report's ``to_dict()`` as JSON in its own key order, and
+does the same for a sweep of ledger edge configurations (1, 2 or 6 unequal
+masses; dim 1 or 3; alpha 2 with theta 1 or alpha 3 with theta -0.5;
+modulation 0 or 0.3; 0, 1 or 300 samples, 300 crossing a chunk boundary).
+The result goes to stdout as canonical JSON, so two checkouts agree bit for
+bit exactly when their outputs are equal:
 
     python3 tools/report_digest.py > after.json
     diff before.json after.json
@@ -20,6 +23,7 @@ It takes no arguments and runs the sources of the checkout it sits in.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 import sys
@@ -39,6 +43,8 @@ WINDINGS = (1, 3, 5)
 STARTS_PER_CLASS = 4
 # the ledger workload: bodies, modulation, harmonics, samples, seeds
 LEDGER = (4, 0.3, 8, 5000, range(3))
+# the ledger edge sweep: bodies, dims, (alpha, theta), modulations, samples
+LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300))
 
 
 def _floats(values) -> bytes:
@@ -57,8 +63,8 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
-def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0) -> PotentialSpec:
-    return PotentialSpec(
+def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0, **overrides) -> PotentialSpec:
+    params = dict(
         masses=np.ones(n_bodies),
         a=1.0,
         g=0.01,
@@ -69,6 +75,13 @@ def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0) -> PotentialSpec:
         modulation_eps=modulation_eps,
         period=2.0 * np.pi,
     )
+    params.update(overrides)
+    return PotentialSpec(**params)
+
+
+def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, seed: int) -> str:
+    report = run_inequality_ledger(spec, dim, harmonics, samples, seed)
+    return hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
 
 
 def main() -> None:
@@ -95,9 +108,13 @@ def main() -> None:
     n_bodies, modulation_eps, harmonics, samples, seeds = LEDGER
     spec = benchmark_spec(n_bodies, modulation_eps)
     for seed in seeds:
-        report = run_inequality_ledger(spec, 2, harmonics, samples, seed)
-        serialized = json.dumps(report.to_dict()).encode()
-        out[f"ledger/seed{seed}"] = hashlib.sha256(serialized).hexdigest()
+        out[f"ledger/seed{seed}"] = ledger_digest(spec, 2, harmonics, samples, seed)
+    for n_bodies, dim, (alpha, theta), eps, samples in itertools.product(*LEDGER_EDGES):
+        spec = benchmark_spec(
+            n_bodies, eps, masses=np.linspace(0.7, 1.9, n_bodies), alpha=alpha, theta=theta
+        )
+        key = f"ledger_edge/N{n_bodies}/dim{dim}/alpha{alpha}/theta{theta}/eps{eps}/n{samples}"
+        out[key] = ledger_digest(spec, dim, 3, samples, 7 * n_bodies + dim)
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
