@@ -501,15 +501,14 @@ def run_inequality_ledger(
     n = n_samples
     checks = []
 
-    # Pairwise-distance identity over random masses and positions.
+    # Pairwise-distance identity over random masses and positions, relative
+    # to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2.
     slacks = []
     for rows in _chunks(n):
         bodies = [_random_bodies(rng, dim) for _ in rows]
         for _, (masses, positions) in _stacked_groups([m.size for m, _ in bodies], bodies):
-            diffs = positions[..., :, None, :] - positions[..., None, :, :]
-            mass_sums = masses[..., :, None] + masses[..., None, :]
-            lhs_scale = 1.0 + (mass_sums * (diffs**2).sum(-1)).sum(axis=(-2, -1))
-            slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
+            lhs, rhs = _pairwise_sides(masses, positions)
+            slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
 
     # Pairwise power-sum upper bound, exponents in the valid band [0, 2).

@@ -311,7 +311,10 @@ def test_modulation_symmetry_batched_equals_single_calls(n_bodies, dim):
 
 
 def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
-    """The ledger checked one sample at a time, as before batching: the oracle."""
+    """The ledger checked one sample at a time, as before batching: the oracle.
+
+    The pairwise slack is relative to the identity's own LHS.
+    """
     rng = np.random.default_rng(seed)
     n = n_samples
     checks = []
@@ -319,10 +322,10 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     slacks = []
     for _ in range(n):
         masses, positions = _random_bodies(rng, dim)
-        lhs_scale = 1.0 + float(
-            (np.add.outer(masses, masses) * ((positions[:, None] - positions[None, :]) ** 2).sum(-1)).sum()
-        )
-        slacks.append(check_pairwise_identity(masses, positions) / lhs_scale)
+        iu, ju, _ = loopspace.body_pairs(masses.size)
+        sq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
+        lhs = float((masses[iu] * masses[ju] * sq).sum())
+        slacks.append(check_pairwise_identity(masses, positions) / (1.0 + lhs))
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
 
     theta_grid = [0.0, 0.5, 1.0, 1.5, 1.9]
@@ -407,3 +410,25 @@ def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samp
     seed = 11 * n_bodies + dim
     report = run_inequality_ledger(spec, dim, 3, n_samples, seed)
     assert report.to_dict() == _sample_by_sample_ledger(spec, dim, 3, n_samples, seed)
+
+
+def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
+    # The tolerance 1e-10 applies to |LHS - RHS| / (1 + sum_{i<j} m_i m_j
+    # |x_i - x_j|^2). A scale summing m_i + m_j over all ordered pairs is at
+    # least 4/3 of that LHS for masses below 3, and loosens the check by that.
+    spec = make_spec()
+    for seed in range(3):
+        report = run_inequality_ledger(spec, 2, 3, 200, seed)
+        rng = np.random.default_rng(seed)  # the pairwise block draws first
+        worst = 0.0
+        for _ in range(200):
+            masses, positions = _random_bodies(rng, 2)
+            lhs = sum(
+                masses[i] * masses[q] * float(((positions[i] - positions[q]) ** 2).sum())
+                for i in range(masses.size)
+                for q in range(i + 1, masses.size)
+            )
+            worst = max(worst, check_pairwise_identity(masses, positions) / (1.0 + lhs))
+        assert worst > 0.0
+        assert report.checks[0].name == "pairwise_identity"
+        assert report.checks[0].worst_slack == pytest.approx(worst, rel=1e-6, abs=0.0)
