@@ -11,6 +11,9 @@ ledger (N=4 unit masses, modulation 0.3, dim 2, M=8, 5000 samples) at seeds
 does the same for a sweep of ledger edge configurations (1, 2 or 6 unequal
 masses; dim 1 or 3; alpha 2 with theta 1 or alpha 3 with theta -0.5;
 modulation 0 or 0.3; 0, 1 or 300 samples, 300 crossing a chunk boundary).
+A report keeps only each check's worst slack, so every ledger entry also
+hashes each check's sorted per-sample slacks, captured by wrapping
+``orbitact.verify._ledger_check`` for the duration of the run.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -33,9 +36,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from orbitact import verify  # noqa: E402
 from orbitact.potential import PotentialSpec  # noqa: E402
 from orbitact.solver import SolveOptions, multistart  # noqa: E402
-from orbitact.verify import run_inequality_ledger  # noqa: E402
 
 # name -> (bodies, harmonics, seeds)
 CASES = {"ladder2": (2, 8, range(5)), "ring6": (6, 24, range(3))}
@@ -79,9 +82,25 @@ def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0, **overrides) -> P
     return PotentialSpec(**params)
 
 
-def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, seed: int) -> str:
-    report = run_inequality_ledger(spec, dim, harmonics, samples, seed)
-    return hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, seed: int) -> dict:
+    """Hashes of the report and of each check's sorted per-sample slacks."""
+    slack_digests = {}
+    reduce = verify._ledger_check
+
+    def capture(name, slacks, tolerance, *, lower):
+        values = np.concatenate([np.ravel(s) for s in slacks]) if slacks else np.empty(0)
+        slack_digests[name] = hashlib.sha256(_floats(np.sort(values))).hexdigest()
+        return reduce(name, slacks, tolerance, lower=lower)
+
+    verify._ledger_check = capture
+    try:
+        report = verify.run_inequality_ledger(spec, dim, harmonics, samples, seed)
+    finally:
+        verify._ledger_check = reduce
+    return {
+        "report": hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest(),
+        "slacks": slack_digests,
+    }
 
 
 def main() -> None:
