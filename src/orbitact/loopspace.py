@@ -82,8 +82,8 @@ class LoopConfiguration:
             raise ShapeMismatch("at least one harmonic is required")
         if self.n_bodies < 1 or self.dim < 1:
             raise ShapeMismatch("n_bodies and dim must be positive")
-        if not self.period > 0:
-            raise ShapeMismatch(f"period must be positive, got {self.period}")
+        if not 0.0 < self.period < np.inf:
+            raise ShapeMismatch(f"period must be finite and positive, got {self.period}")
         if not np.all(np.isfinite(c)):
             raise ShapeMismatch("coefficients must be finite")
         c = c.copy()
@@ -122,9 +122,10 @@ class LoopBatch:
     """Loops of one period stacked along leading axes, coefficients (..., N, M, 2, k).
 
     Functions that read only a loop's coefficients and period
-    (:func:`harmonic_energies`, :func:`velocity_l2_norms_squared` and the
-    Wirtinger checks in ``verify``) accept a batch in place of a
-    :class:`LoopConfiguration` and return results with the same leading axes.
+    (:func:`sample_trajectory`, :func:`harmonic_energies`,
+    :func:`velocity_l2_norms_squared` and the Wirtinger checks in ``verify``)
+    accept a batch in place of a :class:`LoopConfiguration` and return
+    results with the same leading axes.
     Unlike a LoopConfiguration, a batch neither copies nor validates its
     coefficients.
     """
@@ -201,21 +202,29 @@ def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierG
 
 
 def _synthesize(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Sum of (2M, n) basis rows weighted by (N, M, 2, k) coefficients, shape (n, N, k).
+    """Sum of (2M, n) basis rows weighted by (..., N, M, 2, k) coefficients, shape (..., n, N, k).
 
-    The coefficients enter as a (2M, N k) matrix: rows (harmonic, cos/sin)
-    as in :class:`FourierGrid`, columns (body, coordinate).
+    The coefficients enter as a (..., 2M, N k) matrix: rows (harmonic,
+    cos/sin) as in :class:`FourierGrid`, columns (body, coordinate). Over
+    leading batch axes matmul stacks the product of each loop, so every block
+    equals the single call; one loop, the search's per-trial case, keeps the
+    plain 2-D path.
     """
+    if coefficients.ndim > 4:
+        *batch, n_bodies, _, _, dim = coefficients.shape
+        coeffs = np.moveaxis(coefficients, -4, -2).reshape(*batch, rows.shape[0], -1)
+        return (rows.T @ coeffs).reshape(*batch, rows.shape[1], n_bodies, dim)
     n_bodies, _, _, dim = coefficients.shape
     coeffs = coefficients.transpose(1, 2, 0, 3).reshape(rows.shape[0], -1)
     return (rows.T @ coeffs).reshape(-1, n_bodies, dim)
 
 
-def sample_trajectory(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
-    """Positions at the n_t nodes of :func:`quadrature_grid`, shape (n_t, N, k).
+def sample_trajectory(loop: LoopConfiguration | LoopBatch, n_t: int | None = None) -> np.ndarray:
+    """Positions at the n_t nodes of :func:`quadrature_grid`, shape (..., n_t, N, k).
 
-    Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
-    integrate products of retained harmonics exactly.
+    A :class:`LoopBatch` gives one (n_t, N, k) block per loop, each equal to
+    the single call bit for bit. Raises GridTooCoarse when n_t < 4M + 1, the
+    minimum for the grid to integrate products of retained harmonics exactly.
     """
     return _synthesize(quadrature_grid(loop, n_t).basis, loop.coefficients)
 
@@ -313,11 +322,9 @@ def h1_distance(first: LoopConfiguration, second: LoopConfiguration) -> float:
     on bodies, dimension, and period; the shorter harmonic tail is zero-padded.
     """
     a, b = _common_harmonics(first, second)
-    m = a.shape[1]
     delta = a - b
     energies = (delta**2).sum(axis=(2, 3)).sum(axis=0)  # (M,)
-    orders = np.arange(1, 2 * m, 2, dtype=float)
-    omega_sq = ((2.0 * np.pi / first.period) * orders) ** 2
+    omega_sq = _odd_frequencies(first.period, a.shape[1], float) ** 2
     return float(np.sqrt(0.5 * first.period * ((1.0 + omega_sq) @ energies)))
 
 

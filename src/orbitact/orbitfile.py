@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,8 +100,10 @@ def load_orbit(path):
         )
     period = loop_block.get("T")
     _require(
-        isinstance(period, (int, float)) and not isinstance(period, bool) and period > 0,
-        "loop.T must be a positive number",
+        isinstance(period, (int, float))
+        and not isinstance(period, bool)
+        and 0 < period <= sys.float_info.max,  # finite as a float, so no inf or huge integer
+        "loop.T must be a finite positive number",
     )
     coeffs = loop_block.get("coefficients")
     _require(isinstance(coeffs, list), "loop.coefficients must be a list")

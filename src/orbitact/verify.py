@@ -9,11 +9,12 @@ audit wherever that is meaningful (e.g. the strong-force margin evaluates the
 witness from its own constants rather than reusing the potential formula).
 
 The sampled checks accept leading batch axes, so the inequality ledger
-checks a chunk of samples per call. A batched call equals a loop of single
-calls bit for bit: sums over pairs run along a contiguous axis, dot products
-go through the same 1-D kernel per row, and the powers that a single call
-takes of numpy scalars stay the C library's pow (np.float_power); numpy's
-array ``**`` rounds differently.
+draws each field of a chunk of samples in one generator call and checks the
+chunk with batched calls. A batched call equals a loop of single calls bit
+for bit: sums over pairs run along a contiguous axis, dot products go
+through the same 1-D kernel per row, and the powers that a single call takes
+of numpy scalars stay the C library's pow (np.float_power); numpy's array
+``**`` rounds differently.
 """
 
 from __future__ import annotations
@@ -424,36 +425,26 @@ def _random_coefficients(rng, batch: tuple, n_bodies: int, dim: int, harmonics: 
     return coeffs
 
 
-def _random_loop(rng, n_bodies: int, dim: int, harmonics: int, period: float) -> LoopConfiguration:
-    coeffs = _random_coefficients(rng, (), n_bodies, dim, harmonics)
-    return LoopConfiguration(n_bodies, dim, period, coeffs)
-
-
-def _random_bodies(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two to six bodies: masses in [0.1, 3) and normal positions, drawn in that order."""
-    bodies = int(rng.integers(2, 7))
-    masses = rng.uniform(0.1, 3.0, size=bodies)
-    positions = rng.normal(scale=1.5, size=(bodies, dim))
-    return masses, positions
-
-
 def _chunks(n: int):
     """Sample indices 0..n-1 in consecutive aranges of at most LEDGER_CHUNK."""
     for start in range(0, n, LEDGER_CHUNK):
         yield np.arange(start, min(start + LEDGER_CHUNK, n))
 
 
-def _stacked_groups(keys, samples):
-    """Stack the samples that share a key: yields (key, [stacked field, ...]) per key.
+def _random_body_groups(rng, rows: np.ndarray, dim: int):
+    """Two to six bodies for each sample index in rows, grouped by body count.
 
-    Each sample is a tuple of arrays; the samples of one key must agree in
-    shape field by field (the ledger keys on body count).
+    One call draws every body count; then per count, in increasing order, one
+    call draws the group's masses in [0.1, 3) and one its normal positions.
+    Yields (indices, masses (G, n), positions (G, n, k)) per count n, indices
+    being the group's entries of rows.
     """
-    groups = {}
-    for key, sample in zip(keys, samples):
-        groups.setdefault(key, []).append(sample)
-    for key, members in groups.items():
-        yield key, [np.stack(field) for field in zip(*members)]
+    counts = rng.integers(2, 7, size=rows.size)
+    for bodies in np.unique(counts):
+        members = rows[counts == bodies]
+        masses = rng.uniform(0.1, 3.0, size=(members.size, bodies))
+        positions = rng.normal(scale=1.5, size=(members.size, bodies, dim))
+        yield members, masses, positions
 
 
 def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
@@ -487,13 +478,12 @@ def run_inequality_ledger(
     (max(floor(n/10), 1) shared loops) and blend_c1 (one). With n = 0 every
     check reports vacuously (zero samples, pass); callers should warn then.
 
-    Samples are checked in chunks of LEDGER_CHUNK, with one batched call per
-    check and chunk, or per body count (and theta) where the sample sizes
-    vary. Draws keep the order of one sample at a time: bodies and the
-    symmetry block's (t, xi, radius) are drawn sample by sample, the
-    Wirtinger loops and strong-force radii in one call per chunk, which
-    yields the same stream. Reports equal those of checking every sample on
-    its own bit for bit.
+    Samples, and the representation block's loops, are drawn and checked in
+    chunks of LEDGER_CHUNK; no block loops over samples. Each field of a chunk
+    comes from one generator call (per body count for masses and positions),
+    and each check makes one batched call per chunk, or per body count and
+    theta where sample sizes vary. The draws follow the chunks, so the
+    reports depend on LEDGER_CHUNK.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -505,8 +495,7 @@ def run_inequality_ledger(
     # to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2.
     slacks = []
     for rows in _chunks(n):
-        bodies = [_random_bodies(rng, dim) for _ in rows]
-        for _, (masses, positions) in _stacked_groups([m.size for m, _ in bodies], bodies):
+        for _, masses, positions in _random_body_groups(rng, rows, dim):
             lhs, rhs = _pairwise_sides(masses, positions)
             slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
@@ -517,11 +506,12 @@ def run_inequality_ledger(
         theta_grid.append(spec.theta)
     slacks = []
     for rows in _chunks(n):
-        bodies = [_random_bodies(rng, dim) for _ in rows]
-        keys = [(m.size, theta_grid[idx % len(theta_grid)]) for idx, (m, _) in zip(rows, bodies)]
-        for (_, theta), (masses, positions) in _stacked_groups(keys, bodies):
-            lhs, rhs = _holder_sides(masses, positions, theta)
-            slacks.append((rhs - lhs) / (1.0 + rhs))
+        for members, masses, positions in _random_body_groups(rng, rows, dim):
+            grid_index = members % len(theta_grid)
+            for k in np.unique(grid_index):
+                same = grid_index == k
+                lhs, rhs = _holder_sides(masses[same], positions[same], theta_grid[k])
+                slacks.append((rhs - lhs) / (1.0 + rhs))
     checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
 
     # Wirtinger comparison on random loops, plus tightness at pure first harmonic.
@@ -555,11 +545,9 @@ def run_inequality_ledger(
     # Half-period reflection symmetry of the modulated pair potential.
     slacks = []
     for rows in _chunks(n):
-        times, directions, radii = np.empty(rows.size), np.empty((rows.size, dim)), np.empty(rows.size)
-        for row in range(rows.size):
-            times[row] = rng.uniform(0.0, spec.period)
-            directions[row] = rng.normal(size=dim)
-            radii[row] = rng.uniform(0.05, 3.0 * spec.r2)
+        times = rng.uniform(0.0, spec.period, size=rows.size)
+        directions = rng.normal(size=(rows.size, dim))
+        radii = rng.uniform(0.05, 3.0 * spec.r2, size=rows.size)
         xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
         slacks.append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
@@ -570,12 +558,13 @@ def run_inequality_ledger(
     # Antiperiodicity and zero mean of the representation.
     slacks_ap, slacks_zm = [], []
     n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
-    for _ in range(max(n // 10, min(n, 1))):
-        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period)
-        pos = loopspace.sample_trajectory(loop, n_t)
-        scale = 1.0 + float(np.abs(pos).max())
-        slacks_ap.append(float(np.abs(np.roll(pos, -(n_t // 2), axis=0) + pos).max()) / scale)
-        slacks_zm.append(float(np.abs(pos.mean(axis=0)).max()) / scale)
+    half = n_t // 2  # pairs (t, t + T/2) over the first half cover the whole grid
+    for rows in _chunks(max(n // 10, min(n, 1))):
+        coeffs = _random_coefficients(rng, (rows.size,), spec.n_bodies, dim, harmonics)
+        pos = loopspace.sample_trajectory(LoopBatch(spec.period, coeffs), n_t)  # (loops, n_t, N, k)
+        scale = 1.0 + np.abs(pos).max(axis=(1, 2, 3))
+        slacks_ap.append(np.abs(pos[:, half:] + pos[:, :half]).max(axis=(1, 2, 3)) / scale)
+        slacks_zm.append(np.abs(pos.mean(axis=1)).max(axis=(1, 2)) / scale)
     checks.append(_ledger_check("antiperiodicity", slacks_ap, 1e-12, lower=False))
     checks.append(_ledger_check("zero_mean", slacks_zm, 1e-12, lower=False))
 

@@ -56,6 +56,8 @@ def test_constructor_validation():
         LoopConfiguration(2, 2, TWO_PI, np.zeros((2, 3, 3, 2)))
     with pytest.raises(ShapeMismatch):
         LoopConfiguration(2, 2, 0.0, good)
+    with pytest.raises(ShapeMismatch):
+        LoopConfiguration(2, 2, np.inf, good)
     bad = good.copy()
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(ShapeMismatch):

@@ -100,6 +100,8 @@ def test_load_rejects_malformed_files(tmp_path):
         lambda p: p.pop("loop"),
         lambda p: p["loop"].update(N=0),
         lambda p: p["loop"].update(T=-1.0),
+        lambda p: p["loop"].update(T=float("inf")),
+        lambda p: p["loop"].update(T=10**400),
         lambda p: p["loop"].update(coefficients=p["loop"]["coefficients"][:-1]),
         lambda p: p["loop"].update(coefficients="zeros"),
         lambda p: p["loop"].__setitem__("coefficients", [float("nan")] * 16),

@@ -14,8 +14,7 @@ from orbitact.potential import BLEND_LINEAR, strong_force_margin
 from orbitact.verify import (
     LEDGER_CHUNK,
     _ledger_check,
-    _random_bodies,
-    _random_loop,
+    _random_body_groups,
     check_blend_c1,
     check_holder_bound,
     check_modulation_symmetry,
@@ -291,7 +290,7 @@ def test_loop_checks_batched_equal_single_calls(n_bodies, dim):
     coeffs[:, ::4, :, 1:] = 0.0  # some pure first-harmonic loops
     batch = LoopBatch(3.7, coeffs)
     loops = [LoopConfiguration(n_bodies, dim, 3.7, c) for c in coeffs.reshape(21, n_bodies, 5, 2, dim)]
-    for fn in (check_wirtinger, wirtinger_kinetic_side, harmonic_energies):
+    for fn in (check_wirtinger, wirtinger_kinetic_side, harmonic_energies, loopspace.sample_trajectory):
         got = fn(batch)
         assert got.shape[:2] == (3, 7)
         assert np.array_equal(got.reshape(21, *got.shape[2:]), [fn(loop) for loop in loops])
@@ -310,8 +309,26 @@ def test_modulation_symmetry_batched_equals_single_calls(n_bodies, dim):
     assert type(want[0]) is float
 
 
+def _chunk_rows(n):
+    return [np.arange(start, min(start + LEDGER_CHUNK, n)) for start in range(0, n, LEDGER_CHUNK)]
+
+
+def _drawn_bodies(rng, n, dim):
+    """(index, masses, positions) per sample, drawn chunk by chunk as the ledger draws them.
+
+    Asserts that the groups of each chunk cover its sample indices once.
+    """
+    bodies = []
+    for rows in _chunk_rows(n):
+        groups = list(_random_body_groups(rng, rows, dim))
+        assert np.array_equal(np.sort(np.concatenate([g[0] for g in groups])), rows)
+        for members, masses, positions in groups:
+            bodies += zip(members, masses, positions)
+    return bodies
+
+
 def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
-    """The ledger checked one sample at a time, as before batching: the oracle.
+    """The ledger checked one sample at a time on its chunked draws: the oracle.
 
     The pairwise slack is relative to the identity's own LHS.
     """
@@ -320,8 +337,7 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     checks = []
 
     slacks = []
-    for _ in range(n):
-        masses, positions = _random_bodies(rng, dim)
+    for _, masses, positions in _drawn_bodies(rng, n, dim):
         iu, ju, _ = loopspace.body_pairs(masses.size)
         sq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
         lhs = float((masses[iu] * masses[ju] * sq).sum())
@@ -332,8 +348,7 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
     slacks = []
-    for idx in range(n):
-        masses, positions = _random_bodies(rng, dim)
+    for idx, masses, positions in _drawn_bodies(rng, n, dim):
         theta = theta_grid[idx % len(theta_grid)]
         slack = check_holder_bound(masses, positions, theta)
         iu, ju, _ = loopspace.body_pairs(masses.size)
@@ -371,11 +386,13 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
 
     slacks = []
-    for _ in range(n):
-        t = float(rng.uniform(0.0, spec.period))
-        xi = rng.normal(size=dim)
-        xi = xi / max(np.linalg.norm(xi), 1e-12) * float(rng.uniform(0.05, 3.0 * spec.r2))
-        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, t, xi))
+    for rows in _chunk_rows(n):
+        times = rng.uniform(0.0, spec.period, size=rows.size)
+        directions = rng.normal(size=(rows.size, dim))
+        radii = rng.uniform(0.05, 3.0 * spec.r2, size=rows.size)
+        for t, xi, radius in zip(times, directions, radii):
+            xi = xi / max(np.linalg.norm(xi), 1e-12) * radius
+            slacks.append(check_modulation_symmetry(pair_spec, 0, 1, float(t), xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
 
     checks.append(_ledger_check("blend_c1", [check_blend_c1(spec)] if n else [], 1e-10, lower=False))
@@ -383,7 +400,9 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     slacks_ap, slacks_zm = [], []
     n_t = 4 * harmonics + 10
     for _ in range(max(n // 10, min(n, 1))):
-        loop = _random_loop(rng, spec.n_bodies, dim, harmonics, spec.period)
+        coeffs = rng.standard_normal((spec.n_bodies, harmonics, 2, dim))
+        coeffs /= orders[None, :, None, None] ** 2
+        loop = LoopConfiguration(spec.n_bodies, dim, spec.period, coeffs)
         pos = loopspace.sample_trajectory(loop, n_t)
         scale = 1.0 + float(np.abs(pos).max())
         slacks_ap.append(float(np.abs(np.roll(pos, -(n_t // 2), axis=0) + pos).max()) / scale)
@@ -417,18 +436,19 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
     # |x_i - x_j|^2). A scale summing m_i + m_j over all ordered pairs is at
     # least 4/3 of that LHS for masses below 3, and loosens the check by that.
     spec = make_spec()
+    assert 200 <= LEDGER_CHUNK
     for seed in range(3):
         report = run_inequality_ledger(spec, 2, 3, 200, seed)
-        rng = np.random.default_rng(seed)  # the pairwise block draws first
+        rng = np.random.default_rng(seed)  # the pairwise block draws first, one chunk
         worst = 0.0
-        for _ in range(200):
-            masses, positions = _random_bodies(rng, 2)
-            lhs = sum(
-                masses[i] * masses[q] * float(((positions[i] - positions[q]) ** 2).sum())
-                for i in range(masses.size)
-                for q in range(i + 1, masses.size)
-            )
-            worst = max(worst, check_pairwise_identity(masses, positions) / (1.0 + lhs))
+        for _, group_masses, group_positions in _random_body_groups(rng, np.arange(200), 2):
+            for masses, positions in zip(group_masses, group_positions):
+                lhs = sum(
+                    masses[i] * masses[q] * float(((positions[i] - positions[q]) ** 2).sum())
+                    for i in range(masses.size)
+                    for q in range(i + 1, masses.size)
+                )
+                worst = max(worst, check_pairwise_identity(masses, positions) / (1.0 + lhs))
         assert worst > 0.0
         assert report.checks[0].name == "pairwise_identity"
         assert report.checks[0].worst_slack == pytest.approx(worst, rel=1e-6, abs=0.0)
