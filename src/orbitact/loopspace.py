@@ -207,16 +207,11 @@ def _synthesize(rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     The coefficients enter as a (..., 2M, N k) matrix: rows (harmonic,
     cos/sin) as in :class:`FourierGrid`, columns (body, coordinate). Over
     leading batch axes matmul stacks the product of each loop, so every block
-    equals the single call; one loop, the search's per-trial case, keeps the
-    plain 2-D path.
+    equals the single call.
     """
-    if coefficients.ndim > 4:
-        *batch, n_bodies, _, _, dim = coefficients.shape
-        coeffs = np.moveaxis(coefficients, -4, -2).reshape(*batch, rows.shape[0], -1)
-        return (rows.T @ coeffs).reshape(*batch, rows.shape[1], n_bodies, dim)
-    n_bodies, _, _, dim = coefficients.shape
-    coeffs = coefficients.transpose(1, 2, 0, 3).reshape(rows.shape[0], -1)
-    return (rows.T @ coeffs).reshape(-1, n_bodies, dim)
+    *batch, n_bodies, _, _, dim = coefficients.shape
+    coeffs = coefficients.swapaxes(-4, -3).swapaxes(-3, -2).reshape(*batch, rows.shape[0], -1)
+    return (rows.T @ coeffs).reshape(*batch, rows.shape[1], n_bodies, dim)
 
 
 def sample_trajectory(loop: LoopConfiguration | LoopBatch, n_t: int | None = None) -> np.ndarray:
