@@ -19,7 +19,7 @@ import numpy as np
 from . import loopspace
 from .errors import ShapeMismatch
 from .loopspace import LoopConfiguration
-from .potential import PotentialSpec, grid_potential
+from .potential import PotentialSpec, _PairKernel, grid_potential
 
 __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 
@@ -63,9 +63,10 @@ class _Evaluator:
     """The discretized action of loops shaped like one template loop, bound once.
 
     Binding checks the template against spec, looks up its quadrature grid
-    and builds the kinetic diagonal; ``evaluate`` then takes only a flat
-    coefficient vector, so repeated evaluations (a descent's line-search
-    trials) repeat none of that work and build no LoopConfiguration.
+    and builds the kinetic diagonal and the grid's pair kernel; ``evaluate``
+    then takes only a flat coefficient vector, so repeated evaluations (a
+    descent's line-search trials) repeat none of that work and build no
+    LoopConfiguration.
     """
 
     def __init__(self, spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
@@ -77,6 +78,7 @@ class _Evaluator:
         self.size = loop.coefficients.size
         self.weight = loop.period / self.n_t
         self.kin_diag = _kinetic_diagonal(spec, self.grid, loop)
+        self.pairs = _PairKernel(spec, self.grid.times)
 
     def evaluate(self, x: np.ndarray, order: int):
         """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
@@ -87,7 +89,7 @@ class _Evaluator:
         """
         if x.size != self.size:
             raise ShapeMismatch(f"flat vector has {x.size} entries, expected {self.size}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ShapeMismatch("coefficients must be finite")
         coefficients = x.reshape(self.shape)
         positions = loopspace._synthesize(self.grid.basis, coefficients)
@@ -101,7 +103,7 @@ class _Evaluator:
         weight T/n_t.
         """
         grid, weight, n_t = self.grid, self.weight, self.n_t
-        terms, min_sep = grid_potential(self.spec, grid.times, positions, order)
+        terms, min_sep = grid_potential(self.spec, grid.times, positions, order, kernel=self.pairs)
         # No float() casts: evaluating a higher-precision loop must yield a
         # higher-precision value, or finite-difference oracles lose their floor.
         potential_integral = weight * terms[0].sum()

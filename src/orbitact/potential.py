@@ -105,6 +105,8 @@ class PotentialSpec:
         masses = masses.copy()
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
+        # Derived, not a field: bound once so no profile pass recomputes it.
+        object.__setattr__(self, "_blend_ends", _blend_data(self))
 
     @property
     def n_bodies(self) -> int:
@@ -118,18 +120,22 @@ def time_modulation(spec: PotentialSpec, t):
 
 
 def _blend_data(spec: PotentialSpec):
-    """Unit-mass endpoint values and one-sided slopes of the blend window."""
+    """Unit-mass endpoint values and one-sided slopes of the blend window.
+
+    Returns (v0, d0, v1, d1, h, h d0, h d1), with h = r2 - r1 the window
+    width; PotentialSpec binds it once as ``_blend_ends``.
+    """
     v0 = -spec.a * spec.r1 ** (-spec.alpha)
     d0 = spec.alpha * spec.a * spec.r1 ** (-spec.alpha - 1.0)
     v1 = spec.g * spec.r2**spec.theta
     d1 = spec.theta * spec.g * spec.r2 ** (spec.theta - 1.0)
-    return v0, d0, v1, d1
+    h = spec.r2 - spec.r1
+    return v0, d0, v1, d1, h, h * d0, h * d1
 
 
 def _blend(spec: PotentialSpec, r, order: int = 0) -> list:
     """The blend polynomial on [r1, r2] and its first ``order`` derivatives."""
-    v0, d0, v1, d1 = _blend_data(spec)
-    h = spec.r2 - spec.r1
+    v0, d0, v1, d1, h, hd0, hd1 = spec._blend_ends
     s = (r - spec.r1) / h
     if spec.blend == BLEND_LINEAR:
         return [v0 + (v1 - v0) * s, (v1 - v0) / h + 0.0 * s, 0.0 * s][: order + 1]
@@ -137,7 +143,7 @@ def _blend(spec: PotentialSpec, r, order: int = 0) -> list:
     h10 = ((s - 2.0) * s + 1.0) * s
     h01 = (3.0 - 2.0 * s) * s * s
     h11 = (s - 1.0) * s * s
-    out = [h00 * v0 + h10 * (h * d0) + h01 * v1 + h11 * (h * d1)]
+    out = [h00 * v0 + h10 * hd0 + h01 * v1 + h11 * hd1]
     if order >= 1:
         dh00 = 6.0 * s * (s - 1.0)
         dh10 = (3.0 * s - 4.0) * s + 1.0
@@ -176,13 +182,16 @@ def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
     """Unit-mass radial profile [w, w', w''][:order + 1] at positive separations.
 
     One masked pass: each separation takes the branch it lies on. Input on a
-    single branch, such as a scalar, is evaluated without gather or scatter.
+    single branch, such as a scalar, is evaluated without gather or scatter;
+    all-inner input, the common case, builds no other mask.
     """
     r = np.asarray(r)
     inner = r < spec.r1
+    if inner.all():
+        return _inner(spec, r, order)
     tail = r >= spec.r2
     branches = ((inner, _inner), (tail, _tail), (~(inner | tail), _blend))
-    for mask, branch in branches:
+    for mask, branch in branches[1:]:
         if mask.all():
             return branch(spec, r, order)
     out = [np.empty_like(r) for _ in range(order + 1)]
@@ -221,7 +230,30 @@ def pair_potential(spec: PotentialSpec, t, i: int, j: int, r):
     return _float_if_scalar(time_modulation(spec, t) * spec.masses[i] * spec.masses[j] * w)
 
 
-def grid_potential(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray, order: int = 0):
+class _PairKernel:
+    """The position-independent part of grid_potential for one spec on one time grid.
+
+    Binds the pair incidence matrix, the pair mass products m_i m_j, the
+    modulation mu(t) on the grid and their product mu m_i m_j, so a caller
+    that evaluates many positions on one grid (a descent's line-search
+    trials) computes them once.
+    """
+
+    def __init__(self, spec: PotentialSpec, times: np.ndarray):
+        iu, ju, self.incidence = body_pairs(spec.n_bodies)
+        self.mass_prod = spec.masses[iu] * spec.masses[ju]
+        self.mu = time_modulation(spec, times)
+        self.scale = self.mu[:, None] * self.mass_prod  # (n_t, P)
+
+
+def grid_potential(
+    spec: PotentialSpec,
+    times: np.ndarray,
+    positions: np.ndarray,
+    order: int = 0,
+    *,
+    kernel: _PairKernel | None = None,
+):
     """[V, grad V, Hessian of V][:order + 1] at every node, and the minimum separation.
 
     times (n_t,) and positions (n_t, N, k) give the nodes. The body forces
@@ -229,26 +261,27 @@ def grid_potential(spec: PotentialSpec, times: np.ndarray, positions: np.ndarray
     pair i < j its block mu m_i m_j (w'' u u^T + (w'/r)(I - u u^T)), with u the
     unit separation, enters blocks (i, i) and (j, j) with +1 and (i, j) and
     (j, i) with -1. Raises CollisionSample if two bodies coincide at a node.
-    min_separation is +inf when there are no pairs (N = 1).
+    min_separation is +inf when there are no pairs (N = 1). kernel, when
+    given, is _PairKernel(spec, times) bound beforehand.
     """
     n_t, n, k = positions.shape
     if n != spec.n_bodies:
         raise ShapeMismatch(f"positions have {n} bodies, spec has {spec.n_bodies}")
-    iu, ju, incidence = body_pairs(n)
+    if kernel is None:
+        kernel = _PairKernel(spec, times)
     diff, dist = pair_separations(positions)
     closest = dist.min(initial=np.inf)
     if closest == 0.0:
         raise CollisionSample("two bodies coincide at a quadrature node")
-    mass_prod = spec.masses[iu] * spec.masses[ju]
-    mu = time_modulation(spec, times)
     profile = _profile(spec, dist, order)
-    out = [mu * (profile[0] @ mass_prod)]
+    out = [kernel.mu * (profile[0] @ kernel.mass_prod)]
     if order >= 1:
-        scale = mu[:, None] * mass_prod  # (n_t, P)
+        scale = kernel.scale
         radial = scale * profile[1] / dist
-        out.append(incidence @ (radial[..., None] * diff))  # (n_t, N, k)
+        out.append(kernel.incidence @ (radial[..., None] * diff))  # (n_t, N, k)
     if order >= 2:
         _, wp, wpp = profile
+        incidence = kernel.incidence
         unit = diff / dist[..., None]
         aniso = scale * (wpp - wp / dist)  # u u^T weight
         iso = scale * (wp / dist)  # identity weight

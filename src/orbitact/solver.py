@@ -128,21 +128,23 @@ def _two_loop(history, grad):
     """L-BFGS two-loop recursion over (s, y, s.y) pairs, oldest first; returns H g.
 
     The initial matrix is gamma I with gamma = s.y / y.y of the newest pair.
+    Every axpy forms its scaled vector in one scratch buffer.
     """
     q = grad.copy()
     if not history:
         return q
+    scratch = np.empty_like(q)
     stack = []
     for s, y, sy in reversed(history):
         rho = 1.0 / sy
         a = rho * float(s.dot(q))
-        q -= a * y
+        q -= np.multiply(a, y, scratch)
         stack.append((rho, a, s, y))
     _, last_y, last_sy = history[-1]
     q *= last_sy / float(last_y.dot(last_y))
     for rho, a, s, y in reversed(stack):
         b = rho * float(y.dot(q))
-        q += (a - b) * s
+        q += np.multiply(a - b, s, scratch)
     return q
 
 
@@ -192,7 +194,7 @@ class _Descent:
             except CollisionSample:
                 self.guard_hit = True
             else:
-                if np.isfinite(ev.value):
+                if math.isfinite(ev.value):
                     if self.guard_active and ev.min_separation < bound:
                         self.guard_hit = True
                     elif accept(alpha, ev):

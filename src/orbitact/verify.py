@@ -208,7 +208,7 @@ def check_blend_c1(spec: PotentialSpec) -> float:
     linear hook fails the slope comparisons unless the endpoint slopes happen
     to agree.
     """
-    v0, d0, v1, d1 = _blend_data(spec)
+    v0, d0, v1, d1 = _blend_data(spec)[:4]
     ends = np.asarray([spec.r1, spec.r2])
     blend_vals, blend_slopes = _blend(spec, ends, 1)
     worst = 0.0
