@@ -78,7 +78,7 @@ class _Evaluator:
         self.size = loop.coefficients.size
         self.weight = loop.period / self.n_t
         self.kin_diag = _kinetic_diagonal(spec, self.grid, loop)
-        self.pairs = _PairKernel(spec, self.grid.times)
+        self.pair_kernel = _PairKernel(spec, self.grid.times)
 
     def evaluate(self, x: np.ndarray, order: int):
         """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
@@ -103,7 +103,9 @@ class _Evaluator:
         weight T/n_t.
         """
         grid, weight, n_t = self.grid, self.weight, self.n_t
-        terms, min_sep = grid_potential(self.spec, grid.times, positions, order, kernel=self.pairs)
+        terms, min_sep = grid_potential(
+            self.spec, grid.times, positions, order, kernel=self.pair_kernel
+        )
         # No float() casts: evaluating a higher-precision loop must yield a
         # higher-precision value, or finite-difference oracles lose their floor.
         potential_integral = weight * terms[0].sum()

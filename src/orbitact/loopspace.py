@@ -285,9 +285,8 @@ def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separations x_i - x_j, shape (n_t, P, k), and their lengths (n_t, P), over pairs i < j.
 
     The separations are gathered with ``take``, which keeps both arrays
-    C-contiguous (indexing positions[:, iu] would not, and a strided dist
-    changes the summation order of later matrix-vector products); each entry
-    is one rounded subtraction, as in the incidence-matrix product.
+    C-contiguous: indexing positions[:, iu] would not, and a strided dist
+    changes the summation order of later matrix-vector products.
     """
     iu, ju, _ = body_pairs(positions.shape[1])
     diff = positions.take(iu, 1) - positions.take(ju, 1)

@@ -12,7 +12,6 @@ the bytes exactly.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -114,7 +113,12 @@ def load_orbit(path):
         f"loop.coefficients must have N*M*2*k = {expected} entries, got {len(coeffs)}",
     )
     _require(
-        all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in coeffs),
+        all(
+            isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max  # as for loop.T; math.isfinite overflows on huge integers
+            for v in coeffs
+        ),
         "loop.coefficients must be finite numbers",
     )
     try:

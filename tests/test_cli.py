@@ -166,6 +166,10 @@ def test_export_error_paths(tmp_path, capsys):
     capsys.readouterr()
     orbit = tmp_path / "out" / "orbit_000.json"
     assert main(["export", str(orbit), "--samples", "0"]) == EXIT_INVALID_INPUT
+    payload = json.loads(orbit.read_text(encoding="utf-8"))
+    payload["loop"]["coefficients"][0] = 10**400  # an integer no float can hold
+    orbit.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["export", str(orbit)]) == EXIT_INVALID_INPUT
 
 
 def test_version_flag(capsys):

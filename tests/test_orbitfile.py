@@ -105,6 +105,7 @@ def test_load_rejects_malformed_files(tmp_path):
         lambda p: p["loop"].update(coefficients=p["loop"]["coefficients"][:-1]),
         lambda p: p["loop"].update(coefficients="zeros"),
         lambda p: p["loop"].__setitem__("coefficients", [float("nan")] * 16),
+        lambda p: p["loop"]["coefficients"].__setitem__(0, -(10**400)),
     ]
     for mutate in cases:
         with pytest.raises(OrbitFileInvalid):

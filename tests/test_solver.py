@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
+from orbitact.action import action_hessian
 from orbitact.errors import CollisionSample, InvalidStart, OrbitactError
 from orbitact.loopspace import LoopConfiguration, h1_distance, shift_loop
 from orbitact.solver import (
@@ -176,6 +177,20 @@ def test_three_body_choreography_start_converges():
     assert report.status is SolveStatus.CONVERGED
     assert report.grad_norm < 1e-9
     assert euler_lagrange_residual(spec, report.final_loop) < 1e-7
+
+
+def test_polish_converges_onto_a_modulated_saddle():
+    # Under modulation the noise-free N = 4 square seed stays on the square
+    # family, and the polish converges onto its Morse-index-1 saddle, where
+    # the Hessian is indefinite off the rotation direction.
+    spec = make_spec(masses=np.ones(4), modulation_eps=0.1)
+    start = circular_seed(spec, 2, 32, 1, 0, base_seed=0, noise=0.0)
+    report = descend(spec, start, SolveOptions(max_iters=2000))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.action_value == pytest.approx(27.937265532, rel=1e-8)
+    assert euler_lagrange_residual(spec, report.final_loop) < 1e-7
+    eigvals = np.linalg.eigvalsh(action_hessian(spec, report.final_loop))
+    assert (eigvals < -1e-8 * np.abs(eigvals).max()).sum() == 1
 
 
 def test_circular_seed_deterministic_and_distinct():
