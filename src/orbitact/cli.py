@@ -81,18 +81,10 @@ def run_solve(config_path: str) -> int:
     orbit_rows = []
     for index, record in enumerate(result.records):
         name = f"orbit_{index:03d}.json"
-        save_orbit(out_dir / name, orbit_payload(record, resolved))
-        orbit_rows.append(
-            {
-                "file": name,
-                "action": float(record.action_value),
-                "grad_norm": float(record.grad_norm),
-                "el_residual": float(record.el_residual),
-                "winding_seed_class": int(record.winding_seed_class),
-                "start_index": int(record.start_index),
-                "dedup_key": record.dedup_key,
-            }
-        )
+        payload = orbit_payload(record, resolved)
+        save_orbit(out_dir / name, payload)
+        diagnostics = {k: v for k, v in payload["diagnostics"].items() if k != "kinetic"}
+        orbit_rows.append({"file": name, **diagnostics})
     coercivity = _audit_coercivity(cfg, result)
     summary = {
         "format": "orbitact.summary/1",

@@ -101,7 +101,9 @@ class PotentialSpec:
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
         if self.blend not in (BLEND_HERMITE, BLEND_LINEAR):
-            raise ValueError(f"unknown blend {self.blend!r}")
+            raise ValueError(
+                f"blend must be {BLEND_HERMITE!r} or {BLEND_LINEAR!r}, got {self.blend!r}"
+            )
         masses = masses.copy()
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid
 from .loopspace import default_grid_size
-from .potential import BLEND_HERMITE, BLEND_LINEAR, PotentialSpec
+from .potential import BLEND_HERMITE, PotentialSpec
 from .solver import (
     ACTION_REL_TOL,
     DEFAULT_DIM,
@@ -139,11 +139,6 @@ def config_from_dict(data: dict) -> RunConfig:
             f"problem.masses must list exactly n_bodies = {n_bodies} masses, got {len(masses)}"
         )
 
-    blend = potential.get("blend", BLEND_HERMITE)
-    if blend not in (BLEND_HERMITE, BLEND_LINEAR):
-        raise ConfigInvalid(
-            f"potential.blend must be {BLEND_HERMITE!r} or {BLEND_LINEAR!r}, got {blend!r}"
-        )
     try:
         spec = PotentialSpec(
             masses=np.asarray(masses, dtype=float),
@@ -155,7 +150,7 @@ def config_from_dict(data: dict) -> RunConfig:
             r2=_number(potential, "potential", "r2"),
             modulation_eps=_number(potential, "potential", "modulation_eps", default=0.0),
             period=period,
-            blend=blend,
+            blend=potential.get("blend", BLEND_HERMITE),
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
@@ -237,39 +232,15 @@ def load_config(path) -> RunConfig:
 
 
 def resolved_dict(cfg: RunConfig) -> dict:
-    """The configuration with every default materialized, in canonical order."""
+    """The configuration with every default materialized, in the key order of _SECTION_KEYS."""
     spec = cfg.spec
-    return {
-        "problem": {
-            "n_bodies": spec.n_bodies,
-            "dim": cfg.dim,
-            "period": spec.period,
-            "masses": [float(m) for m in spec.masses],
-        },
-        "potential": {
-            "a": spec.a,
-            "g": spec.g,
-            "alpha": spec.alpha,
-            "theta": spec.theta,
-            "r1": spec.r1,
-            "r2": spec.r2,
-            "modulation_eps": spec.modulation_eps,
-            "blend": spec.blend,
-        },
-        "discretization": {"harmonics": cfg.harmonics, "n_t": cfg.n_t},
-        "solver": {
-            "max_iters": cfg.options.max_iters,
-            "grad_tol": cfg.options.grad_tol,
-            "seed": cfg.options.seed,
-            "winding_classes": list(cfg.winding_classes),
-            "starts_per_class": cfg.starts_per_class,
-            "step_guard": cfg.options.step_guard,
-            "history_len": cfg.options.history_len,
-        },
-        "output": {
-            "directory": cfg.output_dir,
-            "action_rel_tol": cfg.action_rel_tol,
-            "path_tol": cfg.path_tol,
-            "el_residual_tol": cfg.el_residual_tol,
-        },
+    flat = {
+        **asdict(spec),
+        **asdict(cfg.options),
+        **asdict(cfg),
+        "n_bodies": spec.n_bodies,
+        "masses": [float(m) for m in spec.masses],
+        "winding_classes": list(cfg.winding_classes),
+        "directory": cfg.output_dir,
     }
+    return {section: {key: flat[key] for key in keys} for section, keys in _SECTION_KEYS.items()}

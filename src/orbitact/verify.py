@@ -31,9 +31,10 @@ from .loopspace import LoopBatch, LoopConfiguration
 from .potential import (
     PotentialSpec,
     _blend,
-    _blend_data,
     _float_if_scalar,
+    _inner,
     _profile,
+    _tail,
     grid_potential,
     pair_potential,
     strong_force_margin,
@@ -202,15 +203,16 @@ def check_modulation_symmetry(spec: PotentialSpec, i: int, j: int, t, xi):
 
 
 def check_blend_c1(spec: PotentialSpec) -> float:
-    """Worst relative one-sided value/slope mismatch of the blend at r1 and r2.
+    """Worst relative value/slope mismatch of the blend against the branches at r1 and r2.
 
+    The blend is compared with the inner branch at r1 and the tail at r2, not
+    with the endpoint data it is built from, so a wrong endpoint formula shows.
     The C^1 Hermite blend matches all four constraints to roundoff; the C^0
     linear hook fails the slope comparisons unless the endpoint slopes happen
     to agree.
     """
-    v0, d0, v1, d1 = _blend_data(spec)[:4]
-    ends = np.asarray([spec.r1, spec.r2])
-    blend_vals, blend_slopes = _blend(spec, ends, 1)
+    blend_vals, blend_slopes = _blend(spec, np.asarray([spec.r1, spec.r2]), 1)
+    (v0, d0), (v1, d1) = _inner(spec, spec.r1, 1), _tail(spec, spec.r2, 1)
     worst = 0.0
     for got, want in (
         (blend_vals[0], v0),

@@ -33,7 +33,7 @@ def write_config(tmp_path, name="config.json", **edits):
 def orbit_hashes(out_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out_dir.glob("orbit_*.json"))
+        for p in sorted([*out_dir.glob("orbit_*.json"), out_dir / "summary.json"])
     }
 
 
@@ -67,7 +67,7 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     assert main(["solve", str(cfg)]) == EXIT_OK
     second = orbit_hashes(tmp_path / "out")
     assert first == second
-    assert len(first) == 2
+    assert len(first) == 3  # two orbit files and the summary
 
 
 def test_solve_parallel_env_matches_serial(tmp_path, monkeypatch):

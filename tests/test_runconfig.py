@@ -5,7 +5,7 @@ import re
 import pytest
 
 from orbitact.errors import ConfigInvalid
-from orbitact.runconfig import config_from_dict, load_config, resolved_dict
+from orbitact.runconfig import _SECTION_KEYS, config_from_dict, load_config, resolved_dict
 from orbitact.solver import multistart
 
 
@@ -129,6 +129,30 @@ def test_non_finite_numbers_are_rejected_by_key(value):
             config_from_dict(minimal_config(**{dotted: edit}))
 
 
+def _without(section, key):
+    data = minimal_config()
+    del data[section][key]
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([minimal_config()], "root must be an object"),
+        ({**minimal_config(), "solver": [1]}, "'solver' must be an object"),
+        (_without("problem", "n_bodies"), "'n_bodies'"),
+        (minimal_config(**{"solver.max_iters": 0}), "solver.max_iters must be >= 1"),
+        (minimal_config(**{"problem.masses": 1.0}), "problem.masses must be a list"),
+        (minimal_config(**{"potential.blend": "cubic"}), "blend must be 'hermite' or 'linear'"),
+        (minimal_config(**{"output.path_tol": 0}), "output.path_tol must be positive"),
+    ],
+    ids=["root", "section", "n_bodies", "max_iters", "masses", "blend", "path_tol"],
+)
+def test_rejections_name_the_key(data, message):
+    with pytest.raises(ConfigInvalid, match=re.escape(message)):
+        config_from_dict(data)
+
+
 def test_mass_count_must_match_bodies():
     with pytest.raises(ConfigInvalid, match="n_bodies"):
         config_from_dict(minimal_config(**{"problem.masses": [1.0, 1.0, 1.0]}))
@@ -157,4 +181,5 @@ def test_resolved_dict_is_a_fixed_point():
     assert again == resolved
     # canonical section order for byte-stable embedding in outputs
     assert list(resolved.keys()) == ["problem", "potential", "discretization", "solver", "output"]
+    assert {name: tuple(section) for name, section in resolved.items()} == _SECTION_KEYS
     json.dumps(resolved, allow_nan=False)

@@ -285,6 +285,23 @@ def test_multistart_drops_unconverged():
     assert result.records == ()
 
 
+def test_modulated_search_drops_converged_starts_by_residual():
+    # at eps = 0.3 the winding-3 descents converge but miss the motion equations
+    spec = make_spec(modulation_eps=0.3)
+    result = multistart(spec, [1, 3], 2, SolveOptions(), harmonics=8, workers=1)
+    assert result.n_started == 4
+    assert result.n_converged == 4
+    assert result.n_dropped_unconverged == 0
+    assert result.n_dropped_residual == 2
+    for start in result.reports:
+        residual = euler_lagrange_residual(spec, start.report.final_loop)
+        assert (residual < 1e-7) == (start.winding_class == 1)
+    (record,) = result.records
+    assert record.winding_seed_class == 1
+    assert record.action_value == pytest.approx(6.247106677, rel=1e-9)
+    assert record.el_residual < 1e-7
+
+
 def test_multistart_validates_input():
     spec = make_spec()
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact import loopspace
+from orbitact import loopspace, potential, verify
 from orbitact.errors import ShapeMismatch, SingleBody, ThetaOutOfRange
 from orbitact.loopspace import LoopBatch, LoopConfiguration, harmonic_energies, kinetic_energy
 from orbitact.action import action_value
@@ -128,6 +128,20 @@ def test_blend_c1_hermite_vs_linear():
     mismatch = check_blend_c1(make_spec(blend=BLEND_LINEAR))
     # chord slope 0.28 vs tail slope 0.01: relative mismatch 0.27 / 1.01
     assert mismatch == pytest.approx(0.27 / 1.01, abs=1e-12)
+
+
+def test_blend_c1_audits_against_the_branches(monkeypatch):
+    # a blend built from a wrong inner slope must fail its audit
+    honest = potential._blend_data
+
+    def skewed(spec):
+        v0, d0, v1, d1, h, _, hd1 = honest(spec)
+        return v0, 1.1 * d0, v1, d1, h, h * 1.1 * d0, hd1
+
+    monkeypatch.setattr(potential, "_blend_data", skewed)
+    monkeypatch.setattr(verify, "_blend_data", skewed, raising=False)
+    # d0 = 0.25 becomes 0.275: relative slope mismatch 0.025 / 1.25
+    assert check_blend_c1(make_spec()) == pytest.approx(0.02, rel=1e-9)
 
 
 def test_solve_energy_bound_closed_forms():

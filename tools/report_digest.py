@@ -1,14 +1,14 @@
 """Print a digest of every benchmark workload's result, to check that a change is bit-identical.
 
-Runs serial ``multistart`` on the benchmark's problem (equal unit masses,
-windings {1, 3, 5} x 4 starts, default solver options) for ladder2 (N=2,
-M=8) at seeds 0-4 and ring6 (N=6, M=24) at seeds 0-2. For each start it
-hashes, with SHA-256, the final coefficients, status, iterations, action,
-kinetic energy, gradient norm and the three traces; it also lists every
-kept record's ``dedup_key``. It also runs the ledger workload's inequality
-ledger (N=4 unit masses, modulation 0.3, dim 2, M=8, 5000 samples) at seeds
-0-2 and hashes each report's ``to_dict()`` as JSON in its own key order, and
-does the same for a sweep of ledger edge configurations (1, 2 or 6 unequal
+Runs the benchmark's workloads, as ``perfbench/workloads.py`` prepares
+them: the serial ``multistart`` of ladder2 (N=2, M=8) at seeds 0-4 and of
+ring6 (N=6, M=24) at seeds 0-2. For each start it hashes, with SHA-256, the
+final coefficients, status, iterations, action, kinetic energy, gradient
+norm and the three traces; it also lists every kept record's
+``dedup_key``. It also runs the ledger workload (N=4 unit masses,
+modulation 0.3, dim 2, M=8, 5000 samples) at seeds 0-2 and hashes each
+report's ``to_dict()`` as JSON in its own key order, and does the same for
+a sweep of ledger edge configurations on the same problem (1, 2 or 6 unequal
 masses; dim 1 or 3; alpha 2 with theta 1 or alpha 3 with theta -0.5;
 modulation 0 or 0.3; 0, 1 or 300 samples, 300 crossing a chunk boundary).
 A report keeps only each check's worst slack, so every ledger entry also
@@ -30,22 +30,19 @@ import itertools
 import json
 import struct
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import numpy as np  # noqa: E402
+from workloads import WORKLOADS, equal_mass_spec  # noqa: E402
 
 from orbitact import verify  # noqa: E402
-from orbitact.potential import PotentialSpec  # noqa: E402
-from orbitact.solver import SolveOptions, multistart  # noqa: E402
 
-# name -> (bodies, harmonics, seeds)
-CASES = {"ladder2": (2, 8, range(5)), "ring6": (6, 24, range(3))}
-WINDINGS = (1, 3, 5)
-STARTS_PER_CLASS = 4
-# the ledger workload: bodies, modulation, harmonics, samples, seeds
-LEDGER = (4, 0.3, 8, 5000, range(3))
+# workload -> seeds
+SEEDS = {"ladder2": range(5), "ring6": range(3), "ledger": range(3)}
 # the ledger edge sweep: bodies, dims, (alpha, theta), modulations, samples
 LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300))
 
@@ -66,24 +63,8 @@ def report_digest(report) -> str:
     return digest.hexdigest()
 
 
-def benchmark_spec(n_bodies: int, modulation_eps: float = 0.0, **overrides) -> PotentialSpec:
-    params = dict(
-        masses=np.ones(n_bodies),
-        a=1.0,
-        g=0.01,
-        alpha=2.0,
-        theta=1.0,
-        r1=2.0,
-        r2=3.0,
-        modulation_eps=modulation_eps,
-        period=2.0 * np.pi,
-    )
-    params.update(overrides)
-    return PotentialSpec(**params)
-
-
-def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, seed: int) -> dict:
-    """Hashes of the report and of each check's sorted per-sample slacks."""
+def ledger_digest(run) -> dict:
+    """Hashes of the report ``run()`` returns and of each check's sorted per-sample slacks."""
     slack_digests = {}
     reduce = verify._ledger_check
 
@@ -94,7 +75,7 @@ def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, s
 
     verify._ledger_check = capture
     try:
-        report = verify.run_inequality_ledger(spec, dim, harmonics, samples, seed)
+        report = run()
     finally:
         verify._ledger_check = reduce
     return {
@@ -105,18 +86,9 @@ def ledger_digest(spec: PotentialSpec, dim: int, harmonics: int, samples: int, s
 
 def main() -> None:
     out = {}
-    for name, (n_bodies, harmonics, seeds) in CASES.items():
-        spec = benchmark_spec(n_bodies)
-        for seed in seeds:
-            result = multistart(
-                spec,
-                WINDINGS,
-                STARTS_PER_CLASS,
-                SolveOptions(seed=seed),
-                dim=2,
-                harmonics=harmonics,
-                workers=1,
-            )
+    for name in ("ladder2", "ring6"):
+        for seed in SEEDS[name]:
+            result = WORKLOADS[name].prepare(seed)[0]()
             out[f"{name}/seed{seed}"] = {
                 "starts": {
                     f"w{s.winding_class}/start{s.start_index}": report_digest(s.report)
@@ -124,16 +96,18 @@ def main() -> None:
                 },
                 "dedup_keys": [record.dedup_key for record in result.records],
             }
-    n_bodies, modulation_eps, harmonics, samples, seeds = LEDGER
-    spec = benchmark_spec(n_bodies, modulation_eps)
-    for seed in seeds:
-        out[f"ledger/seed{seed}"] = ledger_digest(spec, 2, harmonics, samples, seed)
+    for seed in SEEDS["ledger"]:
+        out[f"ledger/seed{seed}"] = ledger_digest(WORKLOADS["ledger"].prepare(seed)[0])
     for n_bodies, dim, (alpha, theta), eps, samples in itertools.product(*LEDGER_EDGES):
-        spec = benchmark_spec(
-            n_bodies, eps, masses=np.linspace(0.7, 1.9, n_bodies), alpha=alpha, theta=theta
+        spec = replace(
+            equal_mass_spec(n_bodies, eps),
+            masses=np.linspace(0.7, 1.9, n_bodies),
+            alpha=alpha,
+            theta=theta,
         )
         key = f"ledger_edge/N{n_bodies}/dim{dim}/alpha{alpha}/theta{theta}/eps{eps}/n{samples}"
-        out[key] = ledger_digest(spec, dim, 3, samples, 7 * n_bodies + dim)
+        run = partial(verify.run_inequality_ledger, spec, dim, 3, samples, 7 * n_bodies + dim)
+        out[key] = ledger_digest(run)
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
