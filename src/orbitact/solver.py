@@ -1,15 +1,17 @@
 """Quasi-Newton minimization over loop coefficients, with multistart search.
 
-The descent is a limited-memory BFGS finished by a Newton polish. Both phases
-step through one backtracking line search that is aware of the collision
-barrier: trial points that would cut the minimum pairwise separation too
-sharply in a single step are rejected before their acceptance test, which
-keeps the iterates out of the steep inner wall of the interaction profile.
+The descent is a limited-memory BFGS, preconditioned by the inverse of the
+kinetic diagonal, finished by a Newton polish. Both phases step through one
+backtracking line search that is aware of the collision barrier: trial
+points that would cut the minimum pairwise separation too sharply in a
+single step are rejected before their acceptance test, which keeps the
+iterates out of the steep inner wall of the interaction profile.
 Each trial is evaluated with its gradient, through one action evaluator bound
 to the start loop once per descent, so the accepted trial becomes the next
 iterate without a second evaluation.
-The discretized action never increases from one accepted step to the next,
-so the recorded trace is monotone by construction.
+The recorded action never increases from one accepted step to the next, so
+the trace is monotone by construction; a polish step certified within f's
+rounding floor records the gradient's line integral, not its fresh value.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
@@ -119,20 +121,27 @@ def _tail_quiet(ps_trace) -> bool:
     )
 
 
+def _rounding_floor(f: float) -> float:
+    """8 eps (1 + |f|): changes of f below this are rounding noise."""
+    return 8.0 * float(np.finfo(np.float64).eps) * (1.0 + abs(f))
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D vector; np.linalg.norm computes the same sqrt(v.v)."""
     return math.sqrt(float(v.dot(v)))
 
 
-def _two_loop(history, grad):
+def _two_loop(history, grad, dinv):
     """L-BFGS two-loop recursion over (s, y, s.y) pairs, oldest first; returns H g.
 
-    The initial matrix is gamma I with gamma = s.y / y.y of the newest pair.
-    Every axpy forms its scaled vector in one scratch buffer.
+    The initial matrix is gamma D^-1, from the inverse dinv of the kinetic
+    diagonal D, with gamma = s.y / (y.D^-1 y) of the newest pair; an empty
+    history returns D^-1 g. Every axpy forms its scaled vector in one
+    scratch buffer.
     """
-    q = grad.copy()
     if not history:
-        return q
+        return dinv * grad
+    q = grad.copy()
     scratch = np.empty_like(q)
     stack = []
     for s, y, sy in reversed(history):
@@ -141,7 +150,8 @@ def _two_loop(history, grad):
         q -= np.multiply(a, y, scratch)
         stack.append((rho, a, s, y))
     _, last_y, last_sy = history[-1]
-    q *= last_sy / float(last_y.dot(last_y))
+    gamma = last_sy / float(last_y.dot(np.multiply(dinv, last_y, scratch)))
+    q *= np.multiply(gamma, dinv, scratch)
     for rho, a, s, y in reversed(stack):
         b = rho * float(y.dot(q))
         q += np.multiply(a - b, s, scratch)
@@ -152,30 +162,33 @@ class _Descent:
     """One descent run from loop0: the iterate, its evaluation and one row per iterate.
 
     Each row is (f, grad_norm, kinetic, min_separation); the start is row 0,
-    so the iteration count is the number of rows after it. One action
-    evaluator, bound to loop0 once, evaluates every line-search trial.
+    so the iteration count is the number of rows after it, and f is the
+    value the row records (see ``descend``). One action evaluator, bound to
+    loop0 once, evaluates every line-search trial; its kinetic diagonal D,
+    flattened, preconditions the quasi-Newton phase through D^-1.
     """
 
     def __init__(self, spec, loop0, opts, n_t, x, ev):
         self.spec = spec
         self.loop0 = loop0
         self.evaluator = _Evaluator(spec, loop0, n_t)
+        self.dinv = 1.0 / np.broadcast_to(self.evaluator.kin_diag, self.evaluator.shape).reshape(-1)
         self.opts = opts
         self.n_t = n_t
         self.guard_active = loop0.n_bodies >= 2
         self.guard_hit = False
         self.rows = []
-        self.step(x, ev)
+        self.step(x, ev, ev.value)
 
     @property
     def iterations(self):
         return len(self.rows) - 1
 
-    def step(self, x, ev):
-        """Make (x, ev) the iterate and record its row."""
-        self.x, self.ev = x, ev
+    def step(self, x, ev, f):
+        """Make (x, ev) the iterate and record its row with the action value f."""
+        self.x, self.ev, self.f = x, ev, f
         self.grad_norm = _norm(ev.gradient)
-        self.rows.append((ev.value, self.grad_norm, ev.kinetic, ev.min_separation))
+        self.rows.append((f, self.grad_norm, ev.kinetic, ev.min_separation))
 
     def search(self, direction, alpha, tries, accept):
         """Try up to tries steps along direction from alpha, halving it after each rejection.
@@ -183,8 +196,9 @@ class _Descent:
         A trial is rejected when it samples an exact collision or cuts the
         minimum separation below (1 - step_guard) times the current one (both
         set guard_hit), or when its action is not finite; otherwise
-        accept(alpha, ev) decides. Returns (alpha, x_trial, ev) of the first
-        accepted trial, or None.
+        accept(alpha, ev) returns the action value to record for the trial,
+        or None to reject it. Returns (alpha, x_trial, ev, value) of the
+        first accepted trial, or None.
         """
         bound = (1.0 - self.opts.step_guard) * self.ev.min_separation
         for _ in range(tries):
@@ -197,8 +211,10 @@ class _Descent:
                 if math.isfinite(ev.value):
                     if self.guard_active and ev.min_separation < bound:
                         self.guard_hit = True
-                    elif accept(alpha, ev):
-                        return alpha, x_trial, ev
+                    else:
+                        value = accept(alpha, ev)
+                        if value is not None:
+                            return alpha, x_trial, ev, value
             alpha *= 0.5
         return None
 
@@ -210,7 +226,6 @@ class _Descent:
         opts = self.opts
         history = deque(maxlen=opts.history_len)  # (s, y, s.y) pairs, oldest first
         c1 = 1e-4
-        eps_f = float(np.finfo(np.float64).eps)
         while True:
             if self.grad_norm < opts.grad_tol:
                 # Converged in gradient; a noisy trace tail is left to the
@@ -219,25 +234,28 @@ class _Descent:
             if self.iterations >= opts.max_iters:
                 return SolveStatus.MAX_ITERS
 
-            f, g, grad_norm = self.ev.value, self.ev.gradient, self.grad_norm
-            direction = -_two_loop(history, g)
+            f, g, grad_norm = self.f, self.ev.gradient, self.grad_norm
+            direction = -_two_loop(history, g, self.dinv)
             slope = float(g.dot(direction))
             if not slope < 0:
                 direction = -g
                 slope = -grad_norm * grad_norm
             alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, grad_norm))
-            trial = self.search(direction, alpha, 60, lambda t, ev: ev.value <= f + c1 * t * slope)
+            trial = self.search(
+                direction, alpha, 60,
+                lambda t, ev: ev.value if ev.value <= f + c1 * t * slope else None,
+            )
             if trial is None:
                 return None
 
-            alpha, x_trial, ev = trial
+            alpha, x_trial, ev, value = trial
             s = x_trial - self.x
             y = ev.gradient - g
             sy = float(s.dot(y))
             if sy > 1e-10 * _norm(s) * _norm(y):
                 history.append((s, y, sy))
-            self.step(x_trial, ev)
-            if -alpha * slope <= 8.0 * eps_f * (1.0 + abs(ev.value)):
+            self.step(x_trial, ev, value)
+            if -alpha * slope <= _rounding_floor(value):
                 # Sufficient decrease is no longer representable in f;
                 # switch to gradient-certified Newton steps.
                 return None
@@ -250,20 +268,34 @@ class _Descent:
         """
         opts = self.opts
         entry_grad = self.grad_norm
+        eigvals = eigvecs = None
         while self.iterations < opts.max_iters:
-            if self.grad_norm < opts.grad_tol and _tail_quiet(self.rows):
+            settled = self.grad_norm < opts.grad_tol
+            if settled and _tail_quiet(self.rows):
                 break
-            hess = _action_hessian(self.spec, self.loop0.with_flat(self.x), self.n_t)
-            eigvals, eigvecs = np.linalg.eigh(hess)
-            floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
+            if not settled or eigvals is None:
+                hess = _action_hessian(self.spec, self.loop0.with_flat(self.x), self.n_t)
+                eigvals, eigvecs = np.linalg.eigh(hess)
+                floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
             # Modified Newton: |eigenvalue| keeps the step bounded and
             # gradient-reducing near saddles as well as minima.
-            step = -(eigvecs @ ((eigvecs.T @ self.ev.gradient) / np.maximum(np.abs(eigvals), floor)))
-            f, norm_cap = self.ev.value, 0.9 * self.grad_norm
-            trial = self.search(
-                step, 1.0, 12,
-                lambda _, ev: ev.value <= f and _norm(ev.gradient) <= norm_cap,
-            )
+            g = self.ev.gradient
+            step = -(eigvecs @ ((eigvecs.T @ g) / np.maximum(np.abs(eigvals), floor)))
+            f = self.f
+            norm_cap = opts.grad_tol if settled else 0.9 * self.grad_norm
+
+            def accept(t, ev):
+                norm = _norm(ev.gradient)
+                if not (norm < norm_cap if settled else norm <= norm_cap):
+                    return None
+                if ev.value <= f:
+                    return ev.value
+                # Within f's rounding floor, the trapezoid line integral of
+                # the gradient certifies the step and gives the recorded value.
+                change = 0.5 * t * float((g + ev.gradient).dot(step))
+                return f + change if ev.value <= f + _rounding_floor(f) and change <= 0 else None
+
+            trial = self.search(step, 1.0, 12, accept)
             if trial is None:
                 break
             self.step(*trial[1:])
@@ -293,22 +325,34 @@ def descend(
     the accepted trial becomes the next iterate.
 
     The quasi-Newton phase is L-BFGS with an Armijo sufficient-decrease test
-    and up to 60 halvings. Curvature pairs are stored as (s, y, s.y) only
-    when s.y > 1e-10 ||s|| ||y||, and a non-descent quasi-Newton direction
-    falls back to steepest descent.
+    and up to 60 halvings. Its initial matrix is gamma D^-1, the inverse of
+    the kinetic diagonal D = 0.5 T m_i omega_m^2 (the H^1 metric of the loop
+    space) scaled by gamma = s.y / (y.D^-1 y) of the newest curvature pair;
+    the first step, with no pairs yet, goes along -D^-1 g. Curvature pairs
+    are stored as (s, y, s.y) only when s.y > 1e-10 ||s|| ||y||, and a
+    non-descent quasi-Newton direction falls back to steepest descent.
 
     Near a minimum the achievable decrease per step is quadratic in the
     gradient norm and eventually drops below the floating-point resolution
     of f, where Armijo certification becomes meaningless. When that floor is
     reached (or the line search fails outright), the run switches to a
-    Newton polish on the critical-point equation: exact-Hessian steps with
-    clipped eigenvalues and up to 12 halvings, accepted only when f does not
-    increase and the gradient norm shrinks, which converges through the
-    rounding floor while keeping the recorded trace non-increasing. A polish
-    that halves the gradient norm hands back to the quasi-Newton phase with
-    an empty memory. A run that can certify no further progress in either
-    phase ends as STALLED_NEAR_COLLISION when some trial was rejected by the
-    separation guard or sampled a collision, and MAX_ITERS otherwise.
+    Newton polish on the critical-point equation: exact-Hessian steps p with
+    clipped eigenvalues and up to 12 halvings of the step length t. A trial
+    is accepted only when its gradient norm is at most 0.9 times the current
+    one and either its action f_trial <= f, or f_trial rises by at most
+    f's rounding floor, 8 eps (1 + |f|), while the trapezoid line integral of
+    the gradient, 0.5 t (g + g_trial).p, is <= 0. Here f is the value the
+    current row records. The row of the trial records f_trial in the first
+    case and f + 0.5 t (g + g_trial).p in the second, so the recorded trace
+    never increases and each row stays within f's rounding floor of the
+    action at its iterate. Once the gradient norm is below grad_tol but the
+    trace's tail is not yet quiet, the polish reuses its last eigen-
+    decomposition and accepts the steps that keep the gradient norm below
+    grad_tol, until the tail is quiet. A polish that halves the gradient
+    norm hands back to the quasi-Newton phase with an empty memory. A run
+    that can certify no further progress in either phase ends as
+    STALLED_NEAR_COLLISION when some trial was rejected by the separation
+    guard or sampled a collision, and MAX_ITERS otherwise.
     """
     if opts is None:
         opts = SolveOptions()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import action_hessian
+from orbitact.action import action, action_hessian
 from orbitact.errors import CollisionSample, InvalidStart, OrbitactError
 from orbitact.loopspace import LoopConfiguration, h1_distance, shift_loop
 from orbitact.solver import (
@@ -92,14 +92,33 @@ def test_max_iters_status():
 
 
 def test_stalled_near_collision_status():
-    # From this crowded three-body start the separation guard keeps rejecting
-    # trials, and neither phase can certify progress before max_iters.
+    # From this crowded three-body start the separation guard admits only
+    # steps that move the minimum separation by about one rounding unit. Their
+    # decrease soon drops below f's resolution, the guard rejects every polish
+    # trial, and neither phase can certify progress. (With step_guard = 0.05
+    # this start converges.)
     spec = make_spec(masses=np.ones(3))
     start = random_loop(np.random.default_rng(38), n_bodies=3, dim=2, harmonics=3, scale=0.3)
-    opts = SolveOptions(max_iters=200, step_guard=0.05)
+    opts = SolveOptions(max_iters=200, step_guard=1e-15)
     report = descend(spec, start, opts)
     assert report.status is SolveStatus.STALLED_NEAR_COLLISION
     assert report.grad_norm > opts.grad_tol
+
+
+def test_polish_converges_through_the_rounding_floor():
+    # On the ladder2 problem this start reaches the polish with a gradient
+    # near 1e-8, where the Newton steps that cut the gradient raise f by a few
+    # ulp. The polish must certify those steps by the gradient's line
+    # integral, not refuse them, and still record a trace that never increases.
+    spec = make_spec()
+    start = circular_seed(spec, 2, 8, 1, 0, 19)
+    report = descend(spec, start, SolveOptions(max_iters=500))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.grad_norm < 1e-9
+    values = [entry[0] for entry in report.ps_trace]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    fresh = action(spec, report.final_loop).value
+    assert abs(report.action_value - fresh) <= 8.0 * np.finfo(float).eps * (1.0 + abs(fresh))
 
 
 def test_colliding_trial_is_halved_not_raised(monkeypatch):
@@ -149,17 +168,18 @@ def test_two_loop_matches_dense_bfgs_inverse():
         sy = float(s @ y)
         if sy > 0:
             history.append((s, y, sy))
+    dinv = 1.0 / rng.uniform(0.5, 50.0, n)  # inverse of a random positive diagonal D
     # H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, oldest pair first,
-    # from gamma I with gamma = s.y / y.y of the newest pair.
+    # from gamma D^-1 with gamma = s.y / (y.D^-1 y) of the newest pair.
     _, last_y, last_sy = history[-1]
-    h = (last_sy / float(last_y @ last_y)) * np.eye(n)
+    h = (last_sy / float(last_y @ (dinv * last_y))) * np.diag(dinv)
     for s, y, sy in history:
         rho = 1.0 / sy
         left = np.eye(n) - rho * np.outer(s, y)
         h = left @ h @ left.T + rho * np.outer(s, s)
     g = rng.standard_normal(n)
-    np.testing.assert_allclose(_two_loop(history, g), h @ g, rtol=1e-12, atol=0.0)
-    assert np.array_equal(_two_loop([], g), g)
+    np.testing.assert_allclose(_two_loop(history, g, dinv), h @ g, rtol=1e-12, atol=0.0)
+    assert np.array_equal(_two_loop([], g, dinv), dinv * g)
 
 
 def test_step_guard_limits_separation_drop():
