@@ -12,6 +12,10 @@ iterate without a second evaluation.
 The recorded action never increases from one accepted step to the next, so
 the trace is monotone by construction; a polish step certified within f's
 rounding floor records the gradient's line integral, not its fresh value.
+The polish takes its Newton step from a Cholesky factor of the Hessian
+with the rotation modes deflated, and falls back to the eigen-decomposition
+only when that factor does not exist (a Hessian that is not positive
+definite off the rotations, as at a saddle).
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
@@ -76,6 +80,11 @@ class SolveStatus(Enum):
     STALLED_NEAR_COLLISION = "stalled_near_collision"
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Descent controls. step_guard is the largest allowed fractional drop of
@@ -88,12 +97,17 @@ class SolveOptions:
     step_guard: float = 0.5
 
     def __post_init__(self):
+        for name in ("max_iters", "history_len", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not (self.grad_tol > 0 and math.isfinite(self.grad_tol)):
+            raise ValueError("grad_tol must be finite and positive")
         if self.history_len < 1:
             raise ValueError("history_len must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.step_guard < 1.0:
             raise ValueError("step_guard must lie strictly between 0 and 1")
 
@@ -156,6 +170,88 @@ def _two_loop(history, grad, dinv):
         b = rho * float(y.dot(q))
         q += np.multiply(a - b, s, scratch)
     return q
+
+
+def _rotation_basis(x, dim):
+    """Orthonormal basis (n, k) of the infinitesimal rotations at the flat loop x.
+
+    Each coordinate plane (a, b) gives the generator that maps every
+    position vector c to c_a e_b - c_b e_a. A QR of the generators drops
+    the columns whose pivot is negligible next to ||x||, so a collinear loop
+    keeps only its independent generators, and dim 1 or x = 0 gives k = 0.
+    """
+    coords = x.reshape(-1, dim)
+    columns = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            gen = np.zeros_like(coords)
+            gen[:, a] = -coords[:, b]
+            gen[:, b] = coords[:, a]
+            columns.append(gen.reshape(-1))
+    gens = np.stack(columns, axis=1) if columns else np.empty((x.size, 0))
+    pivots = np.abs(np.diagonal(np.linalg.qr(gens, mode="r")))
+    return np.linalg.qr(gens[:, pivots > 1e-10 * _norm(x)])[0]
+
+
+_SOLVE_BLOCK = 64  # rows per diagonal block of the triangular solves
+
+
+def _cholesky_solve(chol, b):
+    """Solve L L^T z = b for lower-triangular L by blocked substitution.
+
+    Each diagonal block of at most _SOLVE_BLOCK rows is solved densely; the
+    coupling to the blocks already solved is one matrix-vector product.
+    """
+    n = b.shape[0]
+    starts = range(0, n, _SOLVE_BLOCK)
+    y = np.empty_like(b)
+    for i in starts:
+        j = min(i + _SOLVE_BLOCK, n)
+        y[i:j] = np.linalg.solve(chol[i:j, i:j], b[i:j] - chol[i:j, :i] @ y[:i])
+    z = np.empty_like(b)
+    for i in reversed(starts):
+        j = min(i + _SOLVE_BLOCK, n)
+        z[i:j] = np.linalg.solve(chol[i:j, i:j].T, y[i:j] - chol[j:, i:j].T @ z[j:])
+    return z
+
+
+def _newton_step(hess, x, dim):
+    """Factor the Hessian at x once; return the map g -> modified Newton step.
+
+    With U the rotation basis at x, P = I - U U^T and sigma = max|diag H|,
+    A = P H P + sigma U U^T is formed as the rank-2k update H - U Z^T - Z U^T,
+    Z = H U - U (U^T H U + sigma I) / 2, and factored by Cholesky. The step
+    is -A^-1 P g - U (U^T g / max(|diag U^T H U|, floor)), with floor =
+    max(1e-10, 1e-12 sigma). When A is not positive definite (a saddle, or a
+    flat direction that is not a rotation), the step is the eigen-
+    decomposition's -V |Lambda|^-1 V^T g instead, with |eigenvalues| clipped
+    at max(1e-10, 1e-12 max|eigenvalue|).
+    """
+    u = _rotation_basis(x, dim)
+    hu = hess @ u
+    curv = u.T @ hu
+    sigma = float(np.abs(np.diagonal(hess)).max())
+    deflated = hess
+    if u.shape[1]:
+        z = hu - 0.5 * u @ (curv + sigma * np.eye(u.shape[1]))
+        update = np.concatenate((u, z), axis=1) @ np.concatenate((z, u), axis=1).T
+        deflated = np.subtract(hess, update, out=update)
+    try:
+        chol = np.linalg.cholesky(deflated)
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.linalg.eigh(hess)
+        floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
+        scale = np.maximum(np.abs(eigvals), floor)
+        # Modified Newton: |eigenvalue| keeps the step bounded and
+        # gradient-reducing near saddles as well as minima.
+        return lambda g: -(eigvecs @ ((eigvecs.T @ g) / scale))
+    scale = np.maximum(np.abs(np.diagonal(curv)), max(1e-10, 1e-12 * sigma))
+
+    def step(g):
+        ug = u.T @ g
+        return -(_cholesky_solve(chol, g - u @ ug) + u @ (ug / scale))
+
+    return step
 
 
 class _Descent:
@@ -268,19 +364,16 @@ class _Descent:
         """
         opts = self.opts
         entry_grad = self.grad_norm
-        eigvals = eigvecs = None
+        newton_step = None
         while self.iterations < opts.max_iters:
             settled = self.grad_norm < opts.grad_tol
             if settled and _tail_quiet(self.rows):
                 break
-            if not settled or eigvals is None:
+            if not settled or newton_step is None:
                 hess = _action_hessian(self.spec, self.loop0.with_flat(self.x), self.n_t)
-                eigvals, eigvecs = np.linalg.eigh(hess)
-                floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
-            # Modified Newton: |eigenvalue| keeps the step bounded and
-            # gradient-reducing near saddles as well as minima.
+                newton_step = _newton_step(hess, self.x, self.loop0.dim)
             g = self.ev.gradient
-            step = -(eigvecs @ ((eigvecs.T @ g) / np.maximum(np.abs(eigvals), floor)))
+            step = newton_step(g)
             f = self.f
             norm_cap = opts.grad_tol if settled else 0.9 * self.grad_norm
 
@@ -337,7 +430,16 @@ def descend(
     of f, where Armijo certification becomes meaningless. When that floor is
     reached (or the line search fails outright), the run switches to a
     Newton polish on the critical-point equation: exact-Hessian steps p with
-    clipped eigenvalues and up to 12 halvings of the step length t. A trial
+    up to 12 halvings of the step length t. The action is invariant under
+    rotations, so H is singular along the rotation generators at x. Their
+    orthonormal basis U (by QR, dependent generators dropped) is deflated:
+    A = P H P + sigma U U^T, with P = I - U U^T and sigma = max|diag H|, is
+    factored by Cholesky, and p = -A^-1 P g - U (U^T g / max(|diag U^T H U|,
+    floor)), with floor = max(1e-10, 1e-12 sigma). When A has no Cholesky
+    factor, H is not positive definite off the rotations (at a saddle, or
+    along a flat direction that is not a rotation), and p is the modified
+    Newton step -V |Lambda|^-1 V^T g of H's eigen-decomposition, its
+    |eigenvalues| clipped at max(1e-10, 1e-12 max|eigenvalue|). A trial
     is accepted only when its gradient norm is at most 0.9 times the current
     one and either its action f_trial <= f, or f_trial rises by at most
     f's rounding floor, 8 eps (1 + |f|), while the trapezoid line integral of
@@ -346,9 +448,9 @@ def descend(
     case and f + 0.5 t (g + g_trial).p in the second, so the recorded trace
     never increases and each row stays within f's rounding floor of the
     action at its iterate. Once the gradient norm is below grad_tol but the
-    trace's tail is not yet quiet, the polish reuses its last eigen-
-    decomposition and accepts the steps that keep the gradient norm below
-    grad_tol, until the tail is quiet. A polish that halves the gradient
+    trace's tail is not yet quiet, the polish reuses its last factor (or
+    eigen-decomposition) and accepts the steps that keep the gradient norm
+    below grad_tol, until the tail is quiet. A polish that halves the gradient
     norm hands back to the quasi-Newton phase with an empty memory. A run
     that can certify no further progress in either phase ends as
     STALLED_NEAR_COLLISION when some trial was rejected by the separation
@@ -460,7 +562,7 @@ def circular_seed(
 
 
 def _require_valid_winding(winding, harmonics):
-    if not isinstance(winding, (int, np.integer)) or isinstance(winding, bool):
+    if not _is_integer(winding):
         raise ValueError("winding classes must be integers")
     if winding < 1 or winding % 2 == 0:
         raise ValueError(f"winding classes must be odd and >= 1, got {winding}")

@@ -11,6 +11,9 @@ from orbitact.solver import (
     OrbitRecord,
     SolveOptions,
     SolveStatus,
+    _cholesky_solve,
+    _newton_step,
+    _rotation_basis,
     _two_loop,
     circular_seed,
     dedupe,
@@ -19,6 +22,8 @@ from orbitact.solver import (
     resolve_workers,
 )
 from orbitact.verify import euler_lagrange_residual
+
+solver_module = importlib.import_module("orbitact.solver")
 
 
 def test_options_validation():
@@ -32,13 +37,46 @@ def test_options_validation():
         SolveOptions(step_guard=0.0)
     with pytest.raises(ValueError):
         SolveOptions(step_guard=1.0)
+    for bad in (float("inf"), float("nan"), -1e-9):
+        with pytest.raises(ValueError):
+            SolveOptions(grad_tol=bad)
+    for name in ("max_iters", "history_len", "seed"):
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError):
+                SolveOptions(**{name: bad})
+    with pytest.raises(ValueError):
+        SolveOptions(seed=-1)
+    assert SolveOptions(max_iters=np.int64(7), seed=np.int32(0)).max_iters == 7
 
 
-def test_descend_two_body_circle_converges():
+def _counting(monkeypatch, name, calls):
+    """Wrap np.linalg.<name>, as the solver looks it up, so each call appends name to calls."""
+    original = getattr(solver_module.np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module.np.linalg, name, counted)
+
+
+def _forbid_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh called on a positive definite polish Hessian")
+
+    monkeypatch.setattr(solver_module.np.linalg, "eigh", forbidden)
+
+
+def test_descend_two_body_circle_converges(monkeypatch):
+    # A minimum: every polish step comes from the Cholesky factor, never eigh.
+    _forbid_eigh(monkeypatch)
+    calls = []
+    _counting(monkeypatch, "cholesky", calls)
     spec = make_spec()
     start = circular_seed(spec, 2, 4, 1, 0, base_seed=0)
     report = descend(spec, start, SolveOptions(max_iters=300))
     assert report.status is SolveStatus.CONVERGED
+    assert calls
     assert report.grad_norm < 1e-9
     assert report.action_value == pytest.approx(TWO_PI, rel=1e-10)
 
@@ -121,6 +159,70 @@ def test_polish_converges_through_the_rounding_floor():
     assert abs(report.action_value - fresh) <= 8.0 * np.finfo(float).eps * (1.0 + abs(fresh))
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 150])
+def test_cholesky_solve_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    spd = m @ m.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    got = _cholesky_solve(np.linalg.cholesky(spd), b)
+    assert np.allclose(got, np.linalg.solve(spd, b), rtol=0, atol=1e-12 * np.abs(got).max())
+
+
+def _eigh_step(hess, g):
+    """Modified Newton step from the full eigen-decomposition, |eigenvalues| clipped at the floor."""
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
+    return -(eigvecs @ ((eigvecs.T @ g) / np.maximum(np.abs(eigvals), floor)))
+
+
+def _assert_factored_step_matches_eigh(monkeypatch, spec, loop, g, n_rotations):
+    x = loop.flat()
+    basis = _rotation_basis(x, loop.dim)
+    assert basis.shape == (x.size, n_rotations)
+    assert np.allclose(basis.T @ basis, np.eye(n_rotations), atol=1e-14)
+
+    def project(v):
+        return v - basis @ (basis.T @ v)
+
+    hess = action_hessian(spec, loop)
+    with monkeypatch.context() as patch:
+        _forbid_eigh(patch)
+        got = project(_newton_step(hess, x, loop.dim)(g))
+    want = project(_eigh_step(hess, g))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
+    # At a converged minimum the gradient is rounding noise, so a random
+    # vector off the rotation modes, as every gradient is, stands in for it.
+    spec = make_spec()
+    if dim == 1:
+        start = random_loop(np.random.default_rng(0), dim=1, scale=2.0)
+    else:
+        start = circular_seed(spec, dim, 4, 1, 0, base_seed=0)
+    report = descend(spec, start, SolveOptions(max_iters=300))
+    assert report.status is SolveStatus.CONVERGED
+    n_rotations = dim * (dim - 1) // 2
+    basis = _rotation_basis(report.final_loop.flat(), dim)
+    g = np.random.default_rng(1).standard_normal(basis.shape[0])
+    g -= basis @ (basis.T @ g)
+    _assert_factored_step_matches_eigh(monkeypatch, spec, report.final_loop, g, n_rotations)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)])
+def test_factored_polish_step_on_a_collinear_loop(monkeypatch, axis):
+    # One body on a line in dim 3: the three plane rotations span only two
+    # directions (on the z axis the xy generator vanishes outright), so the
+    # basis keeps two columns, and the step still matches the eigh step.
+    spec = make_spec(masses=np.ones(1))
+    line = random_loop(np.random.default_rng(2), n_bodies=1, dim=1)
+    loop = LoopConfiguration(1, 3, line.period, line.coefficients * np.asarray(axis))
+    g = action(spec, loop).gradient
+    _assert_factored_step_matches_eigh(monkeypatch, spec, loop, g, 2)
+
+
 def test_colliding_trial_is_halved_not_raised(monkeypatch):
     action_module = importlib.import_module("orbitact.action")
     original = action_module.grid_potential
@@ -199,13 +301,17 @@ def test_three_body_choreography_start_converges():
     assert euler_lagrange_residual(spec, report.final_loop) < 1e-7
 
 
-def test_polish_converges_onto_a_modulated_saddle():
+def test_polish_converges_onto_a_modulated_saddle(monkeypatch):
     # Under modulation the noise-free N = 4 square seed stays on the square
     # family, and the polish converges onto its Morse-index-1 saddle, where
-    # the Hessian is indefinite off the rotation direction.
+    # the Hessian is indefinite off the rotation direction: the Cholesky
+    # factor fails there and the eigen-decomposition step takes over.
+    calls = []
+    _counting(monkeypatch, "eigh", calls)
     spec = make_spec(masses=np.ones(4), modulation_eps=0.1)
     start = circular_seed(spec, 2, 32, 1, 0, base_seed=0, noise=0.0)
     report = descend(spec, start, SolveOptions(max_iters=2000))
+    assert calls
     assert report.status is SolveStatus.CONVERGED
     assert report.action_value == pytest.approx(27.937265532, rel=1e-8)
     assert euler_lagrange_residual(spec, report.final_loop) < 1e-7
