@@ -8,9 +8,11 @@ where the unit-mass radial profile w is
     w(r) = g r^{theta}            for r >= r2   (growth exponent theta < 2)
 
 and mu(t) = 1 + eps cos(4 pi t / T) is a half-period time modulation, so
-V_ij(t + T/2, -xi) = V_ij(t, xi) holds for every pair. The Hermite blend
-matches value and one-sided slope at both ends, making the profile C^1 on
-(0, inf). A C^0-only linear blend is available as a verification hook.
+V_ij(t + T/2, -xi) = V_ij(t, xi) holds for every pair. The blend is a cubic
+in s = (r - r1) / (r2 - r1) whose four coefficients PotentialSpec binds once.
+The Hermite coefficients match value and one-sided slope at both ends, making
+the profile C^1 on (0, inf); the C^0-only linear blend, a verification hook,
+is the same cubic with c = (v0, v1 - v0, 0, 0).
 
 One kernel, grid_potential, evaluates the potential over a quadrature grid,
 graded by derivative order like the profile itself: pair separations, the
@@ -82,8 +84,11 @@ class PotentialSpec:
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size < 1:
             raise ValueError("masses must be a 1-d array with at least one entry")
-        if not np.all(masses > 0):
-            raise ValueError("masses must all be positive")
+        if not np.all((masses > 0) & np.isfinite(masses)):
+            raise ValueError("masses must all be positive and finite")
+        for name in ("a", "g", "alpha", "theta", "r1", "r2", "modulation_eps", "period"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a > 0:
             raise ValueError(f"inner coefficient a must be positive, got {self.a}")
         if not self.g > 0:
@@ -108,7 +113,7 @@ class PotentialSpec:
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         # Derived, not a field: bound once so no profile pass recomputes it.
-        object.__setattr__(self, "_blend_ends", _blend_data(self))
+        object.__setattr__(self, "_blend_cubic", _blend_cubic(self))
 
     @property
     def n_bodies(self) -> int:
@@ -124,40 +129,35 @@ def time_modulation(spec: PotentialSpec, t):
 def _blend_data(spec: PotentialSpec):
     """Unit-mass endpoint values and one-sided slopes of the blend window.
 
-    Returns (v0, d0, v1, d1, h, h d0, h d1), with h = r2 - r1 the window
-    width; PotentialSpec binds it once as ``_blend_ends``.
+    Returns (v0, d0, v1, d1, h), with h = r2 - r1 the window width.
     """
     v0 = -spec.a * spec.r1 ** (-spec.alpha)
     d0 = spec.alpha * spec.a * spec.r1 ** (-spec.alpha - 1.0)
     v1 = spec.g * spec.r2**spec.theta
     d1 = spec.theta * spec.g * spec.r2 ** (spec.theta - 1.0)
-    h = spec.r2 - spec.r1
-    return v0, d0, v1, d1, h, h * d0, h * d1
+    return v0, d0, v1, d1, spec.r2 - spec.r1
+
+
+def _blend_cubic(spec: PotentialSpec):
+    """The blend as a cubic in s = (r - r1) / h: coefficients (c0, c1, c2, c3) and h."""
+    v0, d0, v1, d1, h = _blend_data(spec)
+    if spec.blend == BLEND_LINEAR:
+        return (v0, v1 - v0, 0.0, 0.0), h
+    hd0, hd1 = h * d0, h * d1
+    return (v0, hd0, 3.0 * (v1 - v0) - 2.0 * hd0 - hd1, 2.0 * (v0 - v1) + hd0 + hd1), h
 
 
 def _blend(spec: PotentialSpec, r, order: int = 0) -> list:
-    """The blend polynomial on [r1, r2] and its first ``order`` derivatives."""
-    v0, d0, v1, d1, h, hd0, hd1 = spec._blend_ends
+    """The blend cubic on [r1, r2] and its first ``order`` derivatives, by Horner's rule."""
+    coef, h = spec._blend_cubic
     s = (r - spec.r1) / h
-    if spec.blend == BLEND_LINEAR:
-        return [v0 + (v1 - v0) * s, (v1 - v0) / h + 0.0 * s, 0.0 * s][: order + 1]
-    h00 = (2.0 * s - 3.0) * s * s + 1.0
-    h10 = ((s - 2.0) * s + 1.0) * s
-    h01 = (3.0 - 2.0 * s) * s * s
-    h11 = (s - 1.0) * s * s
-    out = [h00 * v0 + h10 * hd0 + h01 * v1 + h11 * hd1]
-    if order >= 1:
-        dh00 = 6.0 * s * (s - 1.0)
-        dh10 = (3.0 * s - 4.0) * s + 1.0
-        dh01 = 6.0 * s * (1.0 - s)
-        dh11 = (3.0 * s - 2.0) * s
-        out.append((dh00 * v0 + dh01 * v1) / h + dh10 * d0 + dh11 * d1)
-    if order >= 2:
-        d2h00 = 12.0 * s - 6.0
-        d2h10 = 6.0 * s - 4.0
-        d2h01 = 6.0 - 12.0 * s
-        d2h11 = 6.0 * s - 2.0
-        out.append((d2h00 * v0 + d2h01 * v1) / (h * h) + (d2h10 * d0 + d2h11 * d1) / h)
+    out = []
+    for _ in range(order + 1):
+        acc = coef[-1]
+        for c in coef[-2::-1]:
+            acc = acc * s + c
+        out.append(acc)
+        coef = [k * c / h for k, c in enumerate(coef)][1:]  # d/dr = (1/h) d/ds
     return out
 
 
@@ -183,25 +183,22 @@ def _tail(spec: PotentialSpec, r, order: int) -> list:
 def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
     """Unit-mass radial profile [w, w', w''][:order + 1] at positive separations.
 
-    One masked pass: each separation takes the branch it lies on. Input on a
-    single branch, such as a scalar, is evaluated without gather or scatter;
-    all-inner input, the common case, builds no other mask.
+    All-inner input, the common case, takes the inner branch alone. Any
+    other input evaluates each branch on r clamped to its own interval, so no
+    branch sees a separation it cannot take, and one select picks each
+    separation's branch.
     """
     r = np.asarray(r)
     inner = r < spec.r1
     if inner.all():
         return _inner(spec, r, order)
     tail = r >= spec.r2
-    branches = ((inner, _inner), (tail, _tail), (~(inner | tail), _blend))
-    for mask, branch in branches[1:]:
-        if mask.all():
-            return branch(spec, r, order)
-    out = [np.empty_like(r) for _ in range(order + 1)]
-    for mask, branch in branches:
-        if mask.any():
-            for dst, src in zip(out, branch(spec, r[mask], order)):
-                dst[mask] = src
-    return out
+    branches = zip(
+        _inner(spec, np.minimum(r, spec.r1), order),
+        _tail(spec, np.maximum(r, spec.r2), order),
+        _blend(spec, np.clip(r, spec.r1, spec.r2), order),
+    )
+    return [np.where(inner, w_in, np.where(tail, w_tail, w_mid)) for w_in, w_tail, w_mid in branches]
 
 
 def _check_pair(spec: PotentialSpec, i: int, j: int):

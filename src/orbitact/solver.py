@@ -625,6 +625,9 @@ def multistart(
     """
     if opts is None:
         opts = SolveOptions()
+    for name, value in (("starts_per_class", starts_per_class), ("harmonics", harmonics), ("dim", dim)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer")
     if starts_per_class < 1:
         raise ValueError("starts_per_class must be >= 1")
     classes = list(winding_classes)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,8 @@ def ordered_pair_force(spec, t, i, j, xi):
 
 def hermite_cubic_oracle(spec, r):
     # independent construction: solve the 4x4 system for the cubic matching
-    # value and slope of the inner branch at r1 and of the tail branch at r2
+    # value and slope of the inner branch at r1 and of the tail branch at r2;
+    # returns [w, w', w''] of that cubic at r
     r1, r2 = spec.r1, spec.r2
     v0 = -spec.a * r1 ** (-spec.alpha)
     d0 = spec.alpha * spec.a * r1 ** (-spec.alpha - 1)
@@ -52,7 +55,11 @@ def hermite_cubic_oracle(spec, r):
         dtype=float,
     )
     c = np.linalg.solve(system, np.array([v0, d0, v1, d1]))
-    return c[0] + c[1] * r + c[2] * r**2 + c[3] * r**3
+    return [
+        c[0] + c[1] * r + c[2] * r**2 + c[3] * r**3,
+        c[1] + 2 * c[2] * r + 3 * c[3] * r**2,
+        2 * c[2] + 6 * c[3] * r,
+    ]
 
 
 def test_spec_validation_names_the_hypothesis():
@@ -72,6 +79,13 @@ def test_spec_validation_names_the_hypothesis():
         make_spec(modulation_eps=1.0)
     with pytest.raises(ValueError):
         make_spec(blend="cubic-spline")
+    # infinities pass the order checks above, so each is named on its own
+    for name in ("a", "g", "alpha", "theta", "r1", "r2", "period"):
+        for value in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make_spec(**{name: value})
+    with pytest.raises(ValueError, match="masses must all be positive and finite"):
+        make_spec(masses=np.array([1.0, np.inf]))
 
 
 def test_inner_branch_value_and_force():
@@ -95,13 +109,19 @@ def test_blend_window_matches_cubic_solve_oracle():
     spec = make_spec()
     for r, want in ((2.25, -0.1715625), (2.5, -0.08), (2.75, -0.0034375)):
         assert pair_potential(spec, 0.0, 0, 1, r) == pytest.approx(want, abs=1e-12)
-        assert hermite_cubic_oracle(spec, r) == pytest.approx(want, abs=1e-12)
+        assert hermite_cubic_oracle(spec, r)[0] == pytest.approx(want, abs=1e-12)
     # one more parameter set, compared pointwise against the oracle
     other = make_spec(a=2.0, alpha=3.0, g=0.5, theta=0.7, r1=1.0, r2=2.5)
     for r in np.linspace(1.0, 2.5, 13)[:-1]:
         assert pair_potential(other, 0.0, 0, 1, float(r)) == pytest.approx(
-            hermite_cubic_oracle(other, float(r)), abs=1e-12
+            hermite_cubic_oracle(other, float(r))[0], abs=1e-12
         )
+    # w' and w'' from the profile against the oracle cubic's derivatives
+    for p, grid in ((spec, np.linspace(2.0, 3.0, 9)[:-1]), (other, np.linspace(1.0, 2.5, 13)[:-1])):
+        got = _profile(p, grid, 2)
+        want = hermite_cubic_oracle(p, grid)
+        for order in (1, 2):
+            assert got[order] == pytest.approx(want[order], abs=1e-11)
 
 
 def test_blend_is_c1_at_both_seams():
@@ -315,6 +335,14 @@ def test_scalar_profile_path_batched_equals_single_calls(n_bodies, alpha, eps):
     assert np.array_equal(wit.grad_norm_sq(inner), [wit.grad_norm_sq(float(x)) for x in inner])
     margins = strong_force_margin(spec, i, j, inner)
     assert np.array_equal(margins, [strong_force_margin(spec, i, j, float(x)) for x in inner])
+    # an extreme spread: every branch is evaluated only on its own interval,
+    # so a far tail separation does not overflow the blend or warn
+    wide = np.array([1e-3, 2.5, 1e120])
+    assert np.array_equal(pair_potential(spec, 0.3, i, j, wide),
+                          [pair_potential(spec, 0.3, i, j, float(x)) for x in wide])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _profile(spec, wide, 2)
     # one sample gives a float, as before batching
     assert type(pair_potential(spec, 0.3, i, j, 1.0)) is float
     assert type(strong_force_margin(spec, i, j, 0.5)) is float

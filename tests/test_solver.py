@@ -436,6 +436,10 @@ def test_multistart_validates_input():
         multistart(spec, [2], 2)
     with pytest.raises(ValueError):
         multistart(spec, [1], 0)
+    for name, value in (("starts_per_class", 2.5), ("starts_per_class", True), ("harmonics", 2.5), ("dim", 2.5)):
+        kwargs = {"starts_per_class": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            multistart(spec, [1], **kwargs)
 
 
 def _record(loop, value, grad_norm, winding=1, start=0):

@@ -135,8 +135,8 @@ def test_blend_c1_audits_against_the_branches(monkeypatch):
     honest = potential._blend_data
 
     def skewed(spec):
-        v0, d0, v1, d1, h, _, hd1 = honest(spec)
-        return v0, 1.1 * d0, v1, d1, h, h * 1.1 * d0, hd1
+        v0, d0, v1, d1, h = honest(spec)
+        return v0, 1.1 * d0, v1, d1, h
 
     monkeypatch.setattr(potential, "_blend_data", skewed)
     monkeypatch.setattr(verify, "_blend_data", skewed, raising=False)
