@@ -281,15 +281,32 @@ def body_pairs(n_bodies: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, incidence
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_map(n_bodies: int, dim: int) -> np.ndarray:
+    """kron(incidence, I_k) of :func:`body_pairs`, shape (N k, P k), read-only.
+
+    Flat positions (n_t, N k) times the map are the flat separations
+    (n_t, P k). Column (p, d) holds +1 at row (iu[p], d), -1 at row (ju[p], d)
+    and zeros elsewhere, so each entry of the product is x_i - x_j rounded
+    once, in any summation order the matrix product takes: the same bits as
+    the subtraction.
+    """
+    pair_map = np.kron(body_pairs(n_bodies)[2], np.eye(dim))
+    pair_map.flags.writeable = False
+    return pair_map
+
+
 def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Separations x_i - x_j, shape (n_t, P, k), and their lengths (n_t, P), over pairs i < j.
 
-    The separations are gathered with ``take``, which keeps both arrays
-    C-contiguous: indexing positions[:, iu] would not, and a strided dist
-    changes the summation order of later matrix-vector products.
+    The separations are one matrix product with the cached pair map, which
+    gives each x_i - x_j exactly as a subtraction would, as C-contiguous
+    arrays: a strided dist would change the summation order of later
+    matrix-vector products.
     """
-    iu, ju, _ = body_pairs(positions.shape[1])
-    diff = positions.take(iu, 1) - positions.take(ju, 1)
+    n_t, n_bodies, dim = positions.shape
+    pair_map = _pair_map(n_bodies, dim)
+    diff = (positions.reshape(n_t, -1) @ pair_map).reshape(n_t, pair_map.shape[1] // dim, dim)
     return diff, np.sqrt(np.einsum("jpd,jpd->jp", diff, diff))
 
 

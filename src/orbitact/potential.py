@@ -139,12 +139,26 @@ def _blend_data(spec: PotentialSpec):
 
 
 def _blend_cubic(spec: PotentialSpec):
-    """The blend as a cubic in s = (r - r1) / h: coefficients (c0, c1, c2, c3) and h."""
-    v0, d0, v1, d1, h = _blend_data(spec)
+    """The blend as a cubic in s = (r - r1) / h: coefficients (c0, c1, c2, c3) and h.
+
+    Raises ValueError when an endpoint value, slope or coefficient overflows
+    a float, as finite but extreme constants can make it.
+    """
+    try:
+        v0, d0, v1, d1, h = _blend_data(spec)
+    except OverflowError:  # a Python float power overflowed
+        v0 = d0 = v1 = d1 = h = np.inf
     if spec.blend == BLEND_LINEAR:
-        return (v0, v1 - v0, 0.0, 0.0), h
-    hd0, hd1 = h * d0, h * d1
-    return (v0, hd0, 3.0 * (v1 - v0) - 2.0 * hd0 - hd1, 2.0 * (v0 - v1) + hd0 + hd1), h
+        coef = (v0, v1 - v0, 0.0, 0.0)
+    else:
+        hd0, hd1 = h * d0, h * d1
+        coef = (v0, hd0, 3.0 * (v1 - v0) - 2.0 * hd0 - hd1, 2.0 * (v0 - v1) + hd0 + hd1)
+    if not np.all(np.isfinite(coef)):
+        raise ValueError(
+            f"the blend on [r1={spec.r1}, r2={spec.r2}) overflows a float "
+            f"(a={spec.a}, g={spec.g}, alpha={spec.alpha}, theta={spec.theta})"
+        )
+    return coef, h
 
 
 def _blend(spec: PotentialSpec, r, order: int = 0) -> list:

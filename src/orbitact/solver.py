@@ -268,7 +268,7 @@ class _Descent:
         self.spec = spec
         self.loop0 = loop0
         self.evaluator = _Evaluator(spec, loop0, n_t)
-        self.dinv = 1.0 / np.broadcast_to(self.evaluator.kin_diag, self.evaluator.shape).reshape(-1)
+        self.dinv = 1.0 / self.evaluator.kin_diag.reshape(-1)
         self.opts = opts
         self.n_t = n_t
         self.guard_active = loop0.n_bodies >= 2

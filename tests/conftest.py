@@ -75,3 +75,21 @@ def balance_radius(spec, winding=1, lo=1e-3, hi=50.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def per_pair_separations(positions):
+    """Separations x_i - x_j and their lengths by an explicit loop over the pairs i < j.
+
+    The reference for loopspace.pair_separations: each pair's separation is
+    one subtraction and its length the square root of the sum over
+    coordinates of the squares, each pair column on its own.
+    """
+    n_t, n_bodies, dim = positions.shape
+    pairs = [(i, j) for i in range(n_bodies) for j in range(i + 1, n_bodies)]
+    diff = np.empty((n_t, len(pairs), dim), dtype=positions.dtype)
+    dist = np.empty((n_t, len(pairs)), dtype=positions.dtype)
+    for p, (i, j) in enumerate(pairs):
+        diff[:, p] = positions[:, i] - positions[:, j]
+        column = diff[:, p].copy()
+        dist[:, p] = np.sqrt(np.einsum("jd,jd->j", column, column))
+    return diff, dist

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import _Evaluator, action, action_hessian, action_value
+from orbitact.action import (
+    _Evaluator,
+    _kinetic_diagonal,
+    action,
+    action_hessian,
+    action_value,
+)
 from orbitact.errors import CollisionSample, ShapeMismatch
 from orbitact.loopspace import (
     LoopConfiguration,
@@ -230,6 +236,62 @@ def test_hessian_matches_einsum_contraction():
         oracle = einsum_hessian_oracle(spec, loop)
         hess = action_hessian(spec, loop)
         assert np.abs(hess - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def row_product_hessian(spec, loop):
+    """The Hessian as it was assembled before the cached plan, kept as the oracle.
+
+    A fresh (4M^2, n_t) matrix of basis row products times the node
+    Hessians, scaled by T/n_t, taken through an 8-axis transpose into flat
+    coefficient order, negated, plus the kinetic diagonal.
+    """
+    grid = quadrature_grid(loop)
+    n_t = grid.times.shape[0]
+    n_bodies, harmonics, _, dim = loop.coefficients.shape
+    n_pos, size = n_bodies * dim, loop.coefficients.size
+    (_, _, node_hess), _ = grid_potential(spec, grid.times, sample_trajectory(loop), 2)
+    row_products = (grid.basis[:, None, :] * grid.basis[None, :, :]).reshape(-1, n_t)
+    pot_block = (loop.period / n_t) * (row_products @ node_hess.reshape(n_t, n_pos * n_pos))
+    pot_block = pot_block.reshape(
+        harmonics, 2, harmonics, 2, n_bodies, dim, n_bodies, dim
+    ).transpose(4, 0, 1, 5, 6, 2, 3, 7)
+    hess = -pot_block.reshape(size, size)
+    hess[np.diag_indices(size)] += _kinetic_diagonal(spec, grid, loop).reshape(-1)
+    return hess
+
+
+@pytest.mark.parametrize(
+    "n_bodies, dim, dtype",
+    [(1, 2, float), (2, 1, float), (3, 3, float), (6, 2, float), (3, 2, np.longdouble)],
+)
+def test_hessian_equals_row_product_formula_bit_for_bit(n_bodies, dim, dtype):
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=0.3)
+    rng = np.random.default_rng(7 * n_bodies + dim)
+    for scale in (0.3, 2.0):
+        coefficients = random_loop(rng, n_bodies=n_bodies, dim=dim, scale=scale).coefficients
+        loop = LoopConfiguration(n_bodies, dim, TWO_PI, coefficients.astype(dtype))
+        hess = action_hessian(spec, loop)
+        oracle = row_product_hessian(spec, loop)
+        assert hess.dtype == oracle.dtype == dtype
+        assert np.array_equal(hess, oracle)
+
+
+def test_evaluators_on_one_grid_and_shape_share_one_hessian_plan():
+    spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
+    rng = np.random.default_rng(67)
+    first = _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3))
+    second = _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3, scale=2.0))
+    plan = first.hessian_plan()
+    assert second.hessian_plan() is plan
+    for arr in (plan.row_products, plan.gather):
+        assert not arr.flags.writeable
+    # another grid size, harmonic count or dimension gets a plan of its own
+    others = [
+        _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3), n_t=31),
+        _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=4)),
+        _Evaluator(spec3, random_loop(rng, n_bodies=3, dim=3, harmonics=3)),
+    ]
+    assert all(other.hessian_plan() is not plan for other in others)
 
 
 def test_bound_evaluator_matches_fresh_action_bit_for_bit():

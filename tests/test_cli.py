@@ -97,6 +97,20 @@ def test_infinity_literal_in_config_exits_invalid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_blend_overflow_in_config_exits_invalid(tmp_path, capsys):
+    # finite constants whose blend overflows a float are invalid input (exit 2),
+    # not a crash with a traceback (exit 1)
+    for edits in (
+        {"potential.r1": 1e-200, "potential.r2": 1.0},
+        {"potential.r2": 1e200, "potential.theta": 1.9},
+    ):
+        cfg = write_config(tmp_path, **edits)
+        for command in ("solve", "ledger"):
+            assert main([command, str(cfg)]) == EXIT_INVALID_INPUT
+            assert "overflows a float" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_invalid_threads_env(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("ORBITACT_THREADS", "-2")

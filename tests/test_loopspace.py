@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, random_loop
+from conftest import TWO_PI, per_pair_separations, random_loop
 from orbitact.errors import GridTooCoarse, ShapeMismatch
 from orbitact.loopspace import (
     LoopConfiguration,
+    _pair_map,
     _shift_distances_sq,
     default_grid_size,
     evaluate_positions,
     h1_distance,
     harmonic_energies,
     kinetic_energy,
+    pair_separations,
     quadrature_grid,
     sample_acceleration,
     sample_trajectory,
@@ -283,3 +285,24 @@ def test_shift_distances_reject_mismatched_loops():
     ):
         with pytest.raises(ShapeMismatch):
             _shift_distances_sq(base, other, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
+def test_pair_separations_equal_per_pair_subtraction_bit_for_bit(n_bodies, dim):
+    rng = np.random.default_rng(10 * n_bodies + dim)
+    for scale, dtype in ((0.3, float), (2.0, float), (2.0, np.longdouble)):
+        loop = random_loop(rng, n_bodies=n_bodies, dim=dim, scale=scale)
+        positions = sample_trajectory(
+            LoopConfiguration(n_bodies, dim, TWO_PI, loop.coefficients.astype(dtype))
+        )
+        diff, dist = pair_separations(positions)
+        want_diff, want_dist = per_pair_separations(positions)
+        for got, want in ((diff, want_diff), (dist, want_dist)):
+            assert got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+    pair_map = _pair_map(n_bodies, dim)
+    assert pair_map is _pair_map(n_bodies, dim)
+    assert pair_map.shape == (n_bodies * dim, n_bodies * (n_bodies - 1) // 2 * dim)
+    assert not pair_map.flags.writeable

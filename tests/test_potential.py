@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, make_spec
+from conftest import TWO_PI, make_spec, per_pair_separations, random_loop
 from orbitact.errors import (
     CollisionSample,
     NonPositiveSeparation,
@@ -11,6 +11,7 @@ from orbitact.errors import (
     SelfPair,
     ShapeMismatch,
 )
+from orbitact.loopspace import body_pairs, quadrature_grid, sample_trajectory
 from orbitact.potential import (
     BLEND_LINEAR,
     PotentialSpec,
@@ -86,6 +87,17 @@ def test_spec_validation_names_the_hypothesis():
                 make_spec(**{name: value})
     with pytest.raises(ValueError, match="masses must all be positive and finite"):
         make_spec(masses=np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(r1=1e-200, r2=1.0), dict(r1=1.0, r2=1e200, theta=1.9), dict(a=1e308, r1=0.1)],
+)
+def test_blend_that_overflows_a_float_raises_value_error(overrides):
+    # finite but extreme constants: r1^-alpha, r2^theta or a product overflows
+    # while the blend cubic is bound, which must surface as bad input
+    with pytest.raises(ValueError, match="overflows a float"):
+        make_spec(**overrides)
 
 
 def test_inner_branch_value_and_force():
@@ -239,6 +251,54 @@ def test_grid_forces_match_finite_differences():
                 one_node_potential(spec, 0.7, bumped[0]) - one_node_potential(spec, 0.7, dipped[0])
             ) / (2 * h)
             assert forces[0, i, d] == pytest.approx(fd, abs=1e-7)
+
+
+def per_pair_grid_potential(spec, times, positions, order):
+    """grid_potential's terms from separations built by one subtraction per pair.
+
+    Everything per pair is explicit. The sums over pairs onto bodies are the
+    kernel's former matrix products (mass products for V, the incidence
+    matrix for the forces, its sign outer products for the Hessian): BLAS
+    may sum a body's pair terms in any order, so a plain loop over the pairs
+    need not match them bit for bit.
+    """
+    n_t, n, k = positions.shape
+    iu, ju, incidence = body_pairs(n)
+    diff, dist = per_pair_separations(positions)
+    mu = time_modulation(spec, times)
+    mass_prod = spec.masses[iu] * spec.masses[ju]
+    scale = mu[:, None] * mass_prod
+    profile = _profile(spec, dist, order)
+    out = [mu * (profile[0] @ mass_prod)]
+    if order >= 1:
+        out.append(incidence @ ((scale * profile[1] / dist)[..., None] * diff))
+    if order >= 2:
+        unit = diff / dist[..., None]
+        blocks = (scale * (profile[2] - profile[1] / dist))[..., None, None] * (
+            unit[..., :, None] * unit[..., None, :]
+        )
+        blocks += (scale * (profile[1] / dist))[..., None, None] * np.eye(k)
+        signs = (incidence[:, None, :] * incidence[None, :, :]).reshape(n * n, -1)
+        hess = signs @ blocks.reshape(n_t, -1, k * k)
+        out.append(hess.reshape(n_t, n, n, k, k).transpose(0, 1, 3, 2, 4))
+    return out, float(dist.min(initial=np.inf))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
+def test_grid_potential_equals_per_pair_reference_bit_for_bit(n_bodies, dim):
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=0.3)
+    rng = np.random.default_rng(20 * n_bodies + dim)
+    for scale in (0.3, 2.0):  # inside r1, and across the blend window and tail
+        loop = random_loop(rng, n_bodies=n_bodies, dim=dim, scale=scale)
+        grid = quadrature_grid(loop)
+        positions = sample_trajectory(loop)
+        for order in range(3):
+            terms, min_sep = grid_potential(spec, grid.times, positions, order)
+            want_terms, want_sep = per_pair_grid_potential(spec, grid.times, positions, order)
+            assert min_sep == want_sep
+            assert len(terms) == len(want_terms) == order + 1
+            assert all(np.array_equal(t, w) for t, w in zip(terms, want_terms))
 
 
 def test_grid_potential_collision_raises():

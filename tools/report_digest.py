@@ -14,6 +14,12 @@ modulation 0 or 0.3; 0, 1 or 300 samples, 300 crossing a chunk boundary).
 A report keeps only each check's worst slack, so every ledger entry also
 hashes each check's sorted per-sample slacks, captured by wrapping
 ``orbitact.verify._ledger_check`` for the duration of the run.
+Finally it hashes ``action`` (value, gradient, kinetic energy, potential
+integral, minimum separation) and ``action_hessian`` at fixed seeded loops
+of 1, 2, 3 and 6 unequal masses in dim 1, 2 and 3, under modulation 0.3:
+per shape one loop inside r1 and one whose pair distances cross the blend
+window, so the pair kernel and the Hessian assembly are covered in every
+dimension and not only through the search's polish.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -40,11 +46,16 @@ import numpy as np  # noqa: E402
 from workloads import WORKLOADS, equal_mass_spec  # noqa: E402
 
 from orbitact import verify  # noqa: E402
+from orbitact.action import action, action_hessian  # noqa: E402
+from orbitact.loopspace import LoopConfiguration  # noqa: E402
 
 # workload -> seeds
 SEEDS = {"ladder2": range(5), "ring6": range(3), "ledger": range(3)}
 # the ledger edge sweep: bodies, dims, (alpha, theta), modulations, samples
 LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300))
+# the action sweep: bodies, dims, loop scales (0.3 stays inside r1 = 2, 2.0 crosses it)
+ACTION_SHAPES = ((1, 2, 3, 6), (1, 2, 3), (0.3, 2.0))
+ACTION_HARMONICS = 4
 
 
 def _floats(values) -> bytes:
@@ -84,6 +95,24 @@ def ledger_digest(run) -> dict:
     }
 
 
+def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
+    """Hashes of ``action`` and ``action_hessian`` at one seeded loop with 1/m^2 harmonic decay."""
+    spec = replace(equal_mass_spec(n_bodies, 0.3), masses=np.linspace(0.7, 1.9, n_bodies))
+    rng = np.random.default_rng(1000 * n_bodies + 10 * dim + int(scale > 1.0))
+    orders = np.arange(1, 2 * ACTION_HARMONICS, 2, dtype=float)
+    coefficients = rng.standard_normal((n_bodies, ACTION_HARMONICS, 2, dim))
+    coefficients *= scale / orders[None, :, None, None] ** 2
+    loop = LoopConfiguration(n_bodies, dim, spec.period, coefficients)
+    ev = action(spec, loop)
+    return {
+        "action": hashlib.sha256(
+            _floats([ev.value, ev.kinetic, ev.potential_integral, ev.min_separation])
+            + _floats(ev.gradient)
+        ).hexdigest(),
+        "hessian": hashlib.sha256(_floats(action_hessian(spec, loop))).hexdigest(),
+    }
+
+
 def main() -> None:
     out = {}
     for name in ("ladder2", "ring6"):
@@ -108,6 +137,8 @@ def main() -> None:
         key = f"ledger_edge/N{n_bodies}/dim{dim}/alpha{alpha}/theta{theta}/eps{eps}/n{samples}"
         run = partial(verify.run_inequality_ledger, spec, dim, 3, samples, 7 * n_bodies + dim)
         out[key] = ledger_digest(run)
+    for n_bodies, dim, scale in itertools.product(*ACTION_SHAPES):
+        out[f"action/N{n_bodies}/dim{dim}/scale{scale}"] = action_digest(n_bodies, dim, scale)
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 

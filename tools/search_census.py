@@ -4,11 +4,19 @@ Runs the benchmark's search workloads, as ``perfbench/workloads.py``
 prepares them (equal unit masses, windings {1, 3, 5} x 4 starts, serial
 ``multistart``): ladder2 (N=2, M=8) and ring6 (N=6, M=24), each at seeds
 0-19. For every seed it prints the number of converged starts, the
-iterations summed over the starts, the count of each final status and the
-distinct kept actions: sorted, neighbours within 1e-6 relatively merged
-into the first, each rounded to 9 significant digits. Each search also gets
+iterations summed over the starts, the count of each final status, the
+number of converged starts the residual filter dropped and the distinct
+kept actions: sorted, neighbours within 1e-6 relatively merged into the
+first, each rounded to 9 significant digits. Each search also gets
 its converged count and its iterations summed over the seeds; iteration
 counts are deterministic, so they compare across checkouts like the rest.
+
+It also runs one search in the paper's non-autonomous setting, built here
+and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
+modulation eps = 0.3, the same windings, starts and options, at seeds 0-9.
+Most of its converged starts fail the residual filter, so its distinct
+actions are few; its converged count is what shows a solver change that
+trades eps = 0 convergence for eps > 0 convergence.
 
 A change to the solver must converge at least as many starts per search,
 summed over the seeds, and lose none of the parent's distinct actions at
@@ -31,18 +39,50 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import WORKLOADS, distinct_values  # noqa: E402
+from workloads import (  # noqa: E402
+    DIM,
+    SEARCH_WINDINGS,
+    WORKLOADS,
+    distinct_values,
+    equal_mass_spec,
+)
 
-SEARCHES = ("ladder2", "ring6")
-SEEDS = range(20)
+from orbitact.solver import SolveOptions, multistart  # noqa: E402
+
+def benchmark_search(name: str):
+    """The seeded search of the benchmark workload ``name``."""
+    return lambda seed: WORKLOADS[name].prepare(seed)[0]()
 
 
-def census(name: str, seed: int) -> dict:
-    result = WORKLOADS[name].prepare(seed)[0]()
+def modulated4(seed: int):
+    """ring6's search setup at N=4, M=16 under modulation eps = 0.3."""
+    ring6 = WORKLOADS["ring6"]
+    return multistart(
+        equal_mass_spec(4, 0.3),
+        SEARCH_WINDINGS,
+        ring6.starts_per_class,
+        SolveOptions(max_iters=ring6.max_iters, seed=seed),
+        dim=DIM,
+        harmonics=16,
+        workers=1,
+    )
+
+
+# search name -> (seed -> MultistartResult, seeds)
+SEARCHES = {
+    "ladder2": (benchmark_search("ladder2"), range(20)),
+    "ring6": (benchmark_search("ring6"), range(20)),
+    "modulated4": (modulated4, range(10)),
+}
+
+
+def census(run, seed: int) -> dict:
+    result = run(seed)
     return {
         "converged": result.n_converged,
         "iterations": sum(start.report.iterations for start in result.reports),
         "statuses": dict(Counter(start.report.status.value for start in result.reports)),
+        "residual_drops": result.n_dropped_residual,
         "actions": [
             float(f"{value:.9g}")
             for value in distinct_values(record.action_value for record in result.records)
@@ -52,8 +92,8 @@ def census(name: str, seed: int) -> dict:
 
 def main() -> None:
     out = {}
-    for name in SEARCHES:
-        seeds = {str(seed): census(name, seed) for seed in SEEDS}
+    for name, (run, seed_range) in SEARCHES.items():
+        seeds = {str(seed): census(run, seed) for seed in seed_range}
         out[name] = {
             "converged_total": sum(row["converged"] for row in seeds.values()),
             "iterations_total": sum(row["iterations"] for row in seeds.values()),
