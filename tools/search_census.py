@@ -49,6 +49,7 @@ from workloads import (  # noqa: E402
 
 from orbitact.solver import SolveOptions, multistart  # noqa: E402
 
+
 def benchmark_search(name: str):
     """The seeded search of the benchmark workload ``name``."""
     return lambda seed: WORKLOADS[name].prepare(seed)[0]()
