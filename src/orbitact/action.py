@@ -8,6 +8,7 @@ the exact derivative of this discretized functional with respect to the
 flattened Fourier coefficients (body-major, harmonic-minor, cosine before
 sine), so a finite-difference check against ``action`` converges without any
 quadrature-mismatch floor; the Hessian is the exact derivative of that gradient.
+An evaluator's ``hessp`` applies that Hessian to vectors without forming it.
 """
 
 from __future__ import annotations
@@ -99,6 +100,51 @@ def _hessian_plan(
     return _HessianPlan(row_products=row_products, gather=gather)
 
 
+class _HessianProduct:
+    """v -> H v with the action Hessian H at one point, without forming H.
+
+    A vector enters as a (2M, N k) matrix V in the basis's row layout (rows
+    harmonic and cos/sin, columns body and coordinate). One basis matmul
+    samples V at the nodes, one batched matmul applies each node's (N k, N k)
+    potential Hessian, prescaled by -T/n_t, one basis matmul projects back,
+    and the kinetic diagonal adds D V. ``rows`` works on flat vectors in
+    this layout, so an iterative solver permutes its right-hand side into it
+    once and its solution out of it once, with ``to_rows`` and
+    ``from_rows``. Calling the product applies H in flat coefficient order.
+    """
+
+    def __init__(self, basis: np.ndarray, node_blocks: np.ndarray, kin_rows: np.ndarray, shape):
+        self.basis = basis
+        self.node_blocks = node_blocks  # (n_t, N k, N k), times -T/n_t
+        self.kin_rows = kin_rows  # (2M, N k)
+        self.shape = shape
+
+    def to_rows(self, v: np.ndarray) -> np.ndarray:
+        """Flat coefficient order (i, m, c, d) -> flat row layout (m, c, i, d)."""
+        return v.reshape(self.shape).transpose(1, 2, 0, 3).reshape(-1)
+
+    def from_rows(self, v: np.ndarray) -> np.ndarray:
+        """The inverse permutation of ``to_rows``."""
+        n_bodies, harmonics, _, dim = self.shape
+        return v.reshape(harmonics, 2, n_bodies, dim).transpose(2, 0, 1, 3).reshape(-1)
+
+    def rows(self, v: np.ndarray) -> np.ndarray:
+        """H v for a flat vector v in the row layout, returned in the same layout."""
+        rows = v.reshape(self.kin_rows.shape)
+        sampled = self.basis.T @ rows  # (n_t, N k)
+        out = self.basis @ np.matmul(self.node_blocks, sampled[:, :, None])[:, :, 0]
+        out += self.kin_rows * rows
+        return out.reshape(-1)
+
+    def shifted(self, sigma: float) -> "_HessianProduct":
+        """The product with H + sigma I, which shares this one's node blocks."""
+        return _HessianProduct(self.basis, self.node_blocks, self.kin_rows + sigma, self.shape)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """H v in flat coefficient order."""
+        return self.from_rows(self.rows(self.to_rows(v)))
+
+
 class _Evaluator:
     """The discretized action of loops shaped like one template loop, bound once.
 
@@ -133,13 +179,34 @@ class _Evaluator:
         as LoopConfiguration checks coefficients: a wrong size or a non-finite
         entry raises ShapeMismatch.
         """
+        coefficients = self._coefficients(x)
+        positions = loopspace._synthesize(self.grid.basis, coefficients)
+        return self.evaluate_sampled(coefficients, positions, order)
+
+    def _coefficients(self, x: np.ndarray) -> np.ndarray:
+        """x checked as LoopConfiguration checks coefficients, in the template's shape."""
         if x.size != self.size:
             raise ShapeMismatch(f"flat vector has {x.size} entries, expected {self.size}")
         if not np.isfinite(x).all():
             raise ShapeMismatch("coefficients must be finite")
-        coefficients = x.reshape(self.shape)
-        positions = loopspace._synthesize(self.grid.basis, coefficients)
-        return self.evaluate_sampled(coefficients, positions, order)
+        return x.reshape(self.shape)
+
+    def hessp(self, x: np.ndarray) -> _HessianProduct:
+        """The product v -> H v with the action Hessian at x (checked as ``evaluate`` checks it).
+
+        The node blocks of grid_potential's order-2 term are computed here,
+        once per x; each product then costs two basis matmuls and one
+        batched (N k, N k) product per node. It equals ``action_hessian``
+        times v up to rounding.
+        """
+        positions = loopspace._synthesize(self.grid.basis, self._coefficients(x))
+        terms, _ = grid_potential(
+            self.spec, self.grid.times, positions, 2, kernel=self.pair_kernel
+        )
+        n_pos = positions.shape[1] * positions.shape[2]
+        node_blocks = -self.weight * terms[2].reshape(self.n_t, n_pos, n_pos)
+        kin_rows = self.kin_diag.transpose(1, 2, 0, 3).reshape(-1, n_pos)
+        return _HessianProduct(self.grid.basis, node_blocks, kin_rows, self.shape)
 
     def evaluate_sampled(self, coefficients: np.ndarray, positions: np.ndarray, order: int):
         """As ``evaluate``, for (N, M, 2, k) coefficients already sampled at the grid nodes.

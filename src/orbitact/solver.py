@@ -12,10 +12,10 @@ iterate without a second evaluation.
 The recorded action never increases from one accepted step to the next, so
 the trace is monotone by construction; a polish step certified within f's
 rounding floor records the gradient's line integral, not its fresh value.
-The polish takes its Newton step from a Cholesky factor of the Hessian
-with the rotation modes deflated, and falls back to the eigen-decomposition
-only when that factor does not exist (a Hessian that is not positive
-definite off the rotations, as at a saddle).
+The polish forms no Hessian: it solves for its Newton step by MINRES on
+an exact Hessian-vector product, preconditioned by the kinetic diagonal, and
+builds the dense Hessian for an eigen-decomposition step only when the MINRES
+step is not a descent direction or shows no positive curvature.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (optionally across processes), filters by convergence and by the residual of
@@ -172,84 +172,113 @@ def _two_loop(history, grad, dinv):
     return q
 
 
-def _rotation_basis(x, dim):
-    """Orthonormal basis (n, k) of the infinitesimal rotations at the flat loop x.
+_MINRES_RTOL = 1e-13  # MINRES stops once its residual estimate is this share of its start
 
-    Each coordinate plane (a, b) gives the generator that maps every
-    position vector c to c_a e_b - c_b e_a. A QR of the generators drops
-    the columns whose pivot is negligible next to ||x||, so a collinear loop
-    keeps only its independent generators, and dim 1 or x = 0 gives k = 0.
+
+def _minres(apply, b, minv, maxiter):
+    """Preconditioned MINRES (Paige & Saunders 1975) for the symmetric system A x = b.
+
+    apply(v) returns A v as a new array; minv is the diagonal of the
+    symmetric positive definite preconditioner M, an approximation of A^-1.
+    A may be indefinite, or singular with b in its range. From x = 0, each
+    iteration adds one vector to the preconditioned Lanczos basis and one
+    plane rotation to the QR factor R of its tridiagonal. The iteration stops
+    when the residual estimate ||b - A x||_M falls below _MINRES_RTOL times
+    ||b||_M, or after maxiter iterations. x is then formed once from the
+    stored basis V: with W = V R^-1, x = W phi = V (R^-1 phi), where R is
+    upper triangular with two superdiagonals and phi the rotated right-hand
+    side, so the usual per-iteration update of W and x is not needed.
     """
-    coords = x.reshape(-1, dim)
-    columns = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            gen = np.zeros_like(coords)
-            gen[:, a] = -coords[:, b]
-            gen[:, b] = coords[:, a]
-            columns.append(gen.reshape(-1))
-    gens = np.stack(columns, axis=1) if columns else np.empty((x.size, 0))
-    pivots = np.abs(np.diagonal(np.linalg.qr(gens, mode="r")))
-    return np.linalg.qr(gens[:, pivots > 1e-10 * _norm(x)])[0]
+    y = minv * b
+    beta1 = math.sqrt(float(b.dot(y)))
+    if beta1 == 0.0:
+        return np.zeros_like(b)
+    basis = np.empty((maxiter, b.size), dtype=b.dtype)
+    columns = []  # (gamma, delta, epsilon, phi): R's diagonal, superdiagonals and phi
+    r1 = r2 = b
+    scratch = np.empty_like(b)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    cs, sn = -1.0, 0.0
+    tiny = float(np.finfo(np.float64).eps)
+    for itn in range(maxiter):
+        v = np.multiply(y, 1.0 / beta, out=basis[itn])
+        y = apply(v)
+        if itn:
+            y -= np.multiply(r1, beta / oldb, out=scratch)
+        alfa = float(v.dot(y))
+        y -= np.multiply(r2, alfa / beta, out=scratch)
+        r1, r2 = r2, y
+        y = minv * r2
+        oldb, beta = beta, math.sqrt(float(r2.dot(y)))
+        # Apply the last two rotations to the new tridiagonal column, then
+        # make the rotation that eliminates its subdiagonal beta.
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(math.hypot(gbar, beta), tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        columns.append((gamma, delta, oldeps, cs * phibar))
+        phibar *= sn
+        if phibar <= _MINRES_RTOL * beta1:
+            break
+    # Back substitution c = R^-1 phi, from the last column to the first.
+    coeffs = np.empty(len(columns))
+    c1 = c2 = delta1 = eps1 = eps2 = 0.0  # c, delta and epsilon of columns j + 1 and j + 2
+    for j in range(len(columns) - 1, -1, -1):
+        gamma, delta, eps, phi = columns[j]
+        coeffs[j] = cj = (phi - delta1 * c1 - eps2 * c2) / gamma
+        c1, c2 = cj, c1
+        delta1, eps1, eps2 = delta, eps, eps1
+    return coeffs @ basis[: len(columns)]
 
 
-_SOLVE_BLOCK = 64  # rows per diagonal block of the triangular solves
+def _curvature_floor(scale: float) -> float:
+    """max(1e-10, 1e-12 scale): the least |curvature| a Newton step divides by, for H of size scale."""
+    return max(1e-10, 1e-12 * scale)
 
 
-def _cholesky_solve(chol, b):
-    """Solve L L^T z = b for lower-triangular L by blocked substitution.
+def _eigh_step(hess):
+    """The map g -> modified Newton step -V |Lambda|^-1 V^T g of H's eigen-decomposition.
 
-    Each diagonal block of at most _SOLVE_BLOCK rows is solved densely; the
-    coupling to the blocks already solved is one matrix-vector product.
+    The |eigenvalues| are clipped at the curvature floor of max|eigenvalue|,
+    which keeps the step bounded and gradient-reducing near saddles as well
+    as minima.
     """
-    n = b.shape[0]
-    starts = range(0, n, _SOLVE_BLOCK)
-    y = np.empty_like(b)
-    for i in starts:
-        j = min(i + _SOLVE_BLOCK, n)
-        y[i:j] = np.linalg.solve(chol[i:j, i:j], b[i:j] - chol[i:j, :i] @ y[:i])
-    z = np.empty_like(b)
-    for i in reversed(starts):
-        j = min(i + _SOLVE_BLOCK, n)
-        z[i:j] = np.linalg.solve(chol[i:j, i:j].T, y[i:j] - chol[j:, i:j].T @ z[j:])
-    return z
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    scale = np.maximum(np.abs(eigvals), _curvature_floor(float(np.abs(eigvals).max())))
+    return lambda g: -(eigvecs @ ((eigvecs.T @ g) / scale))
 
 
-def _newton_step(hess, x, dim):
-    """Factor the Hessian at x once; return the map g -> modified Newton step.
+def _newton_step(product, hessian):
+    """The map g -> Newton step at the point of the Hessian product ``product``.
 
-    With U the rotation basis at x, P = I - U U^T and sigma = max|diag H|,
-    A = P H P + sigma U U^T is formed as the rank-2k update H - U Z^T - Z U^T,
-    Z = H U - U (U^T H U + sigma I) / 2, and factored by Cholesky. The step
-    is -A^-1 P g - U (U^T g / max(|diag U^T H U|, floor)), with floor =
-    max(1e-10, 1e-12 sigma). When A is not positive definite (a saddle, or a
-    flat direction that is not a rotation), the step is the eigen-
-    decomposition's -V |Lambda|^-1 V^T g instead, with |eigenvalues| clipped
-    at max(1e-10, 1e-12 max|eigenvalue|).
+    The step p solves (H + sigma I) p = -g by MINRES, preconditioned by the
+    inverse of the kinetic diagonal D, in the product's row layout: g is
+    permuted into it once and p out of it once. The shift sigma is the
+    curvature floor of max D, which stands in for ||H||. It bounds the step
+    along the near-null directions of H (the rotations, and at eps = 0 the
+    time shift), where the gradient holds only rounding noise, as the floor
+    of the eigen-decomposition step does; every other component changes by
+    at most sigma / |eigenvalue| relatively. When p is not a descent direction
+    (g.p >= 0) or shows no positive curvature (p.(H + sigma I) p <= 0), the
+    step is ``_eigh_step`` of hessian(), the dense H at the same point,
+    which is built at most once per map.
     """
-    u = _rotation_basis(x, dim)
-    hu = hess @ u
-    curv = u.T @ hu
-    sigma = float(np.abs(np.diagonal(hess)).max())
-    deflated = hess
-    if u.shape[1]:
-        z = hu - 0.5 * u @ (curv + sigma * np.eye(u.shape[1]))
-        update = np.concatenate((u, z), axis=1) @ np.concatenate((z, u), axis=1).T
-        deflated = np.subtract(hess, update, out=update)
-    try:
-        chol = np.linalg.cholesky(deflated)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(hess)
-        floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
-        scale = np.maximum(np.abs(eigvals), floor)
-        # Modified Newton: |eigenvalue| keeps the step bounded and
-        # gradient-reducing near saddles as well as minima.
-        return lambda g: -(eigvecs @ ((eigvecs.T @ g) / scale))
-    scale = np.maximum(np.abs(np.diagonal(curv)), max(1e-10, 1e-12 * sigma))
+    minv = 1.0 / product.kin_rows.reshape(-1)
+    shifted = product.shifted(_curvature_floor(float(product.kin_rows.max())))
+    fallback = None
 
     def step(g):
-        ug = u.T @ g
-        return -(_cholesky_solve(chol, g - u @ ug) + u @ (ug / scale))
+        nonlocal fallback
+        rhs = -product.to_rows(g)
+        p = _minres(shifted.rows, rhs, minv, rhs.size)
+        if rhs.dot(p) > 0 and p.dot(shifted.rows(p)) > 0:
+            return product.from_rows(p)
+        if fallback is None:
+            fallback = _eigh_step(hessian())
+        return fallback(g)
 
     return step
 
@@ -370,8 +399,11 @@ class _Descent:
             if settled and _tail_quiet(self.rows):
                 break
             if not settled or newton_step is None:
-                hess = _action_hessian(self.spec, self.loop0.with_flat(self.x), self.n_t)
-                newton_step = _newton_step(hess, self.x, self.loop0.dim)
+                x = self.x
+                newton_step = _newton_step(
+                    self.evaluator.hessp(x),
+                    lambda: _action_hessian(self.spec, self.loop0.with_flat(x), self.n_t),
+                )
             g = self.ev.gradient
             step = newton_step(g)
             f = self.f
@@ -430,15 +462,17 @@ def descend(
     of f, where Armijo certification becomes meaningless. When that floor is
     reached (or the line search fails outright), the run switches to a
     Newton polish on the critical-point equation: exact-Hessian steps p with
-    up to 12 halvings of the step length t. The action is invariant under
-    rotations, so H is singular along the rotation generators at x. Their
-    orthonormal basis U (by QR, dependent generators dropped) is deflated:
-    A = P H P + sigma U U^T, with P = I - U U^T and sigma = max|diag H|, is
-    factored by Cholesky, and p = -A^-1 P g - U (U^T g / max(|diag U^T H U|,
-    floor)), with floor = max(1e-10, 1e-12 sigma). When A has no Cholesky
-    factor, H is not positive definite off the rotations (at a saddle, or
-    along a flat direction that is not a rotation), and p is the modified
-    Newton step -V |Lambda|^-1 V^T g of H's eigen-decomposition, its
+    up to 12 halvings of the step length t. The Hessian H is never formed.
+    p solves (H + sigma I) p = -g by preconditioned MINRES (Paige & Saunders
+    1975) on the evaluator's Hessian-vector product, with the inverse of the
+    kinetic diagonal as preconditioner. MINRES stops when its residual
+    estimate falls below 1e-13 of its starting value, or after n iterations
+    for n coefficients. The shift sigma = max(1e-10, 1e-12 max D) bounds the
+    step along the near-null directions of H (the rotations, and at eps = 0
+    the time shift), where the gradient holds only rounding noise. When p is
+    not a descent direction (g.p >= 0) or shows no positive curvature
+    (p.(H + sigma I) p <= 0), the dense H is built, and p is the modified
+    Newton step -V |Lambda|^-1 V^T g of its eigen-decomposition, its
     |eigenvalues| clipped at max(1e-10, 1e-12 max|eigenvalue|). A trial
     is accepted only when its gradient norm is at most 0.9 times the current
     one and either its action f_trial <= f, or f_trial rises by at most
@@ -448,11 +482,12 @@ def descend(
     case and f + 0.5 t (g + g_trial).p in the second, so the recorded trace
     never increases and each row stays within f's rounding floor of the
     action at its iterate. Once the gradient norm is below grad_tol but the
-    trace's tail is not yet quiet, the polish reuses its last factor (or
-    eigen-decomposition) and accepts the steps that keep the gradient norm
-    below grad_tol, until the tail is quiet. A polish that halves the gradient
-    norm hands back to the quasi-Newton phase with an empty memory. A run
-    that can certify no further progress in either phase ends as
+    trace's tail is not yet quiet, the polish reuses its last Hessian-vector
+    product (and eigen-decomposition, if one was built) and accepts the
+    steps that keep the gradient norm below grad_tol, until the tail is
+    quiet. A polish that halves the gradient norm hands back to the
+    quasi-Newton phase with an empty memory. A run that can certify no
+    further progress in either phase ends as
     STALLED_NEAR_COLLISION when some trial was rejected by the separation
     guard or sampled a collision, and MAX_ITERS otherwise.
     """
@@ -577,12 +612,16 @@ def resolve_workers(explicit: int | None = None, n_tasks: int = 1) -> int:
     """Worker count: explicit argument, else ORBITACT_THREADS, else CPU count.
 
     ORBITACT_THREADS=0 or unset means automatic; 1 forces serial execution.
-    A non-integer or negative value raises OrbitactError.
+    A non-integer or negative ORBITACT_THREADS raises OrbitactError, and so
+    does an explicit argument that is not an integer (a float, a bool or a
+    string) or is below 1.
     """
     if explicit is not None:
+        if not _is_integer(explicit) or explicit < 1:
+            raise OrbitactError(
+                f"workers must be an integer >= 1 when given explicitly, got {explicit!r}"
+            )
         workers = int(explicit)
-        if workers < 1:
-            raise OrbitactError("workers must be >= 1 when given explicitly")
     else:
         raw = os.environ.get("ORBITACT_THREADS")
         if raw is None or raw.strip() == "":

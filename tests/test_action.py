@@ -276,6 +276,25 @@ def test_hessian_equals_row_product_formula_bit_for_bit(n_bodies, dim, dtype):
         assert np.array_equal(hess, oracle)
 
 
+@pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hessp_matches_dense_hessian_product(n_bodies, dim):
+    # One random loop, scaled so that its largest pair distance lies inside
+    # r1, and then in the middle of the blend window [r1, r2).
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=0.3)
+    rng = np.random.default_rng(11 * n_bodies + dim)
+    base = random_loop(rng, n_bodies=n_bodies, dim=dim)
+    _, dist = pair_separations(sample_trajectory(base))
+    widest = dist.max(initial=1.0)
+    for target in (0.9 * spec.r1, 0.5 * (spec.r1 + spec.r2)):
+        loop = LoopConfiguration(n_bodies, dim, TWO_PI, base.coefficients * (target / widest))
+        product = _Evaluator(spec, loop).hessp(loop.flat())
+        v = rng.standard_normal(loop.coefficients.size)
+        want = action_hessian(spec, loop) @ v
+        assert np.abs(product(v) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(product.from_rows(product.to_rows(v)), v)
+
+
 def test_evaluators_on_one_grid_and_shape_share_one_hessian_plan():
     spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
     rng = np.random.default_rng(67)
@@ -330,3 +349,7 @@ def test_bound_evaluator_rejects_collisions_and_bad_vectors():
             evaluator.action(x)
     with pytest.raises(ShapeMismatch):
         evaluator.action(loop0.flat()[:-1])
+    with pytest.raises(ShapeMismatch):
+        evaluator.hessp(x)
+    with pytest.raises(CollisionSample):
+        evaluator.hessp(colliding.reshape(-1))

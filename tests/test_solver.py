@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
-from orbitact.action import action, action_hessian
+from orbitact.action import _Evaluator, action, action_hessian
 from orbitact.errors import CollisionSample, InvalidStart, OrbitactError
 from orbitact.loopspace import LoopConfiguration, h1_distance, shift_loop
 from orbitact.solver import (
     OrbitRecord,
     SolveOptions,
     SolveStatus,
-    _cholesky_solve,
+    _eigh_step,
+    _minres,
     _newton_step,
-    _rotation_basis,
     _two_loop,
     circular_seed,
     dedupe,
@@ -49,29 +49,29 @@ def test_options_validation():
     assert SolveOptions(max_iters=np.int64(7), seed=np.int32(0)).max_iters == 7
 
 
-def _counting(monkeypatch, name, calls):
-    """Wrap np.linalg.<name>, as the solver looks it up, so each call appends name to calls."""
-    original = getattr(solver_module.np.linalg, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(solver_module.np.linalg, name, counted)
-
-
 def _forbid_eigh(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("eigh called on a positive definite polish Hessian")
+        raise AssertionError("eigh called where the MINRES step is a descent step")
 
     monkeypatch.setattr(solver_module.np.linalg, "eigh", forbidden)
 
 
+def _counting_minres(monkeypatch, calls):
+    """Wrap solver._minres so that each solve appends to calls."""
+    original = solver_module._minres
+
+    def counted(*args, **kwargs):
+        calls.append("minres")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_minres", counted)
+
+
 def test_descend_two_body_circle_converges(monkeypatch):
-    # A minimum: every polish step comes from the Cholesky factor, never eigh.
+    # A minimum: every polish step comes from MINRES, never from eigh.
     _forbid_eigh(monkeypatch)
     calls = []
-    _counting(monkeypatch, "cholesky", calls)
+    _counting_minres(monkeypatch, calls)
     spec = make_spec()
     start = circular_seed(spec, 2, 4, 1, 0, base_seed=0)
     report = descend(spec, start, SolveOptions(max_iters=300))
@@ -159,44 +159,72 @@ def test_polish_converges_through_the_rounding_floor():
     assert abs(report.action_value - fresh) <= 8.0 * np.finfo(float).eps * (1.0 + abs(fresh))
 
 
-@pytest.mark.parametrize("n", [1, 64, 65, 150])
-def test_cholesky_solve_matches_dense_solve(n):
+def _system(kind, n, rng):
+    """A symmetric system S Q Lambda Q^T S of the given kind, with S^2 a positive diagonal d.
+
+    d spans 1 to 2209, as the kinetic diagonal does at M = 24, and 1/d is
+    the preconditioner; |Lambda| lies in [1, 10]. Returns the matrix, 1/d,
+    an orthonormal basis of its kernel (n, k) and a right-hand side in its range.
+    """
+    d = np.geomspace(1.0, 2209.0, n)[rng.permutation(n)]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigvals = rng.uniform(1.0, 10.0, n)
+    if kind == "indefinite":
+        eigvals[::3] *= -1.0
+    kernel = q[:, :0]
+    if kind == "singular" and n > 1:
+        eigvals[: n // 4 + 1] = 0.0
+        kernel = np.linalg.qr(q[:, : n // 4 + 1] / np.sqrt(d)[:, None])[0]
+    root = np.sqrt(d)[:, None]
+    a = root * ((q * eigvals) @ q.T) * root.T
+    a = 0.5 * (a + a.T)
+    return a, 1.0 / d, kernel, a @ rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "singular"])
+@pytest.mark.parametrize("n", [1, 64, 150])
+def test_minres_matches_dense_solve(kind, n):
+    # In floating point the Lanczos vectors lose orthogonality, so MINRES
+    # need not terminate within n iterations as it does in exact arithmetic:
+    # on the n = 64 indefinite system it is 1.3e-8 off after 64 and 1e-13
+    # after 128. The cap of 4n leaves room for that.
     rng = np.random.default_rng(n)
-    m = rng.standard_normal((n, n))
-    spd = m @ m.T + n * np.eye(n)
-    b = rng.standard_normal(n)
-    got = _cholesky_solve(np.linalg.cholesky(spd), b)
-    assert np.allclose(got, np.linalg.solve(spd, b), rtol=0, atol=1e-12 * np.abs(got).max())
+    a, minv, kernel, b = _system(kind, n, rng)
+    got = _minres(lambda v: a @ v, b, minv, 4 * n)
+    if kernel.shape[1]:
+        # Off the kernel, the solution is the least-squares one; on it, any.
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = got - kernel @ (kernel.T @ got)
+    else:
+        want = np.linalg.solve(a, b)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert np.array_equal(_minres(lambda v: a @ v, np.zeros(n), minv, n), np.zeros(n))
 
 
-def _eigh_step(hess, g):
-    """Modified Newton step from the full eigen-decomposition, |eigenvalues| clipped at the floor."""
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    floor = max(1e-10, 1e-12 * float(np.abs(eigvals).max()))
-    return -(eigvecs @ ((eigvecs.T @ g) / np.maximum(np.abs(eigvals), floor)))
+def _rotation_basis(x, dim):
+    """Orthonormal basis (n, k) of the infinitesimal rotations at the flat loop x.
 
-
-def _assert_factored_step_matches_eigh(monkeypatch, spec, loop, g, n_rotations):
-    x = loop.flat()
-    basis = _rotation_basis(x, loop.dim)
-    assert basis.shape == (x.size, n_rotations)
-    assert np.allclose(basis.T @ basis, np.eye(n_rotations), atol=1e-14)
-
-    def project(v):
-        return v - basis @ (basis.T @ v)
-
-    hess = action_hessian(spec, loop)
-    with monkeypatch.context() as patch:
-        _forbid_eigh(patch)
-        got = project(_newton_step(hess, x, loop.dim)(g))
-    want = project(_eigh_step(hess, g))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    Each coordinate plane (a, b) gives the generator that maps every position
+    c to c_a e_b - c_b e_a; the loops here are not collinear, so all are kept.
+    """
+    coords = x.reshape(-1, dim)
+    columns = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            gen = np.zeros_like(coords)
+            gen[:, a] = -coords[:, b]
+            gen[:, b] = coords[:, a]
+            columns.append(gen.reshape(-1))
+    if not columns:
+        return np.empty((x.size, 0))
+    return np.linalg.qr(np.stack(columns, axis=1))[0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
     # At a converged minimum the gradient is rounding noise, so a random
     # vector off the rotation modes, as every gradient is, stands in for it.
+    # Off the rotations, the MINRES step equals the eigh pseudo-inverse step.
     spec = make_spec()
     if dim == 1:
         start = random_loop(np.random.default_rng(0), dim=1, scale=2.0)
@@ -204,23 +232,59 @@ def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
         start = circular_seed(spec, dim, 4, 1, 0, base_seed=0)
     report = descend(spec, start, SolveOptions(max_iters=300))
     assert report.status is SolveStatus.CONVERGED
-    n_rotations = dim * (dim - 1) // 2
-    basis = _rotation_basis(report.final_loop.flat(), dim)
-    g = np.random.default_rng(1).standard_normal(basis.shape[0])
+    loop = report.final_loop
+    x = loop.flat()
+    basis = _rotation_basis(x, dim)
+    assert basis.shape == (x.size, dim * (dim - 1) // 2)
+    g = np.random.default_rng(1).standard_normal(x.size)
     g -= basis @ (basis.T @ g)
-    _assert_factored_step_matches_eigh(monkeypatch, spec, report.final_loop, g, n_rotations)
+
+    def project(v):
+        return v - basis @ (basis.T @ v)
+
+    # MINRES solves with H + sigma I, sigma = 1e-12 max D here, so the eigh
+    # step is taken of the same matrix (against H alone they differ by about
+    # 5e-11 relatively).
+    evaluator = _Evaluator(spec, loop)
+    sigma = 1e-12 * evaluator.kin_diag.max()
+    assert sigma > 1e-10
+    hess = action_hessian(spec, loop)
+    with monkeypatch.context() as patch:
+        _forbid_eigh(patch)
+        got = project(_newton_step(evaluator.hessp(x), lambda: hess)(g))
+    want = project(_eigh_step(hess + sigma * np.eye(x.size))(g))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)])
-def test_factored_polish_step_on_a_collinear_loop(monkeypatch, axis):
-    # One body on a line in dim 3: the three plane rotations span only two
-    # directions (on the z axis the xy generator vanishes outright), so the
-    # basis keeps two columns, and the step still matches the eigh step.
-    spec = make_spec(masses=np.ones(1))
-    line = random_loop(np.random.default_rng(2), n_bodies=1, dim=1)
-    loop = LoopConfiguration(1, 3, line.period, line.coefficients * np.asarray(axis))
-    g = action(spec, loop).gradient
-    _assert_factored_step_matches_eigh(monkeypatch, spec, loop, g, 2)
+def test_polish_converges_where_rounding_noise_meets_the_rotation_mode():
+    # This ring6 start reaches the polish next to the rigid orbit at
+    # 320.936166. There the rotation is a direction of H with curvature of
+    # about 6e-10, and the gradient's rounding noise has a component of
+    # about 7e-15 along it. Solving H p = -g unshifted puts a 1e-5 rotation
+    # into p, the line search rejects every trial, and the run stalls at
+    # |g| = 1.08e-9. The shift sigma = 1e-12 max D caps that component.
+    spec = make_spec(masses=np.ones(6))
+    report = descend(spec, circular_seed(spec, 2, 24, 5, 3, base_seed=16))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.action_value == pytest.approx(320.936166029789, rel=1e-12)
+
+
+def test_newton_step_falls_back_to_eigh_on_negative_curvature():
+    # Near the square saddle the Hessian is indefinite: along its negative
+    # eigenvector the MINRES step goes uphill, so the eigh step is taken.
+    spec = make_spec(masses=np.ones(4))
+    loop = circular_seed(spec, 2, 4, 1, 0, base_seed=0, noise=0.0)
+    x = loop.flat()
+    hess = action_hessian(spec, loop)
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    assert eigvals[0] < 0
+    built = []
+    step = _newton_step(_Evaluator(spec, loop).hessp(x), lambda: built.append(1) or hess)
+    g = eigvecs[:, 0]
+    want = _eigh_step(hess)(g)
+    assert np.abs(step(g) - want).max() <= 1e-12 * np.abs(want).max()
+    assert float(g @ step(g)) < 0
+    assert built == [1]  # the dense Hessian is built once per map
 
 
 def test_colliding_trial_is_halved_not_raised(monkeypatch):
@@ -304,13 +368,16 @@ def test_three_body_choreography_start_converges():
 def test_polish_converges_onto_a_modulated_saddle(monkeypatch):
     # Under modulation the noise-free N = 4 square seed stays on the square
     # family, and the polish converges onto its Morse-index-1 saddle, where
-    # the Hessian is indefinite off the rotation direction: the Cholesky
-    # factor fails there and the eigen-decomposition step takes over.
+    # the Hessian is indefinite off the rotation direction. MINRES takes
+    # indefinite systems, and its steps there are descent steps, so the
+    # eigen-decomposition fallback never runs.
     calls = []
-    _counting(monkeypatch, "eigh", calls)
-    spec = make_spec(masses=np.ones(4), modulation_eps=0.1)
-    start = circular_seed(spec, 2, 32, 1, 0, base_seed=0, noise=0.0)
-    report = descend(spec, start, SolveOptions(max_iters=2000))
+    _counting_minres(monkeypatch, calls)
+    with monkeypatch.context() as patch:
+        _forbid_eigh(patch)
+        spec = make_spec(masses=np.ones(4), modulation_eps=0.1)
+        start = circular_seed(spec, 2, 32, 1, 0, base_seed=0, noise=0.0)
+        report = descend(spec, start, SolveOptions(max_iters=2000))
     assert calls
     assert report.status is SolveStatus.CONVERGED
     assert report.action_value == pytest.approx(27.937265532, rel=1e-8)
@@ -355,8 +422,10 @@ def test_resolve_workers_explicit_and_env(monkeypatch):
     monkeypatch.delenv("ORBITACT_THREADS", raising=False)
     assert resolve_workers(3, n_tasks=8) == 3
     assert resolve_workers(3, n_tasks=2) == 2  # clamped to the task count
-    with pytest.raises(OrbitactError):
-        resolve_workers(0)
+    assert resolve_workers(np.int64(3), n_tasks=8) == 3
+    for bad in (0, -2, 2.5, 3.0, True, False, "3"):
+        with pytest.raises(OrbitactError):
+            resolve_workers(bad)
     assert resolve_workers(None, n_tasks=64) >= 1
 
     monkeypatch.setenv("ORBITACT_THREADS", "2")

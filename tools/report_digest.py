@@ -15,11 +15,13 @@ A report keeps only each check's worst slack, so every ledger entry also
 hashes each check's sorted per-sample slacks, captured by wrapping
 ``orbitact.verify._ledger_check`` for the duration of the run.
 Finally it hashes ``action`` (value, gradient, kinetic energy, potential
-integral, minimum separation) and ``action_hessian`` at fixed seeded loops
-of 1, 2, 3 and 6 unequal masses in dim 1, 2 and 3, under modulation 0.3:
-per shape one loop inside r1 and one whose pair distances cross the blend
-window, so the pair kernel and the Hessian assembly are covered in every
-dimension and not only through the search's polish.
+integral, minimum separation), ``action_hessian`` and the Hessian-vector
+product ``_Evaluator.hessp`` applied to one seeded vector, at fixed seeded
+loops of 1, 2, 3 and 6 unequal masses in dim 1, 2 and 3, under modulation
+0.3: per shape one loop inside r1 and one whose pair distances cross the
+blend window, so the pair kernel, the Hessian assembly and the product the
+polish solves with are covered in every dimension and not only through the
+search.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -46,7 +48,7 @@ import numpy as np  # noqa: E402
 from workloads import WORKLOADS, equal_mass_spec  # noqa: E402
 
 from orbitact import verify  # noqa: E402
-from orbitact.action import action, action_hessian  # noqa: E402
+from orbitact.action import _Evaluator, action, action_hessian  # noqa: E402
 from orbitact.loopspace import LoopConfiguration  # noqa: E402
 
 # workload -> seeds
@@ -96,7 +98,11 @@ def ledger_digest(run) -> dict:
 
 
 def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
-    """Hashes of ``action`` and ``action_hessian`` at one seeded loop with 1/m^2 harmonic decay."""
+    """Hashes of ``action``, ``action_hessian`` and ``hessp`` at one seeded loop with 1/m^2 decay.
+
+    The vector ``hessp`` is applied to is drawn from the same generator after
+    the coefficients, so the loop is the same as without it.
+    """
     spec = replace(equal_mass_spec(n_bodies, 0.3), masses=np.linspace(0.7, 1.9, n_bodies))
     rng = np.random.default_rng(1000 * n_bodies + 10 * dim + int(scale > 1.0))
     orders = np.arange(1, 2 * ACTION_HARMONICS, 2, dtype=float)
@@ -104,12 +110,15 @@ def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
     coefficients *= scale / orders[None, :, None, None] ** 2
     loop = LoopConfiguration(n_bodies, dim, spec.period, coefficients)
     ev = action(spec, loop)
+    product = _Evaluator(spec, loop).hessp(loop.flat())
+    vector = rng.standard_normal(coefficients.size)
     return {
         "action": hashlib.sha256(
             _floats([ev.value, ev.kinetic, ev.potential_integral, ev.min_separation])
             + _floats(ev.gradient)
         ).hexdigest(),
         "hessian": hashlib.sha256(_floats(action_hessian(spec, loop))).hexdigest(),
+        "hessp": hashlib.sha256(_floats(product(vector))).hexdigest(),
     }
 
 
