@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loopspace
-from .errors import ShapeMismatch
+from .errors import CollisionSample, ShapeMismatch
 from .loopspace import LoopConfiguration
 from .potential import PotentialSpec, _PairKernel, grid_potential
 
@@ -152,7 +152,11 @@ class _Evaluator:
     and builds the kinetic diagonal and the grid's pair kernel; ``evaluate``
     then takes only a flat coefficient vector, so repeated evaluations (a
     descent's line-search trials) repeat none of that work and build no
-    LoopConfiguration.
+    LoopConfiguration. At orders 0 and 1 it also takes a stack of such
+    vectors along leading axes and evaluates them as one batch through the
+    same kernels; each loop's result equals its single evaluation bit for
+    bit, whatever the other loops of the batch, their number or its place.
+    ``actions`` evaluates the line-search trials of many descents this way.
     """
 
     def __init__(self, spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
@@ -175,21 +179,25 @@ class _Evaluator:
     def evaluate(self, x: np.ndarray, order: int):
         """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
 
-        x is a flat coefficient vector in the template's layout. It is checked
-        as LoopConfiguration checks coefficients: a wrong size or a non-finite
-        entry raises ShapeMismatch.
+        x is a flat coefficient vector in the template's layout, or at orders 0
+        and 1 a stack of them along leading axes, which gives every result
+        those leading axes. It is checked as LoopConfiguration checks
+        coefficients: a wrong size or a non-finite entry raises ShapeMismatch.
         """
         coefficients = self._coefficients(x)
         positions = loopspace._synthesize(self.grid.basis, coefficients)
         return self.evaluate_sampled(coefficients, positions, order)
 
     def _coefficients(self, x: np.ndarray) -> np.ndarray:
-        """x checked as LoopConfiguration checks coefficients, in the template's shape."""
-        if x.size != self.size:
-            raise ShapeMismatch(f"flat vector has {x.size} entries, expected {self.size}")
+        """x checked as LoopConfiguration checks coefficients, in the template's shape.
+
+        Leading axes of x are kept as batch axes of the result.
+        """
+        if x.shape[-1] != self.size:
+            raise ShapeMismatch(f"flat vector has {x.shape[-1]} entries, expected {self.size}")
         if not np.isfinite(x).all():
             raise ShapeMismatch("coefficients must be finite")
-        return x.reshape(self.shape)
+        return x.reshape(*x.shape[:-1], *self.shape)
 
     def hessp(self, x: np.ndarray) -> _HessianProduct:
         """The product v -> H v with the action Hessian at x (checked as ``evaluate`` checks it).
@@ -209,22 +217,25 @@ class _Evaluator:
         return _HessianProduct(self.grid.basis, node_blocks, kin_rows, self.shape)
 
     def evaluate_sampled(self, coefficients: np.ndarray, positions: np.ndarray, order: int):
-        """As ``evaluate``, for (N, M, 2, k) coefficients already sampled at the grid nodes.
+        """As ``evaluate``, for (..., N, M, 2, k) coefficients already sampled at the grid nodes.
 
         Derivatives are in flat coefficient order; the potential part of each
         is the matching grid_potential term projected onto the basis with
-        weight T/n_t.
+        weight T/n_t. Every sum over a loop's nodes or coefficients runs
+        along the last axis, and every product is stacked per loop, so a
+        batch sums each loop in the order of its single evaluation.
         """
         grid, weight, n_t = self.grid, self.weight, self.n_t
         terms, min_sep = grid_potential(
             self.spec, grid.times, positions, order, kernel=self.pair_kernel
         )
+        batch = coefficients.shape[:-4]
         # No float() casts: evaluating a higher-precision loop must yield a
         # higher-precision value, or finite-difference oracles lose their floor.
-        potential_integral = weight * terms[0].sum()
+        potential_integral = weight * terms[0].sum(axis=-1)
 
         grad_kin = self.kin_diag * coefficients
-        kinetic = 0.5 * (grad_kin * coefficients).sum()
+        kinetic = 0.5 * (grad_kin * coefficients).reshape(*batch, -1).sum(axis=-1)
         out = [kinetic - potential_integral]
 
         n_bodies, harmonics, _, dim = self.shape
@@ -232,10 +243,14 @@ class _Evaluator:
         if order >= 1:
             # The (2M, N k) projection scaled in place by T/n_t; grad_kin, not
             # needed after this, takes the difference.
-            projected = grid.basis @ terms[1].reshape(n_t, n_pos)
+            projected = grid.basis @ terms[1].reshape(*batch, n_t, n_pos)
             projected *= weight
-            grad_pot = projected.reshape(harmonics, 2, n_bodies, dim).transpose(2, 0, 1, 3)
-            out.append(np.subtract(grad_kin, grad_pot, out=grad_kin).reshape(-1))
+            grad_pot = (
+                projected.reshape(*batch, harmonics, 2, n_bodies, dim)
+                .swapaxes(-2, -3)
+                .swapaxes(-3, -4)
+            )
+            out.append(np.subtract(grad_kin, grad_pot, out=grad_kin).reshape(*batch, -1))
         if order >= 2:
             # Node sum of basis[a] basis[b] H_j as one matmul, (a b, j) @ (j, (i d)(p e)),
             # scaled in place by -T/n_t, then gathered into flat coefficient order
@@ -251,6 +266,31 @@ class _Evaluator:
     def action(self, x: np.ndarray) -> ActionEvaluation:
         """:func:`action` at the flat coefficient vector x."""
         return _evaluation(self.evaluate(x, 1))
+
+    def actions(self, xs: np.ndarray) -> list:
+        """:func:`action` at each row of the (B, n) stack xs, or None where a row samples a collision.
+
+        The rows are evaluated as one batch. When it raises CollisionSample,
+        a batch of several rows is evaluated again row by row, so only the
+        colliding rows give None. Each gradient is copied out of the batch,
+        so a kept evaluation holds no other row's data.
+        """
+        try:
+            (values, gradients), kinetics, potentials, min_seps = self.evaluate(xs, 1)
+        except CollisionSample:
+            if len(xs) == 1:
+                return [None]
+            return [self.actions(x[None])[0] for x in xs]
+        return [
+            ActionEvaluation(
+                value=values[b],
+                gradient=gradients[b].copy(),
+                kinetic=kinetics[b],
+                potential_integral=potentials[b],
+                min_separation=float(min_seps[b]),
+            )
+            for b in range(len(xs))
+        ]
 
 
 def _evaluate(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None, order: int):

@@ -297,17 +297,21 @@ def _pair_map(n_bodies: int, dim: int) -> np.ndarray:
 
 
 def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Separations x_i - x_j, shape (n_t, P, k), and their lengths (n_t, P), over pairs i < j.
+    """Separations x_i - x_j, shape (..., n_t, P, k), and their lengths (..., n_t, P), over pairs i < j.
 
     The separations are one matrix product with the cached pair map, which
     gives each x_i - x_j exactly as a subtraction would, as C-contiguous
     arrays: a strided dist would change the summation order of later
-    matrix-vector products.
+    matrix-vector products. Positions (..., n_t, N, k) with leading batch
+    axes enter that product as one (-1, N k) matrix, so every block equals
+    the single call bit for bit.
     """
-    n_t, n_bodies, dim = positions.shape
+    *lead, n_bodies, dim = positions.shape
     pair_map = _pair_map(n_bodies, dim)
-    diff = (positions.reshape(n_t, -1) @ pair_map).reshape(n_t, pair_map.shape[1] // dim, dim)
-    return diff, np.sqrt(np.einsum("jpd,jpd->jp", diff, diff))
+    diff = (positions.reshape(-1, n_bodies * dim) @ pair_map).reshape(
+        *lead, pair_map.shape[1] // dim, dim
+    )
+    return diff, np.sqrt(np.einsum("...pd,...pd->...p", diff, diff))
 
 
 def _common_harmonics(first: LoopConfiguration, second: LoopConfiguration):

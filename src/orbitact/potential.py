@@ -18,6 +18,8 @@ One kernel, grid_potential, evaluates the potential over a quadrature grid,
 graded by derivative order like the profile itself: pair separations, the
 collision check, the modulation and one [w, w', w''][:order + 1] profile pass
 serve the values, the body forces and the position-space Hessian alike.
+Positions with leading batch axes evaluate a stack of loops on one grid in
+one call, each loop's terms equal to its single call bit for bit.
 
 The inner branch keeps the classical strong-force barrier: for alpha >= 2
 there is a witness function U with U(r) -> -inf as r -> 0+ and
@@ -276,22 +278,27 @@ def grid_potential(
     (j, i) with -1. Raises CollisionSample if two bodies coincide at a node.
     min_separation is +inf when there are no pairs (N = 1). kernel, when
     given, is _PairKernel(spec, times) bound beforehand.
+
+    Positions (..., n_t, N, k) with leading batch axes stack loops sampled on
+    the same grid. Every term then has the same leading axes, each block equal
+    to the single call bit for bit, and min_separation is an array over them;
+    CollisionSample is raised when any loop of the batch collides.
     """
-    n_t, n, k = positions.shape
+    *batch, n_t, n, k = positions.shape
     if n != spec.n_bodies:
         raise ShapeMismatch(f"positions have {n} bodies, spec has {spec.n_bodies}")
     if kernel is None:
         kernel = _PairKernel(spec, times)
     diff, dist = pair_separations(positions)
-    closest = dist.min(initial=np.inf)
-    if closest == 0.0:
+    closest = dist.min(axis=(-2, -1), initial=np.inf)
+    if (closest == 0.0).any():
         raise CollisionSample("two bodies coincide at a quadrature node")
     profile = _profile(spec, dist, order)
     out = [kernel.mu * (profile[0] @ kernel.mass_prod)]
     if order >= 1:
         scale = kernel.scale
         radial = scale * profile[1] / dist
-        out.append(kernel.incidence @ (radial[..., None] * diff))  # (n_t, N, k)
+        out.append(kernel.incidence @ (radial[..., None] * diff))  # (..., n_t, N, k)
     if order >= 2:
         _, wp, wpp = profile
         incidence = kernel.incidence
@@ -302,9 +309,9 @@ def grid_potential(
         blocks += iso[..., None, None] * np.eye(k, dtype=positions.dtype)
         # Sum over pairs of inc[a, p] inc[b, p] blocks[p], as one (N N, P) matmul.
         signs = (incidence[:, None, :] * incidence[None, :, :]).reshape(n * n, -1)
-        hess = signs @ blocks.reshape(n_t, -1, k * k)  # (n_t, N N, k k)
-        out.append(hess.reshape(n_t, n, n, k, k).transpose(0, 1, 3, 2, 4))
-    return out, float(closest)
+        hess = signs @ blocks.reshape(*batch, n_t, -1, k * k)  # (..., n_t, N N, k k)
+        out.append(hess.reshape(*batch, n_t, n, n, k, k).swapaxes(-3, -2))
+    return out, _float_if_scalar(closest)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,8 @@ backtracking line search that is aware of the collision barrier: trial
 points that would cut the minimum pairwise separation too sharply in a
 single step are rejected before their acceptance test, which keeps the
 iterates out of the steep inner wall of the interaction profile.
-Each trial is evaluated with its gradient, through one action evaluator bound
-to the start loop once per descent, so the accepted trial becomes the next
-iterate without a second evaluation.
+Each trial is evaluated with its gradient, so the accepted trial becomes the
+next iterate without a second evaluation.
 The recorded action never increases from one accepted step to the next, so
 the trace is monotone by construction; a polish step certified within f's
 rounding floor records the gradient's line integral, not its fresh value.
@@ -17,12 +16,21 @@ an exact Hessian-vector product, preconditioned by the kinetic diagonal, and
 builds the dense Hessian for an eigen-decomposition step only when the MINRES
 step is not a descent direction or shows no positive curvature.
 
+Descents run in lockstep. A descent is a generator that yields each trial
+point and receives its evaluation, or None when the trial samples an exact
+collision. A driver gathers the pending trial of every live descent,
+evaluates them as one batch through one action evaluator and sends each
+descent its result. A serial ``multistart`` is the lockstep of all its
+starts and ``descend`` the lockstep of one, so there is one descent code
+path. A loop's evaluation is the same bit for bit in any batch, which makes
+a descent's result independent of the descents it ran beside.
+
 `multistart` fans out over winding classes and perturbed circular starts
-(optionally across processes), filters by convergence and by the residual of
-the motion equations, and groups duplicates by action value plus
-time-shift-minimized H^1 distance. That distance comes from per-harmonic cross
-terms of the two loops, evaluated on the whole shift grid at once, not from
-one shifted loop per shift.
+(in lockstep, or one ``descend`` per start across processes), filters by
+convergence and by the residual of the motion equations, and groups
+duplicates by action value plus time-shift-minimized H^1 distance. That
+distance comes from per-harmonic cross terms of the two loops, evaluated on
+the whole shift grid at once, not from one shifted loop per shift.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from .action import action_hessian as _action_hessian
 # Unused here; kept bound because perfbench/tracing.py and its smoke test look it up by name.
 from .action import action_value as _action_value  # noqa: F401
 from .errors import CollisionSample, InvalidStart, OrbitactError
-from .loopspace import LoopConfiguration, _shift_distances_sq, default_grid_size
+from .loopspace import LoopConfiguration, _shift_distances_sq
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
 
@@ -288,22 +296,23 @@ class _Descent:
 
     Each row is (f, grad_norm, kinetic, min_separation); the start is row 0,
     so the iteration count is the number of rows after it, and f is the
-    value the row records (see ``descend``). One action evaluator, bound to
-    loop0 once, evaluates every line-search trial; its kinetic diagonal D,
-    flattened, preconditions the quasi-Newton phase through D^-1.
+    value the row records (see ``descend``). The run evaluates no
+    line-search trial itself: ``solve`` and the phases it delegates to are
+    generators that yield each trial point and receive its evaluation (see
+    ``search``). The action evaluator bound for the run serves the polish's
+    Hessian products; dinv, the inverse of its flattened kinetic diagonal D,
+    preconditions the quasi-Newton phase. Runs in lockstep share both.
     """
 
-    def __init__(self, spec, loop0, opts, n_t, x, ev):
-        self.spec = spec
+    def __init__(self, loop0, opts, evaluator, dinv, ev):
         self.loop0 = loop0
-        self.evaluator = _Evaluator(spec, loop0, n_t)
-        self.dinv = 1.0 / self.evaluator.kin_diag.reshape(-1)
+        self.evaluator = evaluator
+        self.dinv = dinv
         self.opts = opts
-        self.n_t = n_t
         self.guard_active = loop0.n_bodies >= 2
         self.guard_hit = False
         self.rows = []
-        self.step(x, ev, ev.value)
+        self.step(loop0.flat(), ev, ev.value)
 
     @property
     def iterations(self):
@@ -318,6 +327,8 @@ class _Descent:
     def search(self, direction, alpha, tries, accept):
         """Try up to tries steps along direction from alpha, halving it after each rejection.
 
+        A generator: it yields each trial point and receives its action
+        evaluation, or None when the trial samples an exact collision.
         A trial is rejected when it samples an exact collision or cuts the
         minimum separation below (1 - step_guard) times the current one (both
         set guard_hit), or when its action is not finite; otherwise
@@ -328,18 +339,17 @@ class _Descent:
         bound = (1.0 - self.opts.step_guard) * self.ev.min_separation
         for _ in range(tries):
             x_trial = self.x + alpha * direction
-            try:
-                ev = self.evaluator.action(x_trial)
-            except CollisionSample:
+            ev = yield x_trial
+            if ev is None:
                 self.guard_hit = True
-            else:
-                if math.isfinite(ev.value):
-                    if self.guard_active and ev.min_separation < bound:
-                        self.guard_hit = True
-                    else:
-                        value = accept(alpha, ev)
-                        if value is not None:
-                            return alpha, x_trial, ev, value
+            elif math.isfinite(ev.value):
+                if self.guard_active and ev.min_separation < bound:
+                    self.guard_hit = True
+                else:
+                    value = accept(alpha, ev)
+                    if value is not None:
+                        return alpha, x_trial, ev, value
+            del ev  # a rejected trial's evaluation is not held while the run waits
             alpha *= 0.5
         return None
 
@@ -366,7 +376,7 @@ class _Descent:
                 direction = -g
                 slope = -grad_norm * grad_norm
             alpha = 1.0 if history else min(1.0, 1.0 / max(1.0, grad_norm))
-            trial = self.search(
+            trial = yield from self.search(
                 direction, alpha, 60,
                 lambda t, ev: ev.value if ev.value <= f + c1 * t * slope else None,
             )
@@ -402,7 +412,9 @@ class _Descent:
                 x = self.x
                 newton_step = _newton_step(
                     self.evaluator.hessp(x),
-                    lambda: _action_hessian(self.spec, self.loop0.with_flat(x), self.n_t),
+                    lambda: _action_hessian(
+                        self.evaluator.spec, self.loop0.with_flat(x), self.evaluator.n_t
+                    ),
                 )
             g = self.ev.gradient
             step = newton_step(g)
@@ -420,7 +432,7 @@ class _Descent:
                 change = 0.5 * t * float((g + ev.gradient).dot(step))
                 return f + change if ev.value <= f + _rounding_floor(f) and change <= 0 else None
 
-            trial = self.search(step, 1.0, 12, accept)
+            trial = yield from self.search(step, 1.0, 12, accept)
             if trial is None:
                 break
             self.step(*trial[1:])
@@ -433,6 +445,74 @@ class _Descent:
             return None
         return SolveStatus.STALLED_NEAR_COLLISION if self.guard_hit else SolveStatus.MAX_ITERS
 
+    def solve(self):
+        """Alternate the two phases until one returns a status; return the run's SolveReport.
+
+        A generator that yields and receives as ``search`` does.
+        """
+        status = None
+        while status is None:
+            status = (yield from self.quasi_newton()) or (yield from self.polish())
+        values, grad_norms, kinetics, separations = zip(*self.rows)
+        return SolveReport(
+            final_loop=self.loop0.with_flat(self.x),
+            status=status,
+            action_value=values[-1],
+            kinetic=kinetics[-1],
+            grad_norm=grad_norms[-1],
+            iterations=self.iterations,
+            ps_trace=tuple(zip(values, grad_norms)),
+            kinetic_trace=kinetics,
+            min_separation_trace=separations,
+        )
+
+
+def _start_evaluation(spec, loop0, n_t):
+    """The action at a start loop through ``action``; InvalidStart if it collides or is not finite."""
+    try:
+        ev = _action(spec, loop0, n_t)
+    except CollisionSample as exc:
+        raise InvalidStart("initial loop samples an exact collision") from exc
+    if not np.isfinite(ev.value):
+        raise InvalidStart("initial loop has non-finite action")
+    return ev
+
+
+def _lockstep(spec, loops, opts, n_t):
+    """One descent per start loop, run in lockstep; their SolveReports, in the order of loops.
+
+    The loops share one shape, and one action evaluator bound to the first
+    serves every run. Each round gathers the pending line-search trial of
+    every live run, evaluates them as one batch with ``_Evaluator.actions``
+    and sends each run its evaluation; a run leaves when it returns its
+    report. A loop's evaluation is bit for bit the same in any batch, so
+    each report equals that of the loop's descent run alone. An exception
+    raised in one run propagates and ends them all.
+    """
+    evaluator = _Evaluator(spec, loops[0], n_t)
+    dinv = 1.0 / evaluator.kin_diag.reshape(-1)
+    runs = [
+        _Descent(loop0, opts, evaluator, dinv, _start_evaluation(spec, loop0, evaluator.n_t)).solve()
+        for loop0 in loops
+    ]
+    reports = [None] * len(runs)
+    live = []  # (index, run, pending trial point)
+
+    def advance(index, run, ev):
+        try:
+            live.append((index, run, run.send(ev)))
+        except StopIteration as done:
+            reports[index] = done.value
+
+    for index, run in enumerate(runs):
+        advance(index, run, None)
+    while live:
+        batch, live = live, []
+        evaluations = evaluator.actions(np.array([x for _, _, x in batch]))
+        for (index, run, _), ev in zip(batch, evaluations):
+            advance(index, run, ev)
+    return reports
+
 
 def descend(
     spec: PotentialSpec,
@@ -441,6 +521,11 @@ def descend(
     n_t: int | None = None,
 ) -> SolveReport:
     """Minimize the discretized action from loop0; it never increases along the run.
+
+    The run is the lockstep of one start: each round evaluates its one
+    pending trial, as a batch of one. A serial ``multistart`` runs many
+    starts in the same lockstep, and its report for a start equals this one
+    bit for bit.
 
     Both phases below step through one guarded backtracking line search.
     Its trials must (a) sample without exact collisions, (b) keep the action
@@ -493,34 +578,7 @@ def descend(
     """
     if opts is None:
         opts = SolveOptions()
-    if n_t is None:
-        n_t = default_grid_size(loop0.harmonics)
-
-    x = loop0.flat()
-    try:
-        ev = _action(spec, loop0, n_t)
-    except CollisionSample as exc:
-        raise InvalidStart("initial loop samples an exact collision") from exc
-    if not np.isfinite(ev.value):
-        raise InvalidStart("initial loop has non-finite action")
-
-    run = _Descent(spec, loop0, opts, n_t, x, ev)
-    status = None
-    while status is None:
-        status = run.quasi_newton() or run.polish()
-
-    values, grad_norms, kinetics, separations = zip(*run.rows)
-    return SolveReport(
-        final_loop=loop0.with_flat(run.x),
-        status=status,
-        action_value=values[-1],
-        kinetic=kinetics[-1],
-        grad_norm=grad_norms[-1],
-        iterations=run.iterations,
-        ps_trace=tuple(zip(values, grad_norms)),
-        kinetic_trace=kinetics,
-        min_separation_trace=separations,
-    )
+    return _lockstep(spec, [loop0], opts, n_t)[0]
 
 
 @dataclass(frozen=True)
@@ -656,9 +714,14 @@ def multistart(
 ) -> MultistartResult:
     """Run descents from every (winding class, start index) pair and dedup.
 
-    Identical inputs give identical results regardless of worker count:
-    seeds depend only on (opts.seed, winding, start index), the task order is
-    fixed, and the pool map preserves it. Starts that fail to converge, or
+    With one worker the descents run in lockstep: each round evaluates the
+    pending line-search trials of all live starts as one batch through one
+    action evaluator bound for the search. With more, a process pool maps
+    ``descend`` over the starts. Identical inputs give identical results
+    regardless of worker count: seeds depend only on (opts.seed, winding,
+    start index), a loop's evaluation does not depend on the batch it is in,
+    the task order is fixed, and the pool map preserves it. An exception in
+    one start ends the whole search. Starts that fail to converge, or
     converge with a motion-equation residual at or above el_residual_tol,
     are dropped (and tallied); survivors are grouped into orbits.
     """
@@ -677,13 +740,12 @@ def multistart(
 
     tasks = [(w, s) for w in classes for s in range(starts_per_class)]
     seeds = [circular_seed(spec, dim, harmonics, w, s, opts.seed) for (w, s) in tasks]
-    args = (repeat(spec), seeds, repeat(opts), repeat(n_t))
     n_workers = resolve_workers(workers, len(tasks))
     if n_workers == 1:
-        raw_reports = list(map(descend, *args))
+        raw_reports = _lockstep(spec, seeds, opts, n_t)
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            raw_reports = list(pool.map(descend, *args))
+            raw_reports = list(pool.map(descend, repeat(spec), seeds, repeat(opts), repeat(n_t)))
 
     reports = []
     kept = []

@@ -11,6 +11,7 @@ from orbitact.action import (
 )
 from orbitact.errors import CollisionSample, ShapeMismatch
 from orbitact.loopspace import (
+    LoopBatch,
     LoopConfiguration,
     default_grid_size,
     pair_separations,
@@ -353,3 +354,81 @@ def test_bound_evaluator_rejects_collisions_and_bad_vectors():
         evaluator.hessp(x)
     with pytest.raises(CollisionSample):
         evaluator.hessp(colliding.reshape(-1))
+
+
+def assert_same_evaluation(got, want):
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
+    assert got.kinetic == want.kinetic
+    assert got.potential_integral == want.potential_integral
+    assert got.min_separation == want.min_separation
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
+def test_batched_evaluation_equals_single_calls_bit_for_bit(n_bodies, dim, eps):
+    # Rows 0 and 1: one loop inside r1 and one whose pair distances cross r1,
+    # the start of the blend window; the other ten are random loops from well
+    # inside r1 to far out in the tail.
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=eps)
+    rng = np.random.default_rng(100 * n_bodies + 10 * dim + int(10 * eps))
+    base = random_loop(rng, n_bodies=n_bodies, dim=dim)
+    _, dist = pair_separations(sample_trajectory(base))
+    widest, closest = (dist.max(), dist.min()) if n_bodies > 1 else (1.0, 1.0)
+    inner = LoopConfiguration(n_bodies, dim, TWO_PI, base.coefficients * (0.9 * spec.r1 / widest))
+    crossing = LoopConfiguration(
+        n_bodies, dim, TWO_PI, base.coefficients * (spec.r1 / np.sqrt(widest * closest))
+    )
+    if n_bodies > 1:
+        _, dist = pair_separations(sample_trajectory(crossing))
+        assert dist.min() < spec.r1 < dist.max()
+    others = [random_loop(rng, n_bodies=n_bodies, dim=dim, scale=s) for s in np.geomspace(0.1, 10.0, 10)]
+    xs = np.stack([loop.flat() for loop in [inner, crossing] + others])
+    evaluator = _Evaluator(spec, inner)
+    singles = [evaluator.action(x) for x in xs]
+    values = [evaluator.evaluate(x, 0) for x in xs]
+    times = evaluator.grid.times
+    positions = sample_trajectory(LoopBatch(TWO_PI, xs.reshape(-1, *inner.coefficients.shape)))
+    order = list(range(12))
+    for rows in ([0], [1], [0, 1], [1, 0], order, order[::-1], order[6:] + order[:6]):
+        for row, got in zip(rows, evaluator.actions(xs[rows])):
+            assert_same_evaluation(got, singles[row])
+        (got_values,), kinetics, potentials, min_seps = evaluator.evaluate(xs[rows], 0)
+        for b, row in enumerate(rows):
+            (want_value,), want_kinetic, want_potential, want_sep = values[row]
+            assert (got_values[b], kinetics[b], potentials[b]) == (
+                want_value, want_kinetic, want_potential
+            )
+            assert min_seps[b] == want_sep
+        for k in range(3):
+            terms, min_seps = grid_potential(spec, times, positions[rows], k)
+            for b, row in enumerate(rows):
+                want_terms, want_sep = grid_potential(spec, times, positions[row], k)
+                assert min_seps[b] == want_sep
+                assert all(np.array_equal(t[b], w) for t, w in zip(terms, want_terms))
+
+
+def test_batch_with_a_colliding_loop_rejects_only_that_loop():
+    spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
+    rng = np.random.default_rng(61)
+    loop0 = random_loop(rng, n_bodies=3, dim=2, harmonics=3, scale=0.4)
+    other = random_loop(rng, n_bodies=3, dim=2, harmonics=3, scale=1.6)
+    colliding = loop0.coefficients.copy()
+    colliding[1] = colliding[0]  # bodies 0 and 1 coincide at every node
+    xs = np.stack([loop0.flat(), colliding.reshape(-1), other.flat()])
+    evaluator = _Evaluator(spec3, loop0)
+    with pytest.raises(CollisionSample):
+        evaluator.evaluate(xs, 1)
+    got = evaluator.actions(xs)
+    assert got[1] is None
+    for row in (0, 2):
+        assert_same_evaluation(got[row], evaluator.action(xs[row]))
+    assert evaluator.actions(xs[1:2]) == [None]
+    # the size and finiteness checks cover every row of a batch
+    bad = xs.copy()
+    bad[2, 4] = np.nan
+    with pytest.raises(ShapeMismatch):
+        evaluator.actions(bad)
+    with pytest.raises(ShapeMismatch):
+        evaluator.actions(xs[:, :-1])

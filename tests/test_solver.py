@@ -473,6 +473,36 @@ def test_multistart_parallel_matches_serial():
         assert a.action_value == b.action_value
 
 
+def assert_same_report(got, want):
+    assert np.array_equal(got.final_loop.coefficients, want.final_loop.coefficients)
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert (got.action_value, got.kinetic, got.grad_norm) == (
+        want.action_value, want.kinetic, want.grad_norm
+    )
+    assert got.ps_trace == want.ps_trace
+    assert got.kinetic_trace == want.kinetic_trace
+    assert got.min_separation_trace == want.min_separation_trace
+
+
+@pytest.mark.parametrize(
+    "eps, windings",
+    [(0.0, (1, 3, 5)), (0.3, (1, 3))],  # the benchmark's ladder2 search, and a modulated one
+)
+def test_serial_multistart_equals_per_start_descents(eps, windings):
+    # The serial search runs its descents in lockstep, each round's trials
+    # evaluated as one batch; every start's report must equal its lone descent.
+    spec = make_spec(modulation_eps=eps)
+    opts = SolveOptions(seed=0)
+    result = multistart(spec, windings, 4, opts, harmonics=8, workers=1)
+    iterations = set()
+    for start in result.reports:
+        loop0 = circular_seed(spec, 2, 8, start.winding_class, start.start_index, opts.seed)
+        assert_same_report(start.report, descend(spec, loop0, opts))
+        iterations.add(start.report.iterations)
+    assert len(iterations) > 1  # runs left the lockstep at different rounds
+
+
 def test_multistart_drops_unconverged():
     spec = make_spec()
     result = multistart(spec, [1], 2, SolveOptions(max_iters=2), harmonics=4)

@@ -21,7 +21,11 @@ loops of 1, 2, 3 and 6 unequal masses in dim 1, 2 and 3, under modulation
 0.3: per shape one loop inside r1 and one whose pair distances cross the
 blend window, so the pair kernel, the Hessian assembly and the product the
 polish solves with are covered in every dimension and not only through the
-search.
+search. The two loops of each shape are also evaluated as one batch by
+``_Evaluator.actions``, the call that evaluates the trials of a serial
+search; each ``action_batch`` entry hashes one loop's result in the byte
+format of its ``action`` hash, so the two hashes are equal exactly when
+the loop's bits do not depend on the batch it shares.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -97,29 +101,48 @@ def ledger_digest(run) -> dict:
     }
 
 
-def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
-    """Hashes of ``action``, ``action_hessian`` and ``hessp`` at one seeded loop with 1/m^2 decay.
+def action_spec(n_bodies: int):
+    return replace(equal_mass_spec(n_bodies, 0.3), masses=np.linspace(0.7, 1.9, n_bodies))
 
-    The vector ``hessp`` is applied to is drawn from the same generator after
-    the coefficients, so the loop is the same as without it.
-    """
-    spec = replace(equal_mass_spec(n_bodies, 0.3), masses=np.linspace(0.7, 1.9, n_bodies))
+
+def action_loop(n_bodies: int, dim: int, scale: float):
+    """The seeded loop with 1/m^2 decay of one action entry, and the generator that drew it."""
     rng = np.random.default_rng(1000 * n_bodies + 10 * dim + int(scale > 1.0))
     orders = np.arange(1, 2 * ACTION_HARMONICS, 2, dtype=float)
     coefficients = rng.standard_normal((n_bodies, ACTION_HARMONICS, 2, dim))
     coefficients *= scale / orders[None, :, None, None] ** 2
-    loop = LoopConfiguration(n_bodies, dim, spec.period, coefficients)
-    ev = action(spec, loop)
+    return LoopConfiguration(n_bodies, dim, action_spec(n_bodies).period, coefficients), rng
+
+
+def evaluation_hash(ev) -> str:
+    return hashlib.sha256(
+        _floats([ev.value, ev.kinetic, ev.potential_integral, ev.min_separation])
+        + _floats(ev.gradient)
+    ).hexdigest()
+
+
+def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
+    """Hashes of ``action``, ``action_hessian`` and ``hessp`` at one seeded loop.
+
+    The vector ``hessp`` is applied to is drawn from the same generator after
+    the coefficients, so the loop is the same as without it.
+    """
+    spec = action_spec(n_bodies)
+    loop, rng = action_loop(n_bodies, dim, scale)
     product = _Evaluator(spec, loop).hessp(loop.flat())
-    vector = rng.standard_normal(coefficients.size)
+    vector = rng.standard_normal(loop.coefficients.size)
     return {
-        "action": hashlib.sha256(
-            _floats([ev.value, ev.kinetic, ev.potential_integral, ev.min_separation])
-            + _floats(ev.gradient)
-        ).hexdigest(),
+        "action": evaluation_hash(action(spec, loop)),
         "hessian": hashlib.sha256(_floats(action_hessian(spec, loop))).hexdigest(),
         "hessp": hashlib.sha256(_floats(product(vector))).hexdigest(),
     }
+
+
+def action_batch_digest(n_bodies: int, dim: int, scales) -> dict:
+    """Per scale, the hash of that loop's evaluation in one batch with the other scales' loops."""
+    loops = [action_loop(n_bodies, dim, scale)[0] for scale in scales]
+    batch = _Evaluator(action_spec(n_bodies), loops[0]).actions(np.stack([loop.flat() for loop in loops]))
+    return {scale: evaluation_hash(ev) for scale, ev in zip(scales, batch)}
 
 
 def main() -> None:
@@ -146,8 +169,12 @@ def main() -> None:
         key = f"ledger_edge/N{n_bodies}/dim{dim}/alpha{alpha}/theta{theta}/eps{eps}/n{samples}"
         run = partial(verify.run_inequality_ledger, spec, dim, 3, samples, 7 * n_bodies + dim)
         out[key] = ledger_digest(run)
-    for n_bodies, dim, scale in itertools.product(*ACTION_SHAPES):
-        out[f"action/N{n_bodies}/dim{dim}/scale{scale}"] = action_digest(n_bodies, dim, scale)
+    bodies, dims, scales = ACTION_SHAPES
+    for n_bodies, dim in itertools.product(bodies, dims):
+        for scale in scales:
+            out[f"action/N{n_bodies}/dim{dim}/scale{scale}"] = action_digest(n_bodies, dim, scale)
+        for scale, digest in action_batch_digest(n_bodies, dim, scales).items():
+            out[f"action_batch/N{n_bodies}/dim{dim}/scale{scale}"] = digest
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
