@@ -14,7 +14,10 @@ rounding floor records the gradient's line integral, not its fresh value.
 The polish forms no Hessian: it solves for its Newton step by MINRES on
 an exact Hessian-vector product, preconditioned by the kinetic diagonal, and
 builds the dense Hessian for an eigen-decomposition step only when the MINRES
-step is not a descent direction or shows no positive curvature.
+step is not a descent direction or shows no positive curvature. The solve is
+inexact: it stops at a relative residual of 1e-6, a constant forcing term
+(Dembo, Eisenstat & Steihaug 1982). The step is judged only by its line
+search, so the last digits of a tighter solve buy nothing.
 
 Descents run in lockstep. A descent is a generator that yields each trial
 point and receives its evaluation, or None when the trial samples an exact
@@ -48,11 +51,11 @@ from itertools import repeat
 import numpy as np
 
 from .action import _Evaluator
-from .action import action as _action
 from .action import action_hessian as _action_hessian
-# Unused here; kept bound because perfbench/tracing.py and its smoke test look it up by name.
+# Unused here; kept bound because perfbench/tracing.py and its smoke test look them up by name.
+from .action import action as _action  # noqa: F401
 from .action import action_value as _action_value  # noqa: F401
-from .errors import CollisionSample, InvalidStart, OrbitactError
+from .errors import InvalidStart, OrbitactError
 from .loopspace import LoopConfiguration, _shift_distances_sq
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
@@ -143,9 +146,12 @@ def _tail_quiet(ps_trace) -> bool:
     )
 
 
+_EIGHT_EPS = 8.0 * float(np.finfo(np.float64).eps)
+
+
 def _rounding_floor(f: float) -> float:
     """8 eps (1 + |f|): changes of f below this are rounding noise."""
-    return 8.0 * float(np.finfo(np.float64).eps) * (1.0 + abs(f))
+    return _EIGHT_EPS * (1.0 + abs(f))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -180,10 +186,12 @@ def _two_loop(history, grad, dinv):
     return q
 
 
-_MINRES_RTOL = 1e-13  # MINRES stops once its residual estimate is this share of its start
+# The polish's MINRES stops once its residual estimate is this share of its
+# start: an inexact Newton step with a constant forcing term.
+_POLISH_RTOL = 1e-6
 
 
-def _minres(apply, b, minv, maxiter):
+def _minres(apply, b, minv, maxiter, rtol):
     """Preconditioned MINRES (Paige & Saunders 1975) for the symmetric system A x = b.
 
     apply(v) returns A v as a new array; minv is the diagonal of the
@@ -191,7 +199,7 @@ def _minres(apply, b, minv, maxiter):
     A may be indefinite, or singular with b in its range. From x = 0, each
     iteration adds one vector to the preconditioned Lanczos basis and one
     plane rotation to the QR factor R of its tridiagonal. The iteration stops
-    when the residual estimate ||b - A x||_M falls below _MINRES_RTOL times
+    when the residual estimate ||b - A x||_M falls below rtol times
     ||b||_M, or after maxiter iterations. x is then formed once from the
     stored basis V: with W = V R^-1, x = W phi = V (R^-1 phi), where R is
     upper triangular with two superdiagonals and phi the rotated right-hand
@@ -229,7 +237,7 @@ def _minres(apply, b, minv, maxiter):
         cs, sn = gbar / gamma, beta / gamma
         columns.append((gamma, delta, oldeps, cs * phibar))
         phibar *= sn
-        if phibar <= _MINRES_RTOL * beta1:
+        if phibar <= rtol * beta1:
             break
     # Back substitution c = R^-1 phi, from the last column to the first.
     coeffs = np.empty(len(columns))
@@ -264,10 +272,12 @@ def _newton_step(product, hessian):
 
     The step p solves (H + sigma I) p = -g by MINRES, preconditioned by the
     inverse of the kinetic diagonal D, in the product's row layout: g is
-    permuted into it once and p out of it once. The shift sigma is the
-    curvature floor of max D, which stands in for ||H||. It bounds the step
-    along the near-null directions of H (the rotations, and at eps = 0 the
-    time shift), where the gradient holds only rounding noise, as the floor
+    permuted into it once and p out of it once. The solve stops at a
+    residual of _POLISH_RTOL = 1e-6 times ||g|| in the D^-1-norm, since the
+    line search judges the step. The shift sigma is the curvature floor of
+    max D, which stands in for ||H||. It bounds the step along the
+    near-null directions of H (the rotations, and at eps = 0 the time
+    shift), where the gradient holds only rounding noise, as the floor
     of the eigen-decomposition step does; every other component changes by
     at most sigma / |eigenvalue| relatively. When p is not a descent direction
     (g.p >= 0) or shows no positive curvature (p.(H + sigma I) p <= 0), the
@@ -281,7 +291,7 @@ def _newton_step(product, hessian):
     def step(g):
         nonlocal fallback
         rhs = -product.to_rows(g)
-        p = _minres(shifted.rows, rhs, minv, rhs.size)
+        p = _minres(shifted.rows, rhs, minv, rhs.size, _POLISH_RTOL)
         if rhs.dot(p) > 0 and p.dot(shifted.rows(p)) > 0:
             return product.from_rows(p)
         if fallback is None:
@@ -467,34 +477,28 @@ class _Descent:
         )
 
 
-def _start_evaluation(spec, loop0, n_t):
-    """The action at a start loop through ``action``; InvalidStart if it collides or is not finite."""
-    try:
-        ev = _action(spec, loop0, n_t)
-    except CollisionSample as exc:
-        raise InvalidStart("initial loop samples an exact collision") from exc
-    if not np.isfinite(ev.value):
-        raise InvalidStart("initial loop has non-finite action")
-    return ev
-
-
 def _lockstep(spec, loops, opts, n_t):
     """One descent per start loop, run in lockstep; their SolveReports, in the order of loops.
 
     The loops share one shape, and one action evaluator bound to the first
-    serves every run. Each round gathers the pending line-search trial of
-    every live run, evaluates them as one batch with ``_Evaluator.actions``
-    and sends each run its evaluation; a run leaves when it returns its
-    report. A loop's evaluation is bit for bit the same in any batch, so
-    each report equals that of the loop's descent run alone. An exception
-    raised in one run propagates and ends them all.
+    serves every run. The start loops are evaluated as one batch; the first
+    start, in the order of loops, that samples an exact collision or has a
+    non-finite action raises InvalidStart. Each round then gathers the
+    pending line-search trial of every live run, evaluates them as one batch
+    with ``_Evaluator.actions`` and sends each run its evaluation; a run
+    leaves when it returns its report. A loop's evaluation is bit for bit
+    the same in any batch, so each report equals that of the loop's descent
+    run alone. An exception raised in one run propagates and ends them all.
     """
     evaluator = _Evaluator(spec, loops[0], n_t)
     dinv = 1.0 / evaluator.kin_diag.reshape(-1)
-    runs = [
-        _Descent(loop0, opts, evaluator, dinv, _start_evaluation(spec, loop0, evaluator.n_t)).solve()
-        for loop0 in loops
-    ]
+    starts = evaluator.actions(np.array([loop0.flat() for loop0 in loops]))
+    for ev in starts:
+        if ev is None:
+            raise InvalidStart("initial loop samples an exact collision")
+        if not np.isfinite(ev.value):
+            raise InvalidStart("initial loop has non-finite action")
+    runs = [_Descent(loop0, opts, evaluator, dinv, ev).solve() for loop0, ev in zip(loops, starts)]
     reports = [None] * len(runs)
     live = []  # (index, run, pending trial point)
 
@@ -551,10 +555,13 @@ def descend(
     p solves (H + sigma I) p = -g by preconditioned MINRES (Paige & Saunders
     1975) on the evaluator's Hessian-vector product, with the inverse of the
     kinetic diagonal as preconditioner. MINRES stops when its residual
-    estimate falls below 1e-13 of its starting value, or after n iterations
-    for n coefficients. The shift sigma = max(1e-10, 1e-12 max D) bounds the
-    step along the near-null directions of H (the rotations, and at eps = 0
-    the time shift), where the gradient holds only rounding noise. When p is
+    estimate falls below 1e-6 of its starting value, or after n iterations
+    for n coefficients. That is an inexact Newton step with a constant
+    forcing term (Dembo, Eisenstat & Steihaug 1982): the line search below
+    judges the step, so a tighter solve buys nothing. The shift
+    sigma = max(1e-10, 1e-12 max D) bounds the step along the near-null
+    directions of H (the rotations, and at eps = 0 the time shift), where
+    the gradient holds only rounding noise. When p is
     not a descent direction (g.p >= 0) or shows no positive curvature
     (p.(H + sigma I) p <= 0), the dense H is built, and p is the modified
     Newton step -V |Lambda|^-1 V^T g of its eigen-decomposition, its

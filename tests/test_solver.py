@@ -56,13 +56,18 @@ def _forbid_eigh(monkeypatch):
     monkeypatch.setattr(solver_module.np.linalg, "eigh", forbidden)
 
 
-def _counting_minres(monkeypatch, calls):
-    """Wrap solver._minres so that each solve appends to calls."""
+def _counting_minres(monkeypatch, products):
+    """Wrap solver._minres so that each solve appends its number of products to products."""
     original = solver_module._minres
 
-    def counted(*args, **kwargs):
-        calls.append("minres")
-        return original(*args, **kwargs)
+    def counted(apply, *args):
+        products.append(0)
+
+        def product(v):
+            products[-1] += 1
+            return apply(v)
+
+        return original(product, *args)
 
     monkeypatch.setattr(solver_module, "_minres", counted)
 
@@ -117,7 +122,11 @@ def test_invalid_start_raises():
     spec = make_spec()
     coeffs = np.zeros((2, 1, 2, 2))
     coeffs[:, 0, 0, 0] = 1.0  # coincident bodies at every time
-    with pytest.raises(InvalidStart):
+    with pytest.raises(InvalidStart, match="samples an exact collision"):
+        descend(spec, LoopConfiguration(2, 2, TWO_PI, coeffs))
+    coeffs[1, 0, 0, 0] = -1.0
+    coeffs[0, 0, 1, 1] = 1e200  # a finite loop whose kinetic energy overflows
+    with np.errstate(all="ignore"), pytest.raises(InvalidStart, match="non-finite action"):
         descend(spec, LoopConfiguration(2, 2, TWO_PI, coeffs))
 
 
@@ -187,10 +196,11 @@ def test_minres_matches_dense_solve(kind, n):
     # In floating point the Lanczos vectors lose orthogonality, so MINRES
     # need not terminate within n iterations as it does in exact arithmetic:
     # on the n = 64 indefinite system it is 1.3e-8 off after 64 and 1e-13
-    # after 128. The cap of 4n leaves room for that.
+    # after 128. The cap of 4n leaves room for that. The tolerance is far
+    # tighter than the polish's, so the solve is checked as a linear solver.
     rng = np.random.default_rng(n)
     a, minv, kernel, b = _system(kind, n, rng)
-    got = _minres(lambda v: a @ v, b, minv, 4 * n)
+    got = _minres(lambda v: a @ v, b, minv, 4 * n, rtol=1e-13)
     if kernel.shape[1]:
         # Off the kernel, the solution is the least-squares one; on it, any.
         want = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -198,7 +208,7 @@ def test_minres_matches_dense_solve(kind, n):
     else:
         want = np.linalg.solve(a, b)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    assert np.array_equal(_minres(lambda v: a @ v, np.zeros(n), minv, n), np.zeros(n))
+    assert np.array_equal(_minres(lambda v: a @ v, np.zeros(n), minv, n, rtol=1e-13), np.zeros(n))
 
 
 def _rotation_basis(x, dim):
@@ -224,7 +234,10 @@ def _rotation_basis(x, dim):
 def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
     # At a converged minimum the gradient is rounding noise, so a random
     # vector off the rotation modes, as every gradient is, stands in for it.
-    # Off the rotations, the MINRES step equals the eigh pseudo-inverse step.
+    # Off the rotations, a tight MINRES solve with the polish's product
+    # equals the eigh pseudo-inverse step. The polish's own step solves only
+    # to 1e-6, so it is checked for what the polish needs of it: a descent
+    # step with that residual.
     spec = make_spec()
     if dim == 1:
         start = random_loop(np.random.default_rng(0), dim=1, scale=2.0)
@@ -249,11 +262,34 @@ def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
     sigma = 1e-12 * evaluator.kin_diag.max()
     assert sigma > 1e-10
     hess = action_hessian(spec, loop)
+    product = evaluator.hessp(x)
+    shifted = product.shifted(sigma)
+    minv = 1.0 / product.kin_rows.reshape(-1)
+    rhs = -product.to_rows(g)
+    tight = product.from_rows(_minres(shifted.rows, rhs, minv, rhs.size, rtol=1e-13))
+    want = project(_eigh_step(hess + sigma * np.eye(x.size))(g))
+    assert np.linalg.norm(project(tight) - want) <= 1e-12 * np.linalg.norm(want)
+
     with monkeypatch.context() as patch:
         _forbid_eigh(patch)
-        got = project(_newton_step(evaluator.hessp(x), lambda: hess)(g))
-    want = project(_eigh_step(hess + sigma * np.eye(x.size))(g))
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        step = _newton_step(product, lambda: hess)(g)
+    assert float(g @ step) < 0
+    residual = shifted.rows(product.to_rows(step)) - rhs
+    assert np.sqrt(residual @ (minv * residual)) <= 1e-6 * np.sqrt(rhs @ (minv * rhs))
+
+
+def test_polish_solves_stay_below_their_cap(monkeypatch):
+    # On the ladder2 problem this start's polish solved twice to 1e-13, in
+    # 64 and 42 products; the first reached the cap of n = 64. Solved to 1e-6,
+    # no solve comes near the cap, and the start still converges.
+    products = []
+    _counting_minres(monkeypatch, products)
+    spec = make_spec()
+    start = circular_seed(spec, 2, 8, 5, 2, base_seed=4)
+    report = descend(spec, start, SolveOptions(max_iters=500))
+    assert report.status is SolveStatus.CONVERGED
+    assert products
+    assert max(products) < start.coefficients.size
 
 
 def test_polish_converges_where_rounding_noise_meets_the_rotation_mode():

@@ -10,6 +10,10 @@ kept actions: sorted, neighbours within 1e-6 relatively merged into the
 first, each rounded to 9 significant digits. Each search also gets
 its converged count and its iterations summed over the seeds; iteration
 counts are deterministic, so they compare across checkouts like the rest.
+So does the cost of its Newton polish, summed over the seeds: the MINRES
+solves, the Hessian-vector products they take and the solves that reach
+their cap of n products, counted by wrapping ``solver._minres`` for the
+duration of the search.
 
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
@@ -47,6 +51,7 @@ from workloads import (  # noqa: E402
     equal_mass_spec,
 )
 
+from orbitact import solver  # noqa: E402
 from orbitact.solver import SolveOptions, multistart  # noqa: E402
 
 
@@ -91,13 +96,39 @@ def census(run, seed: int) -> dict:
     }
 
 
+def counting_minres(tally: Counter):
+    """``solver._minres`` that adds each solve, its products and whether it hit its cap to tally."""
+    minres = solver._minres
+
+    def counted(apply, b, minv, maxiter, rtol):
+        products = 0
+
+        def product(v):
+            nonlocal products
+            products += 1
+            return apply(v)
+
+        x = minres(product, b, minv, maxiter, rtol)
+        tally.update(solves=1, products=products, capped=int(products == maxiter))
+        return x
+
+    return counted
+
+
 def main() -> None:
     out = {}
+    minres = solver._minres
     for name, (run, seed_range) in SEARCHES.items():
-        seeds = {str(seed): census(run, seed) for seed in seed_range}
+        tally = Counter(solves=0, products=0, capped=0)
+        solver._minres = counting_minres(tally)
+        try:
+            seeds = {str(seed): census(run, seed) for seed in seed_range}
+        finally:
+            solver._minres = minres
         out[name] = {
             "converged_total": sum(row["converged"] for row in seeds.values()),
             "iterations_total": sum(row["iterations"] for row in seeds.values()),
+            "minres": dict(tally),
             "seeds": seeds,
         }
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
