@@ -13,7 +13,6 @@ An evaluator's ``hessp`` applies that Hessian to vectors without forming it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,44 +59,6 @@ def _kinetic_diagonal(spec: PotentialSpec, grid: loopspace.FourierGrid, loop: Lo
     """
     diag = 0.5 * loop.period * spec.masses[:, None, None, None] * (grid.omega**2)[:, None, None]
     return np.broadcast_to(diag, loop.coefficients.shape).copy()
-
-
-@dataclass(frozen=True)
-class _HessianPlan:
-    """The position-independent part of the potential Hessian on one grid, for one loop shape.
-
-    Attributes:
-        row_products: (4M^2, n_t) products basis[a] basis[b] of the grid's
-            basis rows, row a * 2M + b.
-        gather: (n, n) flat indices into the (4M^2, (N k)^2) block of node
-            sums, whose axes are (m, c, n, f, i, d, p, e), in the flat
-            coefficient order (i m c d, p n f e).
-
-    Both arrays are read-only, because one plan is shared by every
-    evaluator with the same key.
-    """
-
-    row_products: np.ndarray
-    gather: np.ndarray
-
-
-@functools.lru_cache(maxsize=4)
-def _hessian_plan(
-    period: float, harmonics: int, n_t: int, dtype: np.dtype, n_bodies: int, dim: int
-) -> _HessianPlan:
-    """The shared plan for (T, M, n_t, dtype, N, k); built once, then served from a cache."""
-    basis = loopspace._fourier_grid(period, harmonics, n_t, dtype).basis
-    row_products = (basis[:, None, :] * basis[None, :, :]).reshape(-1, n_t)
-    size = n_bodies * harmonics * 2 * dim
-    gather = (
-        np.arange(size * size)
-        .reshape(harmonics, 2, harmonics, 2, n_bodies, dim, n_bodies, dim)
-        .transpose(4, 0, 1, 5, 6, 2, 3, 7)
-        .reshape(size, size)
-    )
-    for arr in (row_products, gather):
-        arr.flags.writeable = False
-    return _HessianPlan(row_products=row_products, gather=gather)
 
 
 class _HessianProduct:
@@ -169,12 +130,6 @@ class _Evaluator:
         self.weight = loop.period / self.n_t
         self.kin_diag = _kinetic_diagonal(spec, self.grid, loop)
         self.pair_kernel = _PairKernel(spec, self.grid.times)
-        n_bodies, harmonics, _, dim = self.shape
-        self._plan_key = (loop.period, harmonics, self.n_t, loop.coefficients.dtype, n_bodies, dim)
-
-    def hessian_plan(self) -> _HessianPlan:
-        """The cached :class:`_HessianPlan` of this evaluator's grid and loop shape."""
-        return _hessian_plan(*self._plan_key)
 
     def evaluate(self, x: np.ndarray, order: int):
         """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
@@ -253,12 +208,17 @@ class _Evaluator:
             out.append(np.subtract(grad_kin, grad_pot, out=grad_kin).reshape(*batch, -1))
         if order >= 2:
             # Node sum of basis[a] basis[b] H_j as one matmul, (a b, j) @ (j, (i d)(p e)),
-            # scaled in place by -T/n_t, then gathered into flat coefficient order
-            # by indexing: ndarray.take would copy the read-only index on every call.
-            plan = self.hessian_plan()
-            pot_block = plan.row_products @ terms[2].reshape(n_t, n_pos * n_pos)
+            # scaled in place by -T/n_t, then copied into flat coefficient order
+            # (i m c d, p n f e) by one transpose; a permutation rounds nothing.
+            basis = grid.basis
+            row_products = (basis[:, None, :] * basis[None, :, :]).reshape(-1, n_t)
+            pot_block = row_products @ terms[2].reshape(n_t, n_pos * n_pos)
             pot_block *= -weight
-            hess = pot_block.reshape(-1)[plan.gather]
+            hess = (
+                pot_block.reshape(harmonics, 2, harmonics, 2, n_bodies, dim, n_bodies, dim)
+                .transpose(4, 0, 1, 5, 6, 2, 3, 7)
+                .reshape(self.size, self.size)
+            )
             hess[np.diag_indices(self.size)] += self.kin_diag.reshape(-1)
             out.append(hess)
         return out, kinetic, potential_integral, min_sep

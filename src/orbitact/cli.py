@@ -6,7 +6,8 @@ Subcommands:
   export ORBIT    sample an orbit file's trajectory to CSV
 
 Exit codes: 0 success, 1 ledger checks failed, 2 invalid configuration,
-orbit file, or environment, 3 solve kept no orbits.
+orbit file, or environment, or an output path that cannot be written,
+3 solve kept no orbits.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ def run_solve(config_path: str) -> int:
         cfg = load_config(config_path)
     except ConfigInvalid as exc:
         return _fail(str(exc))
+    # Made before the search, so an unwritable path fails before the work.
+    out_dir = Path(cfg.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot write {out_dir}: {exc}")
     try:
         result = multistart(
             cfg.spec,
@@ -75,14 +82,12 @@ def run_solve(config_path: str) -> int:
     except OrbitactError as exc:
         return _fail(str(exc))
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     resolved = resolved_dict(cfg)
+    payloads = {}
     orbit_rows = []
     for index, record in enumerate(result.records):
         name = f"orbit_{index:03d}.json"
-        payload = orbit_payload(record, resolved)
-        save_orbit(out_dir / name, payload)
+        payloads[name] = payload = orbit_payload(record, resolved)
         diagnostics = {k: v for k, v in payload["diagnostics"].items() if k != "kinetic"}
         orbit_rows.append({"file": name, **diagnostics})
     coercivity = _audit_coercivity(cfg, result)
@@ -97,8 +102,13 @@ def run_solve(config_path: str) -> int:
         "orbits": orbit_rows,
         "coercivity": coercivity,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(canonical_dumps(summary))
+    try:
+        for name, payload in payloads.items():
+            save_orbit(out_dir / name, payload)
+        with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(canonical_dumps(summary))
+    except OSError as exc:
+        return _fail(f"cannot write {out_dir}: {exc}")
 
     print(
         f"starts: {result.n_started}  converged: {result.n_converged}  "
@@ -146,15 +156,18 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
 
     out_path = Path(out) if out else Path(cfg.output_dir) / "ledger.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "format": "orbitact.ledger/1",
         "tool_version": __version__,
         "resolved_config": resolved_dict(cfg),
     }
     payload.update(report.to_dict())
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(canonical_dumps(payload))
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(canonical_dumps(payload))
+    except OSError as exc:
+        return _fail(f"cannot write {out_path}: {exc}")
     print(f"wrote {out_path}")
     return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
 
@@ -166,6 +179,8 @@ def run_export(orbit_path: str, samples: int, out: str | None) -> int:
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        return _fail(f"cannot write the CSV: {exc}")
     print(f"wrote {target}")
     return EXIT_OK
 

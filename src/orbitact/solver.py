@@ -15,8 +15,9 @@ The polish forms no Hessian: it solves for its Newton step by MINRES on
 an exact Hessian-vector product, preconditioned by the kinetic diagonal, and
 builds the dense Hessian for an eigen-decomposition step only when the MINRES
 step is not a descent direction or shows no positive curvature. The solve is
-inexact: it stops at a relative residual of 1e-6, a constant forcing term
-(Dembo, Eisenstat & Steihaug 1982). The step is judged only by its line
+inexact: it stops at a relative residual estimate of 1e-6, a constant forcing
+term (Dembo, Eisenstat & Steihaug 1982). The true residual can be larger, so
+no rule may assume it is below that. The step is judged only by its line
 search, so the last digits of a tighter solve buy nothing.
 
 Descents run in lockstep. A descent is a generator that yields each trial
@@ -273,11 +274,13 @@ def _newton_step(product, hessian):
     The step p solves (H + sigma I) p = -g by MINRES, preconditioned by the
     inverse of the kinetic diagonal D, in the product's row layout: g is
     permuted into it once and p out of it once. The solve stops at a
-    residual of _POLISH_RTOL = 1e-6 times ||g|| in the D^-1-norm, since the
-    line search judges the step. The shift sigma is the curvature floor of
-    max D, which stands in for ||H||. It bounds the step along the
-    near-null directions of H (the rotations, and at eps = 0 the time
-    shift), where the gradient holds only rounding noise, as the floor
+    residual estimate of _POLISH_RTOL = 1e-6 times ||g|| in the D^-1-norm,
+    since the line search judges the step. The true residual can be larger
+    (4e-6 of ||g|| at a dim-3 minimum when g has rotation components), so
+    no rule may assume it is below _POLISH_RTOL. The shift sigma is the
+    curvature floor of max D, which stands in for ||H||. It bounds the step
+    along the near-null directions of H (the rotations, and at eps = 0 the
+    time shift), where the gradient holds only rounding noise, as the floor
     of the eigen-decomposition step does; every other component changes by
     at most sigma / |eigenvalue| relatively. When p is not a descent direction
     (g.p >= 0) or shows no positive curvature (p.(H + sigma I) p <= 0), the

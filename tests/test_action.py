@@ -240,11 +240,12 @@ def test_hessian_matches_einsum_contraction():
 
 
 def row_product_hessian(spec, loop):
-    """The Hessian as it was assembled before the cached plan, kept as the oracle.
+    """The Hessian from the row-product formula, written out independently as the oracle.
 
-    A fresh (4M^2, n_t) matrix of basis row products times the node
-    Hessians, scaled by T/n_t, taken through an 8-axis transpose into flat
-    coefficient order, negated, plus the kinetic diagonal.
+    A (4M^2, n_t) matrix of basis row products times the node Hessians of
+    a plain ``grid_potential`` call, scaled by T/n_t out of place, taken
+    through an 8-axis transpose into flat coefficient order, negated, plus
+    the kinetic diagonal.
     """
     grid = quadrature_grid(loop)
     n_t = grid.times.shape[0]
@@ -294,24 +295,6 @@ def test_hessp_matches_dense_hessian_product(n_bodies, dim):
         want = action_hessian(spec, loop) @ v
         assert np.abs(product(v) - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(product.from_rows(product.to_rows(v)), v)
-
-
-def test_evaluators_on_one_grid_and_shape_share_one_hessian_plan():
-    spec3 = make_spec(masses=np.array([1.0, 2.0, 0.5]))
-    rng = np.random.default_rng(67)
-    first = _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3))
-    second = _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3, scale=2.0))
-    plan = first.hessian_plan()
-    assert second.hessian_plan() is plan
-    for arr in (plan.row_products, plan.gather):
-        assert not arr.flags.writeable
-    # another grid size, harmonic count or dimension gets a plan of its own
-    others = [
-        _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=3), n_t=31),
-        _Evaluator(spec3, random_loop(rng, n_bodies=3, harmonics=4)),
-        _Evaluator(spec3, random_loop(rng, n_bodies=3, dim=3, harmonics=3)),
-    ]
-    assert all(other.hessian_plan() is not plan for other in others)
 
 
 def test_bound_evaluator_matches_fresh_action_bit_for_bit():

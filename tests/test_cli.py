@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from orbitact import cli
 from orbitact.cli import (
     EXIT_CHECKS_FAILED,
     EXIT_INVALID_INPUT,
@@ -184,6 +185,28 @@ def test_export_error_paths(tmp_path, capsys):
     payload["loop"]["coefficients"][0] = 10**400  # an integer no float can hold
     orbit.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["export", str(orbit)]) == EXIT_INVALID_INPUT
+
+
+@pytest.mark.parametrize("command", ["solve", "ledger", "export"])
+def test_unwritable_output_path_exits_invalid(tmp_path, monkeypatch, capsys, command):
+    # a regular file where a directory should be makes every write under it fail
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    if command == "export":
+        assert main(["solve", str(write_config(tmp_path))]) == EXIT_OK
+        orbit = tmp_path / "out" / "orbit_000.json"
+        argv = ["export", str(orbit), "--out", str(blocker / "x.csv")]
+    else:
+        cfg = write_config(tmp_path, **{"output.directory": str(blocker / "out")})
+        argv = [command, str(cfg), "--samples", "5"] if command == "ledger" else [command, str(cfg)]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before its output directory was made")
+
+    monkeypatch.setattr(cli, "multistart", no_search)
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 def test_version_flag(capsys):

@@ -323,6 +323,25 @@ def test_newton_step_falls_back_to_eigh_on_negative_curvature():
     assert built == [1]  # the dense Hessian is built once per map
 
 
+def test_descent_builds_the_dense_hessian_for_its_eigh_fallback(monkeypatch):
+    # On this two-body start one polish step's MINRES solution fails the
+    # descent or curvature test, so the polish builds the dense Hessian
+    # through solver._action_hessian, once, and still converges.
+    built = []
+    dense = solver_module._action_hessian
+
+    def counted(*args):
+        built.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(solver_module, "_action_hessian", counted)
+    spec = make_spec()
+    report = descend(spec, circular_seed(spec, 2, 8, 1, 1, base_seed=3))
+    assert built == [1]
+    assert report.status is SolveStatus.CONVERGED
+    assert report.action_value == pytest.approx(TWO_PI, abs=1e-12)
+
+
 def test_colliding_trial_is_halved_not_raised(monkeypatch):
     action_module = importlib.import_module("orbitact.action")
     original = action_module.grid_potential

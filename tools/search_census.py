@@ -13,7 +13,8 @@ counts are deterministic, so they compare across checkouts like the rest.
 So does the cost of its Newton polish, summed over the seeds: the MINRES
 solves, the Hessian-vector products they take and the solves that reach
 their cap of n products, counted by wrapping ``solver._minres`` for the
-duration of the search.
+duration of the search, and the dense eigen-decomposition fallbacks, counted
+by wrapping ``solver._eigh_step`` the same way.
 
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
@@ -115,16 +116,28 @@ def counting_minres(tally: Counter):
     return counted
 
 
+def counting_eigh_step(tally: Counter):
+    """``solver._eigh_step`` that adds each dense fallback to tally."""
+    eigh_step = solver._eigh_step
+
+    def counted(hess):
+        tally.update(fallbacks=1)
+        return eigh_step(hess)
+
+    return counted
+
+
 def main() -> None:
     out = {}
-    minres = solver._minres
+    minres, eigh_step = solver._minres, solver._eigh_step
     for name, (run, seed_range) in SEARCHES.items():
-        tally = Counter(solves=0, products=0, capped=0)
+        tally = Counter(solves=0, products=0, capped=0, fallbacks=0)
         solver._minres = counting_minres(tally)
+        solver._eigh_step = counting_eigh_step(tally)
         try:
             seeds = {str(seed): census(run, seed) for seed in seed_range}
         finally:
-            solver._minres = minres
+            solver._minres, solver._eigh_step = minres, eigh_step
         out[name] = {
             "converged_total": sum(row["converged"] for row in seeds.values()),
             "iterations_total": sum(row["iterations"] for row in seeds.values()),
