@@ -278,8 +278,8 @@ def _evaluation(result) -> ActionEvaluation:
 def action(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None) -> ActionEvaluation:
     """Evaluate the discretized action and its exact gradient.
 
-    Raises CollisionSample if two bodies coincide at a quadrature node and
-    GridTooCoarse if n_t < 4M + 1.
+    Raises CollisionSample if two bodies coincide at a quadrature node,
+    ValueError if n_t is not an integer and GridTooCoarse if n_t < 4M + 1.
     """
     return _evaluation(_evaluate(spec, loop, n_t, 1))
 

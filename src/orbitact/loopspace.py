@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def default_grid_size(harmonics: int) -> int:
     """Default number of uniform quadrature nodes for M retained harmonics.
 
@@ -190,12 +195,16 @@ def _fourier_grid(period: float, harmonics: int, n_t: int, dtype: np.dtype) -> F
 def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierGrid:
     """The grid matching a loop's period, harmonics and dtype; n_t defaults per M.
 
-    Raises GridTooCoarse when n_t < 4M + 1, the minimum for the grid to
-    integrate products of retained harmonics exactly.
+    Raises ValueError when n_t is not an integer (a fractional count would
+    space the nodes off the period), and GridTooCoarse when n_t < 4M + 1,
+    the minimum for the grid to integrate products of retained harmonics
+    exactly.
     """
     m = loop.harmonics
     if n_t is None:
         n_t = default_grid_size(m)
+    elif not _is_integer(n_t):
+        raise ValueError(f"n_t must be an integer, not {n_t!r}")
     if n_t < 4 * m + 1:
         raise GridTooCoarse(f"n_t={n_t} < 4M+1={4 * m + 1} for M={m}")
     return _fourier_grid(loop.period, m, n_t, loop.coefficients.dtype)

@@ -12,9 +12,9 @@ The recorded action never increases from one accepted step to the next, so
 the trace is monotone by construction; a polish step certified within f's
 rounding floor records the gradient's line integral, not its fresh value.
 The polish forms no Hessian: it solves for its Newton step by MINRES on
-an exact Hessian-vector product, preconditioned by the kinetic diagonal, and
-builds the dense Hessian for an eigen-decomposition step only when the MINRES
-step is not a descent direction or shows no positive curvature. The solve is
+an exact Hessian-vector product, preconditioned by the kinetic diagonal D,
+and steps along -D^-1 g, MINRES's own first direction, when the MINRES step
+is not a descent direction or shows no positive curvature. The solve is
 inexact: it stops at a relative residual estimate of 1e-6, a constant forcing
 term (Dembo, Eisenstat & Steihaug 1982). The true residual can be larger, so
 no rule may assume it is below that. The step is judged only by its line
@@ -52,12 +52,11 @@ from itertools import repeat
 import numpy as np
 
 from .action import _Evaluator
-from .action import action_hessian as _action_hessian
 # Unused here; kept bound because perfbench/tracing.py and its smoke test look them up by name.
-from .action import action as _action  # noqa: F401
+from .action import action_hessian as _action_hessian  # noqa: F401
 from .action import action_value as _action_value  # noqa: F401
 from .errors import InvalidStart, OrbitactError
-from .loopspace import LoopConfiguration, _shift_distances_sq
+from .loopspace import LoopConfiguration, _is_integer, _shift_distances_sq
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
 
@@ -90,11 +89,6 @@ class SolveStatus(Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max_iters"
     STALLED_NEAR_COLLISION = "stalled_near_collision"
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers, but not for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -251,24 +245,7 @@ def _minres(apply, b, minv, maxiter, rtol):
     return coeffs @ basis[: len(columns)]
 
 
-def _curvature_floor(scale: float) -> float:
-    """max(1e-10, 1e-12 scale): the least |curvature| a Newton step divides by, for H of size scale."""
-    return max(1e-10, 1e-12 * scale)
-
-
-def _eigh_step(hess):
-    """The map g -> modified Newton step -V |Lambda|^-1 V^T g of H's eigen-decomposition.
-
-    The |eigenvalues| are clipped at the curvature floor of max|eigenvalue|,
-    which keeps the step bounded and gradient-reducing near saddles as well
-    as minima.
-    """
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    scale = np.maximum(np.abs(eigvals), _curvature_floor(float(np.abs(eigvals).max())))
-    return lambda g: -(eigvecs @ ((eigvecs.T @ g) / scale))
-
-
-def _newton_step(product, hessian):
+def _newton_step(product):
     """The map g -> Newton step at the point of the Hessian product ``product``.
 
     The step p solves (H + sigma I) p = -g by MINRES, preconditioned by the
@@ -277,29 +254,25 @@ def _newton_step(product, hessian):
     residual estimate of _POLISH_RTOL = 1e-6 times ||g|| in the D^-1-norm,
     since the line search judges the step. The true residual can be larger
     (4e-6 of ||g|| at a dim-3 minimum when g has rotation components), so
-    no rule may assume it is below _POLISH_RTOL. The shift sigma is the
-    curvature floor of max D, which stands in for ||H||. It bounds the step
-    along the near-null directions of H (the rotations, and at eps = 0 the
-    time shift), where the gradient holds only rounding noise, as the floor
-    of the eigen-decomposition step does; every other component changes by
-    at most sigma / |eigenvalue| relatively. When p is not a descent direction
-    (g.p >= 0) or shows no positive curvature (p.(H + sigma I) p <= 0), the
-    step is ``_eigh_step`` of hessian(), the dense H at the same point,
-    which is built at most once per map.
+    no rule may assume it is below _POLISH_RTOL. The shift
+    sigma = max(1e-10, 1e-12 max D) stands in for a floor of 1e-12 ||H||
+    on the curvature the step divides by. It bounds the step along the
+    near-null directions of H (the rotations, and at eps = 0 the time
+    shift), where the gradient holds only rounding noise; every other
+    component changes by at most sigma / |eigenvalue| relatively. When p is
+    not a descent direction (g.p >= 0) or shows no positive curvature
+    (p.(H + sigma I) p <= 0), the step is -D^-1 g, the direction of MINRES's
+    first iteration, which always descends.
     """
     minv = 1.0 / product.kin_rows.reshape(-1)
-    shifted = product.shifted(_curvature_floor(float(product.kin_rows.max())))
-    fallback = None
+    shifted = product.shifted(max(1e-10, 1e-12 * float(product.kin_rows.max())))
 
     def step(g):
-        nonlocal fallback
         rhs = -product.to_rows(g)
         p = _minres(shifted.rows, rhs, minv, rhs.size, _POLISH_RTOL)
         if rhs.dot(p) > 0 and p.dot(shifted.rows(p)) > 0:
             return product.from_rows(p)
-        if fallback is None:
-            fallback = _eigh_step(hessian())
-        return fallback(g)
+        return product.from_rows(minv * rhs)
 
     return step
 
@@ -422,13 +395,7 @@ class _Descent:
             if settled and _tail_quiet(self.rows):
                 break
             if not settled or newton_step is None:
-                x = self.x
-                newton_step = _newton_step(
-                    self.evaluator.hessp(x),
-                    lambda: _action_hessian(
-                        self.evaluator.spec, self.loop0.with_flat(x), self.evaluator.n_t
-                    ),
-                )
+                newton_step = _newton_step(self.evaluator.hessp(self.x))
             g = self.ev.gradient
             step = newton_step(g)
             f = self.f
@@ -564,13 +531,11 @@ def descend(
     judges the step, so a tighter solve buys nothing. The shift
     sigma = max(1e-10, 1e-12 max D) bounds the step along the near-null
     directions of H (the rotations, and at eps = 0 the time shift), where
-    the gradient holds only rounding noise. When p is
-    not a descent direction (g.p >= 0) or shows no positive curvature
-    (p.(H + sigma I) p <= 0), the dense H is built, and p is the modified
-    Newton step -V |Lambda|^-1 V^T g of its eigen-decomposition, its
-    |eigenvalues| clipped at max(1e-10, 1e-12 max|eigenvalue|). A trial
-    is accepted only when its gradient norm is at most 0.9 times the current
-    one and either its action f_trial <= f, or f_trial rises by at most
+    the gradient holds only rounding noise. When p is not a descent
+    direction (g.p >= 0) or shows no positive curvature
+    (p.(H + sigma I) p <= 0), the step is -D^-1 g instead, the direction of
+    MINRES's first iteration, which always descends. A trial is accepted
+    only when its gradient norm is at most 0.9 times the current one and either its action f_trial <= f, or f_trial rises by at most
     f's rounding floor, 8 eps (1 + |f|), while the trapezoid line integral of
     the gradient, 0.5 t (g + g_trial).p, is <= 0. Here f is the value the
     current row records. The row of the trial records f_trial in the first
@@ -578,9 +543,8 @@ def descend(
     never increases and each row stays within f's rounding floor of the
     action at its iterate. Once the gradient norm is below grad_tol but the
     trace's tail is not yet quiet, the polish reuses its last Hessian-vector
-    product (and eigen-decomposition, if one was built) and accepts the
-    steps that keep the gradient norm below grad_tol, until the tail is
-    quiet. A polish that halves the gradient norm hands back to the
+    product and accepts the steps that keep the gradient norm below
+    grad_tol, until the tail is quiet. A polish that halves the gradient norm hands back to the
     quasi-Newton phase with an empty memory. A run that can certify no
     further progress in either phase ends as
     STALLED_NEAR_COLLISION when some trial was rejected by the separation

@@ -19,6 +19,7 @@ from orbitact.loopspace import (
     sample_trajectory,
 )
 from orbitact.potential import grid_potential
+from orbitact.solver import circular_seed
 
 
 def fd_gradient_longdouble(spec, loop, h=1e-6):
@@ -175,6 +176,22 @@ def test_quadrature_refinement_converges():
     v_coarse, _, _ = action_value(spec, circle, n_t=13)
     v_fine, _, _ = action_value(spec, circle, n_t=512)
     assert v_coarse == pytest.approx(v_fine, abs=1e-13)
+
+
+def test_node_count_must_be_an_integer():
+    # np.arange(41.5) makes 42 nodes spaced T/41.5, which is no periodic
+    # grid: the action came out 7.8830882296 against 7.8830882297 at 41.
+    spec = make_spec()
+    loop = circular_seed(spec, 2, 8, 1, 0, base_seed=0)
+    for bad in (41.5, 41.0, True, np.float64(41.0)):
+        with pytest.raises(ValueError, match="n_t must be an integer"):
+            action(spec, loop, n_t=bad)
+        with pytest.raises(ValueError, match="n_t must be an integer"):
+            sample_trajectory(loop, bad)
+    want = action(spec, loop, n_t=41)
+    got = action(spec, loop, n_t=np.int64(41))
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
 
 
 def test_hessian_symmetric_and_matches_gradient_differences():

@@ -11,7 +11,6 @@ from orbitact.solver import (
     OrbitRecord,
     SolveOptions,
     SolveStatus,
-    _eigh_step,
     _minres,
     _newton_step,
     _two_loop,
@@ -230,6 +229,17 @@ def _rotation_basis(x, dim):
     return np.linalg.qr(np.stack(columns, axis=1))[0]
 
 
+def _eigh_step(hess):
+    """The map g -> modified Newton step -V |Lambda|^-1 V^T g of H's eigen-decomposition.
+
+    The |eigenvalues| are clipped at max(1e-10, 1e-12 max|eigenvalue|),
+    which keeps the step bounded near saddles as well as minima.
+    """
+    eigvals, eigvecs = np.linalg.eigh(hess)
+    scale = np.maximum(np.abs(eigvals), max(1e-10, 1e-12 * float(np.abs(eigvals).max())))
+    return lambda g: -(eigvecs @ ((eigvecs.T @ g) / scale))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
     # At a converged minimum the gradient is rounding noise, so a random
@@ -272,7 +282,7 @@ def test_factored_polish_step_matches_eigh_step_at_minima(monkeypatch, dim):
 
     with monkeypatch.context() as patch:
         _forbid_eigh(patch)
-        step = _newton_step(product, lambda: hess)(g)
+        step = _newton_step(product)(g)
     assert float(g @ step) < 0
     residual = shifted.rows(product.to_rows(step)) - rhs
     assert np.sqrt(residual @ (minv * residual)) <= 1e-6 * np.sqrt(rhs @ (minv * rhs))
@@ -305,40 +315,48 @@ def test_polish_converges_where_rounding_noise_meets_the_rotation_mode():
     assert report.action_value == pytest.approx(320.936166029789, rel=1e-12)
 
 
-def test_newton_step_falls_back_to_eigh_on_negative_curvature():
+def test_refused_newton_step_goes_along_the_preconditioned_gradient(monkeypatch):
     # Near the square saddle the Hessian is indefinite: along its negative
-    # eigenvector the MINRES step goes uphill, so the eigh step is taken.
+    # eigenvector the MINRES step goes uphill, so the step is refused and
+    # -D^-1 g, MINRES's first direction, is taken without a dense Hessian.
     spec = make_spec(masses=np.ones(4))
     loop = circular_seed(spec, 2, 4, 1, 0, base_seed=0, noise=0.0)
     x = loop.flat()
-    hess = action_hessian(spec, loop)
-    eigvals, eigvecs = np.linalg.eigh(hess)
+    eigvals, eigvecs = np.linalg.eigh(action_hessian(spec, loop))
     assert eigvals[0] < 0
-    built = []
-    step = _newton_step(_Evaluator(spec, loop).hessp(x), lambda: built.append(1) or hess)
     g = eigvecs[:, 0]
-    want = _eigh_step(hess)(g)
-    assert np.abs(step(g) - want).max() <= 1e-12 * np.abs(want).max()
-    assert float(g @ step(g)) < 0
-    assert built == [1]  # the dense Hessian is built once per map
+    evaluator = _Evaluator(spec, loop)
+    want = -g / evaluator.kin_diag.reshape(-1)
+    with monkeypatch.context() as patch:
+        _forbid_eigh(patch)
+        step = _newton_step(evaluator.hessp(x))(g)
+    assert np.linalg.norm(step - want) <= 1e-15 * np.linalg.norm(want)
+    assert float(g @ step) < 0
 
 
-def test_descent_builds_the_dense_hessian_for_its_eigh_fallback(monkeypatch):
-    # On this two-body start one polish step's MINRES solution fails the
-    # descent or curvature test, so the polish builds the dense Hessian
-    # through solver._action_hessian, once, and still converges.
-    built = []
-    dense = solver_module._action_hessian
+def test_descent_lands_its_refused_polish_step_without_a_dense_hessian(monkeypatch):
+    # On this two-body start one settled polish step's MINRES solution fails
+    # the descent or curvature test; the polish steps along -D^-1 g instead,
+    # builds no dense Hessian and still converges.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the polish built the dense Hessian")
 
-    def counted(*args):
-        built.append(1)
-        return dense(*args)
+    refused = []
+    original = solver_module._minres
 
-    monkeypatch.setattr(solver_module, "_action_hessian", counted)
+    def checked(apply, b, *args):
+        p = original(apply, b, *args)
+        refused.append(not (b.dot(p) > 0 and p.dot(apply(p)) > 0))
+        return p
+
+    _forbid_eigh(monkeypatch)
+    monkeypatch.setattr(solver_module, "_action_hessian", forbidden)
+    monkeypatch.setattr(solver_module, "_minres", checked)
     spec = make_spec()
     report = descend(spec, circular_seed(spec, 2, 8, 1, 1, base_seed=3))
-    assert built == [1]
+    assert refused.count(True) == 1
     assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 17
     assert report.action_value == pytest.approx(TWO_PI, abs=1e-12)
 
 

@@ -11,10 +11,11 @@ first, each rounded to 9 significant digits. Each search also gets
 its converged count and its iterations summed over the seeds; iteration
 counts are deterministic, so they compare across checkouts like the rest.
 So does the cost of its Newton polish, summed over the seeds: the MINRES
-solves, the Hessian-vector products they take and the solves that reach
-their cap of n products, counted by wrapping ``solver._minres`` for the
-duration of the search, and the dense eigen-decomposition fallbacks, counted
-by wrapping ``solver._eigh_step`` the same way.
+solves, the Hessian-vector products they take, the solves that reach their
+cap of n products and the solves whose step x the polish refuses because it
+is not a descent step or shows no positive curvature (b.x <= 0 or
+x.Ax <= 0; the polish then steps along -D^-1 g), all counted by wrapping
+``solver._minres`` for the duration of the search.
 
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
@@ -98,7 +99,8 @@ def census(run, seed: int) -> dict:
 
 
 def counting_minres(tally: Counter):
-    """``solver._minres`` that adds each solve, its products and whether it hit its cap to tally."""
+    """``solver._minres`` that adds each solve, its products, whether it hit its cap
+    and whether the polish refuses its step to tally."""
     minres = solver._minres
 
     def counted(apply, b, minv, maxiter, rtol):
@@ -110,34 +112,25 @@ def counting_minres(tally: Counter):
             return apply(v)
 
         x = minres(product, b, minv, maxiter, rtol)
-        tally.update(solves=1, products=products, capped=int(products == maxiter))
+        refused = not (b.dot(x) > 0 and x.dot(apply(x)) > 0)
+        tally.update(
+            solves=1, products=products, capped=int(products == maxiter), refused=int(refused)
+        )
         return x
-
-    return counted
-
-
-def counting_eigh_step(tally: Counter):
-    """``solver._eigh_step`` that adds each dense fallback to tally."""
-    eigh_step = solver._eigh_step
-
-    def counted(hess):
-        tally.update(fallbacks=1)
-        return eigh_step(hess)
 
     return counted
 
 
 def main() -> None:
     out = {}
-    minres, eigh_step = solver._minres, solver._eigh_step
+    minres = solver._minres
     for name, (run, seed_range) in SEARCHES.items():
-        tally = Counter(solves=0, products=0, capped=0, fallbacks=0)
+        tally = Counter(solves=0, products=0, capped=0, refused=0)
         solver._minres = counting_minres(tally)
-        solver._eigh_step = counting_eigh_step(tally)
         try:
             seeds = {str(seed): census(run, seed) for seed in seed_range}
         finally:
-            solver._minres, solver._eigh_step = minres, eigh_step
+            solver._minres = minres
         out[name] = {
             "converged_total": sum(row["converged"] for row in seeds.values()),
             "iterations_total": sum(row["iterations"] for row in seeds.values()),
