@@ -7,8 +7,8 @@ which on a circle is just the node average times T. The gradient returned is
 the exact derivative of this discretized functional with respect to the
 flattened Fourier coefficients (body-major, harmonic-minor, cosine before
 sine), so a finite-difference check against ``action`` converges without any
-quadrature-mismatch floor; the Hessian is the exact derivative of that gradient.
-An evaluator's ``hessp`` applies that Hessian to vectors without forming it.
+quadrature-mismatch floor. An evaluator's ``hessp`` applies the Hessian, the
+exact derivative of that gradient, to vectors; ``action_hessian`` stacks them.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ class _Evaluator:
     and builds the kinetic diagonal and the grid's pair kernel; ``evaluate``
     then takes only a flat coefficient vector, so repeated evaluations (a
     descent's line-search trials) repeat none of that work and build no
-    LoopConfiguration. At orders 0 and 1 it also takes a stack of such
-    vectors along leading axes and evaluates them as one batch through the
-    same kernels; each loop's result equals its single evaluation bit for
-    bit, whatever the other loops of the batch, their number or its place.
-    ``actions`` evaluates the line-search trials of many descents this way.
+    LoopConfiguration. It also takes a stack of such vectors along leading
+    axes and evaluates them as one batch through the same kernels; each
+    loop's result equals its single evaluation bit for bit, whatever the
+    other loops of the batch, their number or its place. ``actions``
+    evaluates the line-search trials of many descents this way.
     """
 
     def __init__(self, spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
@@ -132,11 +132,11 @@ class _Evaluator:
         self.pair_kernel = _PairKernel(spec, self.grid.times)
 
     def evaluate(self, x: np.ndarray, order: int):
-        """([value, gradient, Hessian][:order + 1], kinetic, potential integral, min separation) at x.
+        """([value, gradient][:order + 1], kinetic, potential integral, min separation) at x.
 
-        x is a flat coefficient vector in the template's layout, or at orders 0
-        and 1 a stack of them along leading axes, which gives every result
-        those leading axes. It is checked as LoopConfiguration checks
+        order is 0 or 1. x is a flat coefficient vector in the template's
+        layout, or a stack of them along leading axes, which gives every
+        result those leading axes. It is checked as LoopConfiguration checks
         coefficients: a wrong size or a non-finite entry raises ShapeMismatch.
         """
         coefficients = self._coefficients(x)
@@ -159,8 +159,7 @@ class _Evaluator:
 
         The node blocks of grid_potential's order-2 term are computed here,
         once per x; each product then costs two basis matmuls and one
-        batched (N k, N k) product per node. It equals ``action_hessian``
-        times v up to rounding.
+        batched (N k, N k) product per node.
         """
         positions = loopspace._synthesize(self.grid.basis, self._coefficients(x))
         terms, _ = grid_potential(
@@ -174,11 +173,11 @@ class _Evaluator:
     def evaluate_sampled(self, coefficients: np.ndarray, positions: np.ndarray, order: int):
         """As ``evaluate``, for (..., N, M, 2, k) coefficients already sampled at the grid nodes.
 
-        Derivatives are in flat coefficient order; the potential part of each
-        is the matching grid_potential term projected onto the basis with
-        weight T/n_t. Every sum over a loop's nodes or coefficients runs
-        along the last axis, and every product is stacked per loop, so a
-        batch sums each loop in the order of its single evaluation.
+        The gradient is in flat coefficient order; its potential part is
+        grid_potential's order-1 term projected onto the basis with weight
+        T/n_t. Every sum over a loop's nodes or coefficients runs along the
+        last axis, and every product is stacked per loop, so a batch sums
+        each loop in the order of its single evaluation.
         """
         grid, weight, n_t = self.grid, self.weight, self.n_t
         terms, min_sep = grid_potential(
@@ -206,21 +205,6 @@ class _Evaluator:
                 .swapaxes(-3, -4)
             )
             out.append(np.subtract(grad_kin, grad_pot, out=grad_kin).reshape(*batch, -1))
-        if order >= 2:
-            # Node sum of basis[a] basis[b] H_j as one matmul, (a b, j) @ (j, (i d)(p e)),
-            # scaled in place by -T/n_t, then copied into flat coefficient order
-            # (i m c d, p n f e) by one transpose; a permutation rounds nothing.
-            basis = grid.basis
-            row_products = (basis[:, None, :] * basis[None, :, :]).reshape(-1, n_t)
-            pot_block = row_products @ terms[2].reshape(n_t, n_pos * n_pos)
-            pot_block *= -weight
-            hess = (
-                pot_block.reshape(harmonics, 2, harmonics, 2, n_bodies, dim, n_bodies, dim)
-                .transpose(4, 0, 1, 5, 6, 2, 3, 7)
-                .reshape(self.size, self.size)
-            )
-            hess[np.diag_indices(self.size)] += self.kin_diag.reshape(-1)
-            out.append(hess)
         return out, kinetic, potential_integral, min_sep
 
     def action(self, x: np.ndarray) -> ActionEvaluation:
@@ -291,5 +275,18 @@ def action_value(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None =
 
 
 def action_hessian(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
-    """Exact Hessian of the discretized action in flat coefficient order, shape (n, n)."""
-    return _evaluate(spec, loop, n_t, 2)[0][2]
+    """Exact Hessian of the discretized action in flat coefficient order, shape (n, n).
+
+    Column j is the ``hessp`` product at the loop applied to the j-th unit
+    vector, in the loop's dtype. Built by columns, it holds only the result
+    at full size.
+    """
+    x = loop.flat()
+    product = _Evaluator(spec, loop, n_t).hessp(x)
+    hess = np.empty((x.size, x.size), dtype=x.dtype)
+    unit = np.zeros_like(x)
+    for j in range(x.size):
+        unit[j] = 1
+        hess[:, j] = product(unit)
+        unit[j] = 0
+    return hess

@@ -140,6 +140,8 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
         return _fail(str(exc))
     if samples < 0:
         return _fail("--samples must be >= 0")
+    if seed < 0:
+        return _fail("--seed must be >= 0")
     if samples == 0:
         print(
             "warning: 0 samples requested; every check passes vacuously",

@@ -356,6 +356,8 @@ def collision_blowup_probe(spec: PotentialSpec, j_max: int = 20) -> BlowupProbe:
     """
     if spec.n_bodies < 2:
         raise SingleBody("blow-up probe needs at least two bodies")
+    if not loopspace._is_integer(j_max):
+        raise ValueError(f"j_max must be an integer, not {j_max!r}")
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     pair_spec = replace(spec, masses=np.asarray(spec.masses[:2]))

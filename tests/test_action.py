@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,16 +285,34 @@ def row_product_hessian(spec, loop):
     "n_bodies, dim, dtype",
     [(1, 2, float), (2, 1, float), (3, 3, float), (6, 2, float), (3, 2, np.longdouble)],
 )
-def test_hessian_equals_row_product_formula_bit_for_bit(n_bodies, dim, dtype):
+def test_hessian_columns_equal_hessp_of_unit_vectors_bit_for_bit(n_bodies, dim, dtype):
     spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=0.3)
     rng = np.random.default_rng(7 * n_bodies + dim)
     for scale in (0.3, 2.0):
         coefficients = random_loop(rng, n_bodies=n_bodies, dim=dim, scale=scale).coefficients
         loop = LoopConfiguration(n_bodies, dim, TWO_PI, coefficients.astype(dtype))
         hess = action_hessian(spec, loop)
-        oracle = row_product_hessian(spec, loop)
-        assert hess.dtype == oracle.dtype == dtype
-        assert np.array_equal(hess, oracle)
+        product = _Evaluator(spec, loop).hessp(loop.flat())
+        assert hess.dtype == dtype
+        for j, unit in enumerate(np.eye(loop.coefficients.size, dtype=dtype)):
+            column = product(unit)
+            assert column.dtype == dtype
+            assert np.array_equal(hess[:, j], column)
+
+
+def test_hessian_peak_memory_stays_near_its_own_bytes():
+    # Forming the Hessian by its basis row products took a (4M^2, n_t) matrix,
+    # 9.5 times the Hessian's bytes here; by columns it takes 1.15.
+    spec = make_spec(masses=np.array([1.0, 2.0, 0.5]))
+    loop = random_loop(np.random.default_rng(67), n_bodies=3, dim=2, harmonics=64, scale=0.4)
+    tracemalloc.start()
+    try:
+        hess = action_hessian(spec, loop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hess.shape == (loop.coefficients.size,) * 2
+    assert peak < 3 * hess.nbytes
 
 
 @pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
@@ -309,7 +329,7 @@ def test_hessp_matches_dense_hessian_product(n_bodies, dim):
         loop = LoopConfiguration(n_bodies, dim, TWO_PI, base.coefficients * (target / widest))
         product = _Evaluator(spec, loop).hessp(loop.flat())
         v = rng.standard_normal(loop.coefficients.size)
-        want = action_hessian(spec, loop) @ v
+        want = row_product_hessian(spec, loop) @ v
         assert np.abs(product(v) - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(product.from_rows(product.to_rows(v)), v)
 
@@ -332,7 +352,8 @@ def test_bound_evaluator_matches_fresh_action_bit_for_bit():
         assert np.array_equal(got.gradient, want.gradient)
         assert got.kinetic == want.kinetic
         assert got.min_separation == want.min_separation
-        assert np.array_equal(evaluator.evaluate(x, 2)[0][2], action_hessian(spec3, loop))
+        fresh = _Evaluator(spec3, loop).hessp(x)
+        assert np.array_equal(evaluator.hessp(x)(direction), fresh(direction))
 
 
 def test_bound_evaluator_rejects_collisions_and_bad_vectors():

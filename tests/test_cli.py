@@ -148,7 +148,11 @@ def test_ledger_fails_on_linear_blend(tmp_path, capsys):
 def test_ledger_sample_count_validation(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["ledger", str(cfg), "--samples", "-5"]) == EXIT_INVALID_INPUT
-    capsys.readouterr()
+    assert "error: --samples must be >= 0" in capsys.readouterr().err
+    # numpy rejects a negative seed with a traceback; the CLI rejects it first
+    assert main(["ledger", str(cfg), "--seed", "-1"]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
     assert main(["ledger", str(cfg), "--samples", "0"]) == EXIT_OK
     assert "vacuously" in capsys.readouterr().err
 

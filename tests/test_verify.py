@@ -218,6 +218,11 @@ def test_blowup_probe_input_checks():
         collision_blowup_probe(make_spec(masses=np.array([1.0])))
     with pytest.raises(ValueError):
         collision_blowup_probe(make_spec(), j_max=0)
+    # 2.5 and 3.0 probed 3 separations and True probed 1
+    for bad in (2.5, np.float64(3.0), True):
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            collision_blowup_probe(make_spec(), j_max=bad)
+    assert collision_blowup_probe(make_spec(), j_max=np.int64(3)).separations.size == 3
 
 
 def test_ledger_passes_on_reference_problem():

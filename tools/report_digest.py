@@ -15,17 +15,18 @@ A report keeps only each check's worst slack, so every ledger entry also
 hashes each check's sorted per-sample slacks, captured by wrapping
 ``orbitact.verify._ledger_check`` for the duration of the run.
 Finally it hashes ``action`` (value, gradient, kinetic energy, potential
-integral, minimum separation), ``action_hessian`` and the Hessian-vector
-product ``_Evaluator.hessp`` applied to one seeded vector, at fixed seeded
-loops of 1, 2, 3 and 6 unequal masses in dim 1, 2 and 3, under modulation
-0.3: per shape one loop inside r1 and one whose pair distances cross the
-blend window, so the pair kernel, the Hessian assembly and the product the
-polish solves with are covered in every dimension and not only through the
-search. The two loops of each shape are also evaluated as one batch by
-``_Evaluator.actions``, the call that evaluates the trials of a serial
-search; each ``action_batch`` entry hashes one loop's result in the byte
-format of its ``action`` hash, so the two hashes are equal exactly when
-the loop's bits do not depend on the batch it shares.
+integral, minimum separation), ``action_hessian`` (the matrix of
+``_Evaluator.hessp``, built from its products with the unit vectors) and
+that product applied to one seeded vector, at fixed seeded loops of 1, 2,
+3 and 6 unequal masses in dim 1, 2 and 3, under modulation 0.3: per shape
+one loop inside r1 and one whose pair distances cross the blend window, so
+the pair kernel and the product the polish solves with are covered in
+every dimension and not only through the search. The two loops of each
+shape are also evaluated as one batch by ``_Evaluator.actions``, the call
+that evaluates the trials of a serial search; each ``action_batch`` entry
+hashes one loop's result in the byte format of its ``action`` hash, so the
+two hashes are equal exactly when the loop's bits do not depend on the
+batch it shares.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
