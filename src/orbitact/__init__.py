@@ -8,6 +8,10 @@ representation), potential (interaction profile and witnesses), action
 (value and exact gradient), solver (descent and multistart), verify
 (residuals, inequality ledger, coercivity), runconfig / orbitfile / cli
 (external interfaces).
+
+The configuration names (RunConfig, load_config, config_from_dict,
+resolved_dict) load runconfig, and with it json, on first use, so a search
+that reads no configuration file does not pay for them.
 """
 
 from .action import ActionEvaluation, action, action_value
@@ -48,7 +52,6 @@ from .potential import (
     strong_force_witness,
     time_modulation,
 )
-from .runconfig import RunConfig, config_from_dict, load_config, resolved_dict
 from .solver import (
     MultistartResult,
     OrbitRecord,
@@ -155,3 +158,14 @@ __all__ = [
     "ConfigInvalid",
     "OrbitFileInvalid",
 ]
+
+
+_CONFIG_NAMES = frozenset({"RunConfig", "load_config", "config_from_dict", "resolved_dict"})
+
+
+def __getattr__(name):
+    if name in _CONFIG_NAMES:
+        from . import runconfig
+
+        return getattr(runconfig, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

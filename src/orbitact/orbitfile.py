@@ -83,8 +83,10 @@ def load_orbit(path):
             payload = json.load(handle)
     except OSError as exc:
         raise OrbitFileInvalid(f"cannot read orbit file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise OrbitFileInvalid(f"orbit file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise OrbitFileInvalid(f"orbit file {path} nests too deeply to parse") from None
 
     _require(isinstance(payload, dict), "orbit file root must be an object")
     _require(payload.get("format") == ORBIT_FORMAT, f"orbit file format must be {ORBIT_FORMAT!r}")

@@ -226,8 +226,10 @@ def load_config(path) -> RunConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigInvalid(f"config file {path} nests too deeply to parse") from None
     return config_from_dict(data)
 
 

@@ -35,6 +35,8 @@ convergence and by the residual of the motion equations, and groups
 duplicates by action value plus time-shift-minimized H^1 distance. That
 distance comes from per-harmonic cross terms of the two loops, evaluated on
 the whole shift grid at once, not from one shifted loop per shift.
+The process pool and its imports load on the first run with more than one
+worker, so importing this module or running a serial search does not load them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import math
 import os
 import struct
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -91,6 +92,12 @@ class SolveStatus(Enum):
     STALLED_NEAR_COLLISION = "stalled_near_collision"
 
 
+def _require_positive_tol(name, value):
+    """Raise ValueError unless value is a finite positive number; bools are refused."""
+    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Descent controls. step_guard is the largest allowed fractional drop of
@@ -108,8 +115,7 @@ class SolveOptions:
                 raise ValueError(f"{name} must be an integer")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.grad_tol > 0 and math.isfinite(self.grad_tol)):
-            raise ValueError("grad_tol must be finite and positive")
+        _require_positive_tol("grad_tol", self.grad_tol)
         if self.history_len < 1:
             raise ValueError("history_len must be >= 1")
         if self.seed < 0:
@@ -697,7 +703,8 @@ def multistart(
     the task order is fixed, and the pool map preserves it. An exception in
     one start ends the whole search. Starts that fail to converge, or
     converge with a motion-equation residual at or above el_residual_tol,
-    are dropped (and tallied); survivors are grouped into orbits.
+    are dropped (and tallied); survivors are grouped into orbits. The three
+    tolerances must be finite and positive, as a run configuration requires.
     """
     if opts is None:
         opts = SolveOptions()
@@ -711,6 +718,12 @@ def multistart(
         raise ValueError("winding_classes must be non-empty")
     for w in classes:
         _require_valid_winding(w, harmonics)
+    for name, value in (
+        ("action_rel_tol", action_rel_tol),
+        ("path_tol", path_tol),
+        ("el_residual_tol", el_residual_tol),
+    ):
+        _require_positive_tol(name, value)
 
     tasks = [(w, s) for w in classes for s in range(starts_per_class)]
     seeds = [circular_seed(spec, dim, harmonics, w, s, opts.seed) for (w, s) in tasks]
@@ -718,6 +731,8 @@ def multistart(
     if n_workers == 1:
         raw_reports = _lockstep(spec, seeds, opts, n_t)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             raw_reports = list(pool.map(descend, repeat(spec), seeds, repeat(opts), repeat(n_t)))
 
@@ -797,8 +812,11 @@ def dedupe(
     on that grid is E - 2 (cos(tau omega).P + sin(tau omega).Q), from the
     loops' H^1 energies E and per-harmonic cross terms P, Q, and its minimum
     is compared with path_tol^2. Each group is represented by its member of
-    smallest gradient norm, tagged with a content hash.
+    smallest gradient norm, tagged with a content hash. Both tolerances must
+    be finite and positive.
     """
+    _require_positive_tol("action_rel_tol", action_rel_tol)
+    _require_positive_tol("path_tol", path_tol)
     ordered = sorted(
         records, key=lambda r: (r.action_value, r.winding_seed_class, r.start_index)
     )

@@ -189,6 +189,20 @@ def test_export_error_paths(tmp_path, capsys):
     payload["loop"]["coefficients"][0] = 10**400  # an integer no float can hold
     orbit.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["export", str(orbit)]) == EXIT_INVALID_INPUT
+    capsys.readouterr()
+    for content in (b"\xff\xfe{}", b"[" * 100000):
+        orbit.write_bytes(content)
+        assert main(["export", str(orbit)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"error: orbit file {orbit}")
+
+
+def test_unreadable_config_exits_invalid(tmp_path, capsys):
+    # exit 1 means a ledger check failed, so a config that cannot be parsed must not reach it
+    cfg = tmp_path / "config.json"
+    for content in (b"\xff\xfe{}", b"[" * 100000):
+        cfg.write_bytes(content)
+        assert main(["ledger", str(cfg)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg}")
 
 
 @pytest.mark.parametrize("command", ["solve", "ledger", "export"])

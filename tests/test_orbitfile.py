@@ -116,6 +116,15 @@ def test_load_rejects_malformed_files(tmp_path):
     not_json.write_text("[1, 2", encoding="utf-8")
     with pytest.raises(OrbitFileInvalid):
         load_orbit(not_json)
+    for name, content, message in (
+        ("utf16.json", b"\xff\xfe{}", "not valid JSON"),
+        ("deep.json", b"[" * 100000, "nests too deeply"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(OrbitFileInvalid, match=message) as excinfo:
+            load_orbit(path)
+        assert str(path) in str(excinfo.value)
 
 
 def test_export_trajectory_samples_and_antiperiodicity(tmp_path):

@@ -165,6 +165,16 @@ def test_load_config_file_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigInvalid, match="not valid JSON"):
         load_config(bad)
+    # a UTF-16 byte-order mark is no UTF-8, and deep nesting exhausts the parser's recursion
+    for name, content, message in (
+        ("utf16.json", b"\xff\xfe{}", "not valid JSON"),
+        ("deep.json", b"[" * 100000, "nests too deeply"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(ConfigInvalid, match=message) as excinfo:
+            load_config(path)
+        assert str(path) in str(excinfo.value)
 
 
 def test_load_config_round_trip(tmp_path):

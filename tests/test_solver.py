@@ -36,7 +36,7 @@ def test_options_validation():
         SolveOptions(step_guard=0.0)
     with pytest.raises(ValueError):
         SolveOptions(step_guard=1.0)
-    for bad in (float("inf"), float("nan"), -1e-9):
+    for bad in (float("inf"), float("nan"), -1e-9, True):
         with pytest.raises(ValueError):
             SolveOptions(grad_tol=bad)
     for name in ("max_iters", "history_len", "seed"):
@@ -612,6 +612,14 @@ def test_multistart_validates_input():
         kwargs = {"starts_per_class": 1, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             multistart(spec, [1], **kwargs)
+    # the tolerances are checked before any start runs, as config_from_dict checks them
+    for name in ("action_rel_tol", "path_tol", "el_residual_tol"):
+        for bad in (-0.5, 0.0, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                multistart(spec, [1], 3, **{name: bad})
+            if name != "el_residual_tol":
+                with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                    dedupe([], **{name: bad})
 
 
 def _record(loop, value, grad_norm, winding=1, start=0):
