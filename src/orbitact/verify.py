@@ -9,9 +9,11 @@ audit wherever that is meaningful (e.g. the strong-force margin evaluates the
 witness from its own constants rather than reusing the potential formula).
 
 The sampled checks accept leading batch axes, so the inequality ledger
-draws each field of a chunk of samples in one generator call and checks the
-chunk with batched calls. A batched call equals a loop of single calls bit
-for bit: sums over pairs run along a contiguous axis, dot products go
+draws each field of a chunk of samples in one generator call and checks a
+whole block's draws at once: per body count (and per theta) for the pair
+checks, in one call for the scalar checks, and per chunk only where the
+coefficient blocks are large. A batched call equals a loop of single calls
+bit for bit: sums over pairs run along a contiguous axis, dot products go
 through the same 1-D kernel per row, and the powers that a single call takes
 of numpy scalars stay the C library's pow (np.float_power); numpy's array
 ``**`` rounds differently.
@@ -136,16 +138,21 @@ def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray):
 
 
 def _holder_sides(masses: np.ndarray, positions: np.ndarray, theta: float):
-    """Both sides (lhs, rhs) of the pairwise power-sum bound, each (...).
-
-    The two powers of the RHS are the C library's pow (np.float_power), as
-    for the numpy scalars of one configuration, so batches round the same.
-    """
+    """Both sides (lhs, rhs) of the pairwise power-sum bound, each (...)."""
     if theta >= 2:
         raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    weights, rsq = _pair_table(masses, positions)
+    return _holder_table_sides(*_pair_table(masses, positions), theta)
+
+
+def _holder_table_sides(weights: np.ndarray, rsq: np.ndarray, theta: float):
+    """Both sides (lhs, rhs) of the power-sum bound from a :func:`_pair_table`, each (...).
+
+    Rows of one table may be checked at different theta by slicing it. The
+    two powers of the RHS are the C library's pow (np.float_power), as for
+    the numpy scalars of one configuration, so batches round the same.
+    """
     lhs = (weights * rsq ** (theta / 2.0)).sum(axis=-1)
     rhs = np.float_power(weights.sum(axis=-1), (2.0 - theta) / 2.0) * np.float_power(
         _dot(weights, rsq), theta / 2.0
@@ -178,16 +185,25 @@ def check_wirtinger(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
     cancellation between harmonics. A :class:`LoopBatch` gives one row per
     loop, each equal to the single call bit for bit.
     """
-    energies = loopspace.harmonic_energies(loop)
+    return _wirtinger_slack(loop, loopspace.harmonic_energies(loop))
+
+
+def wirtinger_kinetic_side(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
+    """Per-body (T/2pi)^2 ||xdot_i||^2, the large side of the comparison, shape (..., N)."""
+    return _wirtinger_kinetic(loop, loopspace.harmonic_energies(loop))
+
+
+def _wirtinger_slack(loop: LoopConfiguration | LoopBatch, energies: np.ndarray) -> np.ndarray:
+    """:func:`check_wirtinger` from the loop's harmonic energies."""
     scaled = (loop.period / (2.0 * np.pi)) * loop.angular_frequencies()
     factors = scaled**2 - 1.0  # m^2 - 1 up to roundoff in the frequency product
     return 0.5 * loop.period * (energies @ factors)
 
 
-def wirtinger_kinetic_side(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
-    """Per-body (T/2pi)^2 ||xdot_i||^2, the large side of the comparison, shape (..., N)."""
+def _wirtinger_kinetic(loop: LoopConfiguration | LoopBatch, energies: np.ndarray) -> np.ndarray:
+    """:func:`wirtinger_kinetic_side` from the loop's harmonic energies."""
     scale = (loop.period / (2.0 * np.pi)) ** 2
-    return scale * loopspace.velocity_l2_norms_squared(loop)
+    return scale * loopspace._velocity_l2_from_energies(loop, energies)
 
 
 def check_modulation_symmetry(spec: PotentialSpec, i: int, j: int, t, xi):
@@ -414,7 +430,8 @@ class LedgerReport:
         }
 
 
-# Samples per batched call in the ledger; bounds its working memory.
+# Samples per generator call in the ledger, and per batched call of its
+# coefficient blocks (Wirtinger, antiperiodicity), which it keeps small.
 LEDGER_CHUNK = 256
 
 
@@ -451,6 +468,21 @@ def _random_body_groups(rng, rows: np.ndarray, dim: int):
         yield members, masses, positions
 
 
+def _merged_body_groups(rng, n: int, dim: int) -> list:
+    """The draws of :func:`_random_body_groups` over every chunk of n samples, merged per body count.
+
+    The generator is called chunk by chunk, so the stream depends on
+    LEDGER_CHUNK; the groups are then concatenated per body count, in
+    increasing order. Returns one (indices, masses (G, n), positions
+    (G, n, k)) per body count drawn.
+    """
+    groups = {}
+    for rows in _chunks(n):
+        for group in _random_body_groups(rng, rows, dim):
+            groups.setdefault(group[1].shape[-1], []).append(group)
+    return [tuple(map(np.concatenate, zip(*groups[bodies]))) for bodies in sorted(groups)]
+
+
 def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
     """Reduce one check's normalized slacks to its ledger entry.
 
@@ -475,33 +507,45 @@ def run_inequality_ledger(
     n_samples: int,
     seed: int,
 ) -> LedgerReport:
-    """Sample every ledger check with a seeded generator; n_samples < 0 raises ValueError.
+    """Sample every ledger check with a seeded generator.
 
-    A check takes n = n_samples samples, except wirtinger_first_harmonic
-    (every fourth Wirtinger sample, ceil(n/4)), antiperiodicity and zero_mean
-    (max(floor(n/10), 1) shared loops) and blend_c1 (one). With n = 0 every
-    check reports vacuously (zero samples, pass); callers should warn then.
+    dim, harmonics, n_samples and seed must be integers (numpy integers
+    count, bools do not), dim and harmonics >= 1 and the other two >= 0;
+    anything else raises ValueError. A check takes n = n_samples samples,
+    except wirtinger_first_harmonic (every fourth Wirtinger sample,
+    ceil(n/4)), antiperiodicity and zero_mean (max(floor(n/10), 1) shared
+    loops) and blend_c1 (one). With n = 0 every check reports vacuously (zero
+    samples, pass); callers should warn then.
 
-    Samples, and the representation block's loops, are drawn and checked in
-    chunks of LEDGER_CHUNK; no block loops over samples. Each field of a chunk
-    comes from one generator call (per body count for masses and positions),
-    and each check makes one batched call per chunk, or per body count and
-    theta where sample sizes vary. The draws follow the chunks, so the
-    reports depend on LEDGER_CHUNK.
+    Draws per chunk, checks per block. Every block draws its samples in
+    chunks of LEDGER_CHUNK, each field of a chunk in one generator call (per
+    body count for masses and positions). The pair checks then make one
+    batched call per body count over all chunks' draws, the power-sum bound
+    one per body count and theta on one pair table per body count, and the
+    strong-force and symmetry checks one call each. Only the coefficient
+    blocks (Wirtinger, antiperiodicity) are checked per chunk, so
+    LEDGER_CHUNK bounds the large arrays. No block loops over samples. The
+    draws follow the chunks, so the reports depend on LEDGER_CHUNK.
     """
+    for name, value in (("dim", dim), ("harmonics", harmonics), ("n_samples", n_samples), ("seed", seed)):
+        if not loopspace._is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    if dim < 1 or harmonics < 1:
+        raise ValueError(f"dim and harmonics must be >= 1, got {dim} and {harmonics}")
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    dim, harmonics, n, seed = int(dim), int(harmonics), int(n_samples), int(seed)
     rng = np.random.default_rng(seed)
-    n = n_samples
     checks = []
 
     # Pairwise-distance identity over random masses and positions, relative
     # to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2.
     slacks = []
-    for rows in _chunks(n):
-        for _, masses, positions in _random_body_groups(rng, rows, dim):
-            lhs, rhs = _pairwise_sides(masses, positions)
-            slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
+    for _, masses, positions in _merged_body_groups(rng, n, dim):
+        lhs, rhs = _pairwise_sides(masses, positions)
+        slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
 
     # Pairwise power-sum upper bound, exponents in the valid band [0, 2).
@@ -509,13 +553,13 @@ def run_inequality_ledger(
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
     slacks = []
-    for rows in _chunks(n):
-        for members, masses, positions in _random_body_groups(rng, rows, dim):
-            grid_index = members % len(theta_grid)
-            for k in np.unique(grid_index):
-                same = grid_index == k
-                lhs, rhs = _holder_sides(masses[same], positions[same], theta_grid[k])
-                slacks.append((rhs - lhs) / (1.0 + rhs))
+    for members, masses, positions in _merged_body_groups(rng, n, dim):
+        weights, rsq = _pair_table(masses, positions)
+        grid_index = members % len(theta_grid)
+        for k in np.unique(grid_index):
+            same = grid_index == k
+            lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta_grid[k])
+            slacks.append((rhs - lhs) / (1.0 + rhs))
     checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
 
     # Wirtinger comparison on random loops, plus tightness at pure first harmonic.
@@ -525,8 +569,9 @@ def run_inequality_ledger(
         first_only = rows % 4 == 0
         coeffs[first_only, :, 1:] = 0.0
         loops = LoopBatch(spec.period, coeffs)
-        slack = check_wirtinger(loops)
-        scale = 1.0 + wirtinger_kinetic_side(loops)
+        energies = loopspace.harmonic_energies(loops)
+        slack = _wirtinger_slack(loops, energies)
+        scale = 1.0 + _wirtinger_kinetic(loops, energies)
         slacks.append((slack / scale).min(axis=-1))
         slacks_eq.append((np.abs(slack[first_only]) / scale[first_only]).max(axis=-1))
     checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
@@ -539,8 +584,8 @@ def run_inequality_ledger(
     v_coeff = (1.0 - spec.modulation_eps) * pair_spec.masses[0] * pair_spec.masses[1] * spec.a
     log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
     slacks = []
-    for rows in _chunks(n):
-        r = np.exp(rng.uniform(log_lo, log_hi, size=rows.size))
+    if n:
+        r = np.exp(np.concatenate([rng.uniform(log_lo, log_hi, size=rows.size) for rows in _chunks(n)]))
         margin = strong_force_margin(pair_spec, 0, 1, r)
         # float_power is the C library's pow, as for one float r
         slacks.append(margin / np.maximum(v_coeff * np.float_power(r, -spec.alpha), 1e-300))
@@ -548,10 +593,16 @@ def run_inequality_ledger(
 
     # Half-period reflection symmetry of the modulated pair potential.
     slacks = []
-    for rows in _chunks(n):
-        times = rng.uniform(0.0, spec.period, size=rows.size)
-        directions = rng.normal(size=(rows.size, dim))
-        radii = rng.uniform(0.05, 3.0 * spec.r2, size=rows.size)
+    if n:
+        draws = [
+            (
+                rng.uniform(0.0, spec.period, size=rows.size),
+                rng.normal(size=(rows.size, dim)),
+                rng.uniform(0.05, 3.0 * spec.r2, size=rows.size),
+            )
+            for rows in _chunks(n)
+        ]
+        times, directions, radii = map(np.concatenate, zip(*draws))
         xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
         slacks.append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))

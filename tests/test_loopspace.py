@@ -4,6 +4,7 @@ import pytest
 from conftest import TWO_PI, per_pair_separations, random_loop
 from orbitact.errors import GridTooCoarse, ShapeMismatch
 from orbitact.loopspace import (
+    LoopBatch,
     LoopConfiguration,
     _pair_map,
     _shift_distances_sq,
@@ -165,6 +166,23 @@ def test_harmonic_energies_shape_and_values():
     coeff[0, 1, 1, 1] = 4.0
     loop = LoopConfiguration(1, 2, TWO_PI, coeff)
     assert harmonic_energies(loop).tolist() == [[9.0, 16.0]]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_harmonic_energies_equal_the_sum_over_both_axes_bit_for_bit(dim):
+    # the left-to-right adds give the bits of numpy's sum over the last two
+    # axes, on a batch and on single loops of either float type
+    rng = np.random.default_rng(40 + dim)
+    shape = (5, 3, 6, 2, dim)
+    coeffs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+    batch = LoopBatch(2.5, coeffs)
+    assert np.array_equal(harmonic_energies(batch), (coeffs**2).sum(axis=(-2, -1)))
+    for dtype in (float, np.longdouble):
+        loop = LoopConfiguration(3, dim, 2.5, coeffs[1].astype(dtype))
+        want = (loop.coefficients**2).sum(axis=(-2, -1))
+        got = harmonic_energies(loop)
+        assert got.dtype == want.dtype and got.shape == (3, 6)
+        assert np.array_equal(got, want)
 
 
 def test_h1_distance_single_mode_literal():

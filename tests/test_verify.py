@@ -8,7 +8,13 @@ import pytest
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
 from orbitact import loopspace, potential, verify
 from orbitact.errors import ShapeMismatch, SingleBody, ThetaOutOfRange
-from orbitact.loopspace import LoopBatch, LoopConfiguration, harmonic_energies, kinetic_energy
+from orbitact.loopspace import (
+    LoopBatch,
+    LoopConfiguration,
+    harmonic_energies,
+    kinetic_energy,
+    velocity_l2_norms_squared,
+)
 from orbitact.action import action_value
 from orbitact.potential import BLEND_LINEAR, strong_force_margin
 from orbitact.verify import (
@@ -261,6 +267,32 @@ def test_ledger_rejects_negative_samples():
 
 
 @pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"n_samples": True}, "n_samples must be an integer"),
+        ({"n_samples": 10.0}, "n_samples must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"dim": 0}, "dim and harmonics must be >= 1"),
+        ({"dim": 2.0}, "dim must be an integer"),
+        ({"harmonics": 0}, "dim and harmonics must be >= 1"),
+        ({"harmonics": True}, "harmonics must be an integer"),
+    ],
+)
+def test_ledger_validates_integer_arguments(bad, match):
+    args = {"dim": 2, "harmonics": 4, "n_samples": 5, "seed": 0, **bad}
+    with pytest.raises(ValueError, match=match):
+        run_inequality_ledger(make_spec(), **args)
+
+
+def test_ledger_accepts_numpy_integers_and_stores_ints():
+    report = run_inequality_ledger(make_spec(), np.int64(2), np.int32(4), np.int64(5), np.uint8(3))
+    assert type(report.samples) is int and type(report.seed) is int
+    assert json.loads(json.dumps(report.to_dict())) == run_inequality_ledger(make_spec(), 2, 4, 5, 3).to_dict()
+
+
+@pytest.mark.parametrize(
     "n, counts",
     [
         (1, [1, 1, 1, 1, 1, 1, 1, 1, 1]),
@@ -313,6 +345,19 @@ def test_loop_checks_batched_equal_single_calls(n_bodies, dim):
         got = fn(batch)
         assert got.shape[:2] == (3, 7)
         assert np.array_equal(got.reshape(21, *got.shape[2:]), [fn(loop) for loop in loops])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_wirtinger_checks_equal_their_energies_helpers_bit_for_bit(dim):
+    # the ledger computes a chunk's harmonic energies once and hands them to both helpers
+    rng = np.random.default_rng(50 + dim)
+    coeffs = rng.standard_normal((9, 4, 5, 2, dim))
+    for loop in (LoopBatch(3.7, coeffs), LoopConfiguration(4, dim, 3.7, coeffs[2])):
+        energies = harmonic_energies(loop)
+        assert np.array_equal(check_wirtinger(loop), verify._wirtinger_slack(loop, energies))
+        kinetic = wirtinger_kinetic_side(loop)
+        assert np.array_equal(kinetic, verify._wirtinger_kinetic(loop, energies))
+        assert np.array_equal(kinetic, (loop.period / TWO_PI) ** 2 * velocity_l2_norms_squared(loop))
 
 
 @pytest.mark.parametrize("n_bodies", [2, 3, 4, 5, 6])
@@ -432,6 +477,9 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
             "checks": [c.to_dict() for c in checks]}
 
 
+MULTI_CHUNK_SAMPLES = 3 * LEDGER_CHUNK + 17
+
+
 @pytest.mark.parametrize(
     "n_bodies, dim, theta, eps, n_samples",
     [
@@ -439,6 +487,10 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
         for n_bodies, dim, (theta, eps), n_samples in itertools.product(
             (1, 2, 6), (1, 3), ((1.0, 0.0), (-0.5, 0.3)), (0, 1, 300)
         )
+    ]
+    + [
+        (n_bodies, 2, theta, eps, MULTI_CHUNK_SAMPLES)
+        for n_bodies, (theta, eps) in itertools.product((2, 6), ((1.0, 0.0), (-0.5, 0.3)))
     ],
 )
 def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samples):
@@ -446,6 +498,15 @@ def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samp
     assert 300 > LEDGER_CHUNK
     spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), theta=theta, modulation_eps=eps)
     seed = 11 * n_bodies + dim
+    if n_samples == MULTI_CHUNK_SAMPLES:
+        # a seed whose four chunks each draw every body count in both pair
+        # blocks, so the ledger merges groups of every size across chunks
+        seed += 1000
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            for rows in _chunk_rows(n_samples):
+                groups = list(_random_body_groups(rng, rows, dim))
+                assert [masses.shape[1] for _, masses, _ in groups] == [2, 3, 4, 5, 6]
     report = run_inequality_ledger(spec, dim, 3, n_samples, seed)
     assert report.to_dict() == _sample_by_sample_ledger(spec, dim, 3, n_samples, seed)
 
@@ -471,3 +532,34 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
         assert worst > 0.0
         assert report.checks[0].name == "pairwise_identity"
         assert report.checks[0].worst_slack == pytest.approx(worst, rel=1e-6, abs=0.0)
+
+
+def test_ledger_checks_each_pair_and_scalar_block_in_one_call_per_body_count(monkeypatch):
+    # draws per chunk, checks per block: the pair tables are built once per
+    # body count and block, the scalar checks run once, and only the
+    # coefficient blocks go chunk by chunk
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("_pair_table", "_pairwise_sides", "_holder_table_sides", "strong_force_margin",
+                 "check_modulation_symmetry"):
+        counted(verify, name)
+    counted(loopspace, "harmonic_energies")
+    spec = make_spec(masses=np.linspace(0.7, 1.9, 4), modulation_eps=0.3)
+    run_inequality_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, seed=2)
+    assert calls == {
+        "_pairwise_sides": 5,
+        "_pair_table": 10,
+        "_holder_table_sides": 5 * 6,  # the theta grid holds spec.theta = 1.0 once more
+        "harmonic_energies": 4,
+        "strong_force_margin": 1,
+        "check_modulation_symmetry": 1,
+    }

@@ -10,7 +10,9 @@ modulation 0.3, dim 2, M=8, 5000 samples) at seeds 0-2 and hashes each
 report's ``to_dict()`` as JSON in its own key order, and does the same for
 a sweep of ledger edge configurations on the same problem (1, 2 or 6 unequal
 masses; dim 1 or 3; alpha 2 with theta 1 or alpha 3 with theta -0.5;
-modulation 0 or 0.3; 0, 1 or 300 samples, 300 crossing a chunk boundary).
+modulation 0 or 0.3; 0, 1, 300 or 900 samples, 300 crossing one chunk
+boundary and 900 spanning four chunks, so that the ledger's merge of each
+block's draws across chunks is covered).
 A report keeps only each check's worst slack, so every ledger entry also
 hashes each check's sorted per-sample slacks, captured by wrapping
 ``orbitact.verify._ledger_check`` for the duration of the run.
@@ -59,7 +61,7 @@ from orbitact.loopspace import LoopConfiguration  # noqa: E402
 # workload -> seeds
 SEEDS = {"ladder2": range(5), "ring6": range(3), "ledger": range(3)}
 # the ledger edge sweep: bodies, dims, (alpha, theta), modulations, samples
-LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300))
+LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300, 900))
 # the action sweep: bodies, dims, loop scales (0.3 stays inside r1 = 2, 2.0 crosses it)
 ACTION_SHAPES = ((1, 2, 3, 6), (1, 2, 3), (0.3, 2.0))
 ACTION_HARMONICS = 4
