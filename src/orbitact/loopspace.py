@@ -68,6 +68,10 @@ class LoopConfiguration:
         dim: spatial dimension k (>= 1; solvers require >= 2).
         period: loop period T > 0.
         coefficients: array of shape (N, M, 2, k), immutable after init.
+
+    n_bodies and dim must be integers (numpy integers count and are stored
+    as int, bools do not) and the period a real number other than a bool;
+    anything else raises ShapeMismatch.
     """
 
     n_bodies: int
@@ -76,6 +80,15 @@ class LoopConfiguration:
     coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not (_is_integer(self.n_bodies) and _is_integer(self.dim)):
+            raise ShapeMismatch(
+                f"n_bodies and dim must be integers, got {self.n_bodies!r} and {self.dim!r}"
+            )
+        real = (int, float, np.integer, np.floating)
+        if isinstance(self.period, bool) or not isinstance(self.period, real):
+            raise ShapeMismatch(f"period must be a real number, got {self.period!r}")
+        object.__setattr__(self, "n_bodies", int(self.n_bodies))
+        object.__setattr__(self, "dim", int(self.dim))
         c = np.asarray(self.coefficients)
         if not np.issubdtype(c.dtype, np.floating):
             c = c.astype(float)

@@ -612,8 +612,18 @@ def circular_seed(
     SEED_RADIUS * r1 * winding^(-2/(alpha+2)), which shrinks with winding
     the way force balance on the inner branch does. Gaussian noise with
     per-harmonic scale noise * radius / m^2 keeps distinct start indices
-    distinct while preserving positive separations.
+    distinct while preserving positive separations. dim, harmonics,
+    start_index and base_seed must be integers (bools do not count); anything
+    else raises ValueError.
     """
+    for name, value in (
+        ("dim", dim),
+        ("harmonics", harmonics),
+        ("start_index", start_index),
+        ("base_seed", base_seed),
+    ):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if dim < 2:
         raise ValueError("circular seeds need dim >= 2")
     _require_valid_winding(winding, harmonics)

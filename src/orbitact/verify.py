@@ -9,14 +9,15 @@ audit wherever that is meaningful (e.g. the strong-force margin evaluates the
 witness from its own constants rather than reusing the potential formula).
 
 The sampled checks accept leading batch axes, so the inequality ledger
-draws each field of a chunk of samples in one generator call and checks a
-whole block's draws at once: per body count (and per theta) for the pair
-checks, in one call for the scalar checks, and per chunk only where the
-coefficient blocks are large. A batched call equals a loop of single calls
-bit for bit: sums over pairs run along a contiguous axis, dot products go
-through the same 1-D kernel per row, and the powers that a single call takes
-of numpy scalars stay the C library's pow (np.float_power); numpy's array
-``**`` rounds differently.
+draws each field of a block in one generator call and checks the block's
+draws at once: per body count (and per theta) for the pair checks, in one
+call for the scalar checks, and per chunk of loops only where the
+coefficient blocks are large. It draws only what a check reads, and its
+report does not depend on the chunk size. A batched call equals a loop of
+single calls bit for bit: sums over pairs run along a contiguous axis, dot
+products go through the same 1-D kernel per row, and the powers that a
+single call takes of numpy scalars stay the C library's pow
+(np.float_power); numpy's array ``**`` rounds differently.
 """
 
 from __future__ import annotations
@@ -247,7 +248,10 @@ def solve_energy_bound(C: float, B: float, theta: float, K: float) -> float:
     sublevel set {phi <= K} is bounded; its supremum is the returned A. When
     no E >= 0 satisfies the inequality the bound is vacuous and 0 is returned.
     Closed forms are used when the equation is linear in E (C = 0 or theta = 0).
+    A NaN or infinite argument raises ValueError.
     """
+    if not all(map(math.isfinite, (C, B, theta, K))):
+        raise ValueError(f"C, B, theta and K must be finite, got {C}, {B}, {theta} and {K}")
     if theta >= 2:
         raise ThetaOutOfRange(f"energy bound requires theta < 2, got {theta}")
     if C < 0 or B < 0:
@@ -430,8 +434,8 @@ class LedgerReport:
         }
 
 
-# Samples per generator call in the ledger, and per batched call of its
-# coefficient blocks (Wirtinger, antiperiodicity), which it keeps small.
+# Loops per batched call of the ledger's coefficient blocks (Wirtinger,
+# antiperiodicity), which it keeps small. The draws do not depend on it.
 LEDGER_CHUNK = 256
 
 
@@ -446,41 +450,30 @@ def _random_coefficients(rng, batch: tuple, n_bodies: int, dim: int, harmonics: 
     return coeffs
 
 
-def _chunks(n: int):
-    """Sample indices 0..n-1 in consecutive aranges of at most LEDGER_CHUNK."""
-    for start in range(0, n, LEDGER_CHUNK):
-        yield np.arange(start, min(start + LEDGER_CHUNK, n))
+def _random_loop_chunks(rng, period: float, count: int, n_bodies: int, dim: int, harmonics: int):
+    """count random loops of :func:`_random_coefficients`, as LoopBatches of at most LEDGER_CHUNK.
+
+    The chunks are drawn back to back, so they form the stream of one call.
+    """
+    for start in range(0, count, LEDGER_CHUNK):
+        size = min(LEDGER_CHUNK, count - start)
+        yield LoopBatch(period, _random_coefficients(rng, (size,), n_bodies, dim, harmonics))
 
 
-def _random_body_groups(rng, rows: np.ndarray, dim: int):
-    """Two to six bodies for each sample index in rows, grouped by body count.
+def _random_body_groups(rng, n: int, dim: int):
+    """Two to six bodies for each of n samples, grouped by body count.
 
     One call draws every body count; then per count, in increasing order, one
     call draws the group's masses in [0.1, 3) and one its normal positions.
-    Yields (indices, masses (G, n), positions (G, n, k)) per count n, indices
-    being the group's entries of rows.
+    Yields (indices, masses (G, b), positions (G, b, k)) per body count b,
+    indices being the group's sample indices in 0..n-1.
     """
-    counts = rng.integers(2, 7, size=rows.size)
+    counts = rng.integers(2, 7, size=n)
     for bodies in np.unique(counts):
-        members = rows[counts == bodies]
+        members = np.flatnonzero(counts == bodies)
         masses = rng.uniform(0.1, 3.0, size=(members.size, bodies))
         positions = rng.normal(scale=1.5, size=(members.size, bodies, dim))
         yield members, masses, positions
-
-
-def _merged_body_groups(rng, n: int, dim: int) -> list:
-    """The draws of :func:`_random_body_groups` over every chunk of n samples, merged per body count.
-
-    The generator is called chunk by chunk, so the stream depends on
-    LEDGER_CHUNK; the groups are then concatenated per body count, in
-    increasing order. Returns one (indices, masses (G, n), positions
-    (G, n, k)) per body count drawn.
-    """
-    groups = {}
-    for rows in _chunks(n):
-        for group in _random_body_groups(rng, rows, dim):
-            groups.setdefault(group[1].shape[-1], []).append(group)
-    return [tuple(map(np.concatenate, zip(*groups[bodies]))) for bodies in sorted(groups)]
 
 
 def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
@@ -512,20 +505,23 @@ def run_inequality_ledger(
     dim, harmonics, n_samples and seed must be integers (numpy integers
     count, bools do not), dim and harmonics >= 1 and the other two >= 0;
     anything else raises ValueError. A check takes n = n_samples samples,
-    except wirtinger_first_harmonic (every fourth Wirtinger sample,
-    ceil(n/4)), antiperiodicity and zero_mean (max(floor(n/10), 1) shared
-    loops) and blend_c1 (one). With n = 0 every check reports vacuously (zero
-    samples, pass); callers should warn then.
+    except wirtinger_first_harmonic (the ceil(n/4) first-harmonic loops
+    among the Wirtinger samples), antiperiodicity and zero_mean
+    (max(floor(n/10), 1) shared loops) and blend_c1 (one). With n = 0 every
+    check reports vacuously (zero samples, pass); callers should warn then.
 
-    Draws per chunk, checks per block. Every block draws its samples in
-    chunks of LEDGER_CHUNK, each field of a chunk in one generator call (per
-    body count for masses and positions). The pair checks then make one
-    batched call per body count over all chunks' draws, the power-sum bound
-    one per body count and theta on one pair table per body count, and the
-    strong-force and symmetry checks one call each. Only the coefficient
-    blocks (Wirtinger, antiperiodicity) are checked per chunk, so
-    LEDGER_CHUNK bounds the large arrays. No block loops over samples. The
-    draws follow the chunks, so the reports depend on LEDGER_CHUNK.
+    One stream per block, no draw discarded. Each block draws each of its
+    fields in one generator call: the pair blocks their body counts, then
+    per body count the masses and the positions; the strong-force block its
+    radii; the symmetry block its times, directions and radii. The pair
+    checks make one batched call per body count (the power-sum bound one
+    pair table per body count, sliced per theta), and the strong-force and
+    symmetry checks one call each. The Wirtinger block draws its
+    n - ceil(n/4) general loops, then its ceil(n/4) first-harmonic loops
+    with the first harmonic only. The coefficient blocks (Wirtinger,
+    antiperiodicity) are drawn and checked in chunks of LEDGER_CHUNK loops,
+    which bounds the large arrays; back-to-back draws form one stream, so
+    the report does not depend on LEDGER_CHUNK.
     """
     for name, value in (("dim", dim), ("harmonics", harmonics), ("n_samples", n_samples), ("seed", seed)):
         if not loopspace._is_integer(value):
@@ -543,7 +539,7 @@ def run_inequality_ledger(
     # Pairwise-distance identity over random masses and positions, relative
     # to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2.
     slacks = []
-    for _, masses, positions in _merged_body_groups(rng, n, dim):
+    for _, masses, positions in _random_body_groups(rng, n, dim):
         lhs, rhs = _pairwise_sides(masses, positions)
         slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
     checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
@@ -553,7 +549,7 @@ def run_inequality_ledger(
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
     slacks = []
-    for members, masses, positions in _merged_body_groups(rng, n, dim):
+    for members, masses, positions in _random_body_groups(rng, n, dim):
         weights, rsq = _pair_table(masses, positions)
         grid_index = members % len(theta_grid)
         for k in np.unique(grid_index):
@@ -562,18 +558,18 @@ def run_inequality_ledger(
             slacks.append((rhs - lhs) / (1.0 + rhs))
     checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
 
-    # Wirtinger comparison on random loops, plus tightness at pure first harmonic.
+    # Wirtinger comparison on random loops, plus tightness on loops drawn
+    # with the first harmonic only.
     slacks, slacks_eq = [], []
-    for rows in _chunks(n):
-        coeffs = _random_coefficients(rng, (rows.size,), spec.n_bodies, dim, harmonics)
-        first_only = rows % 4 == 0
-        coeffs[first_only, :, 1:] = 0.0
-        loops = LoopBatch(spec.period, coeffs)
-        energies = loopspace.harmonic_energies(loops)
-        slack = _wirtinger_slack(loops, energies)
-        scale = 1.0 + _wirtinger_kinetic(loops, energies)
-        slacks.append((slack / scale).min(axis=-1))
-        slacks_eq.append((np.abs(slack[first_only]) / scale[first_only]).max(axis=-1))
+    first = -(-n // 4)
+    for drawn, count, tight in ((harmonics, n - first, False), (1, first, True)):
+        for loops in _random_loop_chunks(rng, spec.period, count, spec.n_bodies, dim, drawn):
+            energies = loopspace.harmonic_energies(loops)
+            slack = _wirtinger_slack(loops, energies)
+            scale = 1.0 + _wirtinger_kinetic(loops, energies)
+            slacks.append((slack / scale).min(axis=-1))
+            if tight:
+                slacks_eq.append((np.abs(slack) / scale).max(axis=-1))
     checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
     checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
 
@@ -585,7 +581,7 @@ def run_inequality_ledger(
     log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
     slacks = []
     if n:
-        r = np.exp(np.concatenate([rng.uniform(log_lo, log_hi, size=rows.size) for rows in _chunks(n)]))
+        r = np.exp(rng.uniform(log_lo, log_hi, size=n))
         margin = strong_force_margin(pair_spec, 0, 1, r)
         # float_power is the C library's pow, as for one float r
         slacks.append(margin / np.maximum(v_coeff * np.float_power(r, -spec.alpha), 1e-300))
@@ -594,15 +590,9 @@ def run_inequality_ledger(
     # Half-period reflection symmetry of the modulated pair potential.
     slacks = []
     if n:
-        draws = [
-            (
-                rng.uniform(0.0, spec.period, size=rows.size),
-                rng.normal(size=(rows.size, dim)),
-                rng.uniform(0.05, 3.0 * spec.r2, size=rows.size),
-            )
-            for rows in _chunks(n)
-        ]
-        times, directions, radii = map(np.concatenate, zip(*draws))
+        times = rng.uniform(0.0, spec.period, size=n)
+        directions = rng.normal(size=(n, dim))
+        radii = rng.uniform(0.05, 3.0 * spec.r2, size=n)
         xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
         slacks.append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
@@ -614,9 +604,9 @@ def run_inequality_ledger(
     slacks_ap, slacks_zm = [], []
     n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
     half = n_t // 2  # pairs (t, t + T/2) over the first half cover the whole grid
-    for rows in _chunks(max(n // 10, min(n, 1))):
-        coeffs = _random_coefficients(rng, (rows.size,), spec.n_bodies, dim, harmonics)
-        pos = loopspace.sample_trajectory(LoopBatch(spec.period, coeffs), n_t)  # (loops, n_t, N, k)
+    n_loops = max(n // 10, min(n, 1))
+    for loops in _random_loop_chunks(rng, spec.period, n_loops, spec.n_bodies, dim, harmonics):
+        pos = loopspace.sample_trajectory(loops, n_t)  # (loops, n_t, N, k)
         scale = 1.0 + np.abs(pos).max(axis=(1, 2, 3))
         slacks_ap.append(np.abs(pos[:, half:] + pos[:, :half]).max(axis=(1, 2, 3)) / scale)
         slacks_zm.append(np.abs(pos.mean(axis=1)).max(axis=(1, 2)) / scale)

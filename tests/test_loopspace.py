@@ -67,6 +67,31 @@ def test_constructor_validation():
         LoopConfiguration(2, 2, TWO_PI, bad)
 
 
+@pytest.mark.parametrize(
+    "n_bodies, dim, period",
+    [
+        (True, 2, True),  # was accepted and stored n_bodies=True, period=True
+        (2, True, TWO_PI),
+        (2.0, 2, TWO_PI),
+        (2, np.float64(2.0), TWO_PI),
+        (2, 2, True),
+        (2, 2, np.bool_(True)),
+        (2, 2, 1.0 + 0.0j),
+        (2, 2, "6.28"),
+        (2, 2, None),
+    ],
+)
+def test_constructor_rejects_non_integer_counts_and_non_real_period(n_bodies, dim, period):
+    with pytest.raises(ShapeMismatch, match="must be integers|must be a real number"):
+        LoopConfiguration(n_bodies, dim, period, np.zeros((2, 1, 2, 2)))
+
+
+def test_constructor_stores_numpy_integer_counts_as_int():
+    loop = LoopConfiguration(np.int64(2), np.int32(2), np.float64(TWO_PI), np.zeros((2, 1, 2, 2)))
+    assert type(loop.n_bodies) is int and type(loop.dim) is int
+    assert LoopConfiguration(2, 2, 3, np.zeros((2, 1, 2, 2))).period == 3
+
+
 def test_coefficients_immutable():
     loop = LoopConfiguration(1, 2, TWO_PI, np.ones((1, 1, 2, 2)))
     with pytest.raises(ValueError):

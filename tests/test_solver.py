@@ -491,6 +491,28 @@ def test_winding_validation():
         circular_seed(spec, 1, 8, 1, 0, base_seed=0)  # dim < 2
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((2.0, 8, 1, 0, 0), "dim"),
+        ((2, 4.0, 1, 0, 0), "harmonics"),  # failed inside numpy with a TypeError
+        ((2, True, 1, 0, 0), "harmonics"),
+        ((2, 8, 1, True, 0), "start_index"),  # gave the loop of start index 1
+        ((2, 8, 1, 0.0, 0), "start_index"),
+        ((2, 8, 1, 0, True), "base_seed"),  # gave the loop of base seed 1
+        ((2, 8, 1, 0, np.float64(0.0)), "base_seed"),
+    ],
+)
+def test_circular_seed_validates_integer_arguments(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        circular_seed(make_spec(), *args)
+
+
+def test_circular_seed_accepts_numpy_integers():
+    got = circular_seed(make_spec(), np.int64(2), np.int32(8), np.int64(3), np.uint8(1), np.int64(4))
+    assert np.array_equal(got.coefficients, circular_seed(make_spec(), 2, 8, 3, 1, 4).coefficients)
+
+
 def test_resolve_workers_explicit_and_env(monkeypatch):
     monkeypatch.delenv("ORBITACT_THREADS", raising=False)
     assert resolve_workers(3, n_tasks=8) == 3

@@ -186,6 +186,38 @@ def test_solve_energy_bound_input_checks():
         solve_energy_bound(0.0, -1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "C, B, theta, K",
+    [
+        # K = NaN gave 0.1575 at theta 0.5, 1.0 at theta -0.5 and NaN at theta 0 or 1
+        (1.0, 1.0, 0.5, np.nan),
+        (1.0, 1.0, -0.5, np.nan),
+        (1.0, 1.0, 0.0, np.nan),
+        (1.0, 1.0, 1.0, np.nan),
+        # theta = NaN gave 1.0
+        (1.0, 1.0, np.nan, 1.0),
+        # K = inf gave inf at theta 0 and an ArithmeticError at theta 0.5
+        (1.0, 1.0, 0.0, np.inf),
+        (1.0, 1.0, 0.5, np.inf),
+        (1.0, 1.0, 0.5, -np.inf),
+        (np.nan, 1.0, 0.5, 1.0),
+        (np.inf, 1.0, 0.5, 1.0),
+        (1.0, np.inf, 0.5, 1.0),
+        (1.0, 1.0, -np.inf, 1.0),
+        (1.0, 1.0, np.inf, 1.0),
+    ],
+)
+def test_solve_energy_bound_rejects_non_finite_inputs(C, B, theta, K):
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_energy_bound(C, B, theta, K)
+
+
+def test_coercivity_bound_rejects_non_finite_level():
+    for K in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            coercivity_bound(make_spec(), K)
+
+
 def test_coercivity_bound_monotone_and_holds_on_samples():
     spec = make_spec()
     C, B = coercivity_constants(spec)
@@ -373,28 +405,28 @@ def test_modulation_symmetry_batched_equals_single_calls(n_bodies, dim):
     assert type(want[0]) is float
 
 
-def _chunk_rows(n):
-    return [np.arange(start, min(start + LEDGER_CHUNK, n)) for start in range(0, n, LEDGER_CHUNK)]
-
-
 def _drawn_bodies(rng, n, dim):
-    """(index, masses, positions) per sample, drawn chunk by chunk as the ledger draws them.
+    """(index, masses, positions) per sample, drawn one sample at a time in the ledger's block order.
 
-    Asserts that the groups of each chunk cover its sample indices once.
+    The body counts come first, then per body count, in increasing order,
+    every member's masses and then every member's positions.
     """
+    counts = rng.integers(2, 7, size=n)
     bodies = []
-    for rows in _chunk_rows(n):
-        groups = list(_random_body_groups(rng, rows, dim))
-        assert np.array_equal(np.sort(np.concatenate([g[0] for g in groups])), rows)
-        for members, masses, positions in groups:
-            bodies += zip(members, masses, positions)
+    for count in np.unique(counts):
+        members = np.flatnonzero(counts == count)
+        masses = [rng.uniform(0.1, 3.0, size=count) for _ in members]
+        positions = [rng.normal(scale=1.5, size=(count, dim)) for _ in members]
+        bodies += zip(members, masses, positions)
     return bodies
 
 
 def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
-    """The ledger checked one sample at a time on its chunked draws: the oracle.
+    """The ledger drawn and checked one sample at a time: the oracle.
 
-    The pairwise slack is relative to the identity's own LHS.
+    Each block draws its fields one sample at a time, in the ledger's order,
+    so the stream matches its one call per field. The pairwise slack is
+    relative to the identity's own LHS.
     """
     rng = np.random.default_rng(seed)
     n = n_samples
@@ -424,16 +456,17 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
 
     slacks, slacks_eq = [], []
     orders = np.arange(1, 2 * harmonics, 2, dtype=float)
+    first = -(-n // 4)  # the last ceil(n/4) loops are drawn with the first harmonic only
     for idx in range(n):
-        coeffs = rng.standard_normal((spec.n_bodies, harmonics, 2, dim))
-        coeffs /= orders[None, :, None, None] ** 2
-        if idx % 4 == 0:
-            coeffs[:, 1:] = 0.0
+        tight = idx >= n - first
+        drawn = 1 if tight else harmonics
+        coeffs = rng.standard_normal((spec.n_bodies, drawn, 2, dim))
+        coeffs /= orders[None, :drawn, None, None] ** 2
         loop = LoopConfiguration(spec.n_bodies, dim, spec.period, coeffs)
         slack = check_wirtinger(loop)
         scale = 1.0 + wirtinger_kinetic_side(loop)
         slacks.append(float((slack / scale).min()))
-        if idx % 4 == 0:
+        if tight:
             slacks_eq.append(float((np.abs(slack) / scale).max()))
     checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
     checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
@@ -450,13 +483,12 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
 
     slacks = []
-    for rows in _chunk_rows(n):
-        times = rng.uniform(0.0, spec.period, size=rows.size)
-        directions = rng.normal(size=(rows.size, dim))
-        radii = rng.uniform(0.05, 3.0 * spec.r2, size=rows.size)
-        for t, xi, radius in zip(times, directions, radii):
-            xi = xi / max(np.linalg.norm(xi), 1e-12) * radius
-            slacks.append(check_modulation_symmetry(pair_spec, 0, 1, float(t), xi))
+    times = [rng.uniform(0.0, spec.period) for _ in range(n)]
+    directions = [rng.normal(size=dim) for _ in range(n)]
+    radii = [rng.uniform(0.05, 3.0 * spec.r2) for _ in range(n)]
+    for t, xi, radius in zip(times, directions, radii):
+        xi = xi / max(np.linalg.norm(xi), 1e-12) * radius
+        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, t, xi))
     checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
 
     checks.append(_ledger_check("blend_c1", [check_blend_c1(spec)] if n else [], 1e-10, lower=False))
@@ -477,6 +509,7 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
             "checks": [c.to_dict() for c in checks]}
 
 
+# 588 general Wirtinger loops in three chunks, then 197 first-harmonic loops in one
 MULTI_CHUNK_SAMPLES = 3 * LEDGER_CHUNK + 17
 
 
@@ -494,21 +527,19 @@ MULTI_CHUNK_SAMPLES = 3 * LEDGER_CHUNK + 17
     ],
 )
 def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samples):
-    # 300 samples cross a chunk boundary
-    assert 300 > LEDGER_CHUNK
     spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), theta=theta, modulation_eps=eps)
     seed = 11 * n_bodies + dim
-    if n_samples == MULTI_CHUNK_SAMPLES:
-        # a seed whose four chunks each draw every body count in both pair
-        # blocks, so the ledger merges groups of every size across chunks
-        seed += 1000
-        rng = np.random.default_rng(seed)
-        for _ in range(2):
-            for rows in _chunk_rows(n_samples):
-                groups = list(_random_body_groups(rng, rows, dim))
-                assert [masses.shape[1] for _, masses, _ in groups] == [2, 3, 4, 5, 6]
     report = run_inequality_ledger(spec, dim, 3, n_samples, seed)
     assert report.to_dict() == _sample_by_sample_ledger(spec, dim, 3, n_samples, seed)
+
+
+@pytest.mark.parametrize("chunk", [7, 256, 10**6])
+def test_ledger_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # back-to-back chunks of the coefficient blocks draw one stream
+    spec = make_spec(masses=np.linspace(0.7, 1.9, 4), theta=-0.5, modulation_eps=0.3)
+    want = _sample_by_sample_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, 4)
+    monkeypatch.setattr(verify, "LEDGER_CHUNK", chunk)
+    assert run_inequality_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, seed=4).to_dict() == want
 
 
 def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
@@ -516,12 +547,11 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
     # |x_i - x_j|^2). A scale summing m_i + m_j over all ordered pairs is at
     # least 4/3 of that LHS for masses below 3, and loosens the check by that.
     spec = make_spec()
-    assert 200 <= LEDGER_CHUNK
     for seed in range(3):
         report = run_inequality_ledger(spec, 2, 3, 200, seed)
-        rng = np.random.default_rng(seed)  # the pairwise block draws first, one chunk
+        rng = np.random.default_rng(seed)  # the pairwise block draws first
         worst = 0.0
-        for _, group_masses, group_positions in _random_body_groups(rng, np.arange(200), 2):
+        for _, group_masses, group_positions in _random_body_groups(rng, 200, 2):
             for masses, positions in zip(group_masses, group_positions):
                 lhs = sum(
                     masses[i] * masses[q] * float(((positions[i] - positions[q]) ** 2).sum())
@@ -535,31 +565,56 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
 
 
 def test_ledger_checks_each_pair_and_scalar_block_in_one_call_per_body_count(monkeypatch):
-    # draws per chunk, checks per block: the pair tables are built once per
-    # body count and block, the scalar checks run once, and only the
-    # coefficient blocks go chunk by chunk
+    # one stream per block: each field of a block comes from one generator
+    # call, the pair tables are built once per body count and block, the
+    # scalar checks run once, and only the coefficient blocks go chunk by chunk
     calls = {}
+
+    def count(name):
+        calls[name] = calls.get(name, 0) + 1
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            count(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_pair_table", "_pairwise_sides", "_holder_table_sides", "strong_force_margin",
-                 "check_modulation_symmetry"):
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def wrapper(*args, **kwargs):
+                count(f"rng.{name}")
+                return method(*args, **kwargs)
+
+            return wrapper
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
+    for name in ("_random_body_groups", "_random_coefficients", "_pair_table", "_pairwise_sides",
+                 "_holder_table_sides", "strong_force_margin", "check_modulation_symmetry"):
         counted(verify, name)
     counted(loopspace, "harmonic_energies")
     spec = make_spec(masses=np.linspace(0.7, 1.9, 4), modulation_eps=0.3)
     run_inequality_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, seed=2)
     assert calls == {
+        "_random_body_groups": 2,
+        "rng.integers": 2,  # the body counts of both pair blocks
+        "rng.uniform": 2 * 5 + 1 + 2,  # masses per body count, the radii r, then t and |xi|
+        "rng.normal": 2 * 5 + 1,  # positions per body count, then the directions of xi
         "_pairwise_sides": 5,
         "_pair_table": 10,
         "_holder_table_sides": 5 * 6,  # the theta grid holds spec.theta = 1.0 once more
-        "harmonic_energies": 4,
+        # 588 general and 197 first-harmonic Wirtinger loops, 78 representation loops
+        "_random_coefficients": 3 + 1 + 1,
+        "rng.standard_normal": 3 + 1 + 1,
+        "harmonic_energies": 3 + 1,
         "strong_force_margin": 1,
         "check_modulation_symmetry": 1,
     }

@@ -10,9 +10,9 @@ modulation 0.3, dim 2, M=8, 5000 samples) at seeds 0-2 and hashes each
 report's ``to_dict()`` as JSON in its own key order, and does the same for
 a sweep of ledger edge configurations on the same problem (1, 2 or 6 unequal
 masses; dim 1 or 3; alpha 2 with theta 1 or alpha 3 with theta -0.5;
-modulation 0 or 0.3; 0, 1, 300 or 900 samples, 300 crossing one chunk
-boundary and 900 spanning four chunks, so that the ledger's merge of each
-block's draws across chunks is covered).
+modulation 0 or 0.3; 0, 1, 300 or 900 samples; at 900 the chunked
+coefficient blocks span several chunks, three of general Wirtinger loops
+and one of first-harmonic loops).
 A report keeps only each check's worst slack, so every ledger entry also
 hashes each check's sorted per-sample slacks, captured by wrapping
 ``orbitact.verify._ledger_check`` for the duration of the run.
