@@ -9,17 +9,21 @@ flattened Fourier coefficients (body-major, harmonic-minor, cosine before
 sine), so a finite-difference check against ``action`` converges without any
 quadrature-mismatch floor. An evaluator's ``hessp`` applies the Hessian, the
 exact derivative of that gradient, to vectors; ``action_hessian`` stacks them.
+``_Evaluator`` is the only code that evaluates the potential on a loop: it
+serves value, gradient, Hessian-vector product and the Euler-Lagrange
+residual through one sampling step, and the public functions each bind one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import loopspace
 from .errors import CollisionSample, ShapeMismatch
-from .loopspace import LoopConfiguration
+from .loopspace import LoopBatch, LoopConfiguration
 from .potential import PotentialSpec, _PairKernel, grid_potential
 
 __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
@@ -38,17 +42,6 @@ class ActionEvaluation:
     kinetic: float
     potential_integral: float
     min_separation: float
-
-
-def _check_compatible(spec: PotentialSpec, loop: LoopConfiguration):
-    if spec.n_bodies != loop.n_bodies:
-        raise ShapeMismatch(
-            f"spec has {spec.n_bodies} masses but loop has {loop.n_bodies} bodies"
-        )
-    if float(spec.period) != float(loop.period):
-        raise ShapeMismatch(
-            f"spec period {spec.period} differs from loop period {loop.period}"
-        )
 
 
 def _kinetic_diagonal(spec: PotentialSpec, grid: loopspace.FourierGrid, loop: LoopConfiguration):
@@ -110,19 +103,25 @@ class _Evaluator:
     """The discretized action of loops shaped like one template loop, bound once.
 
     Binding checks the template against spec, looks up its quadrature grid
-    and builds the kinetic diagonal and the grid's pair kernel; ``evaluate``
-    then takes only a flat coefficient vector, so repeated evaluations (a
-    descent's line-search trials) repeat none of that work and build no
-    LoopConfiguration. It also takes a stack of such vectors along leading
-    axes and evaluates them as one batch through the same kernels; each
-    loop's result equals its single evaluation bit for bit, whatever the
+    and builds the kinetic diagonal and the grid's pair kernel; ``evaluate``,
+    ``hessp`` and ``residual`` then take only a flat coefficient vector and
+    sample it through ``_sample``, so repeated evaluations (a descent's
+    line-search trials) repeat none of that work and build no
+    LoopConfiguration. ``evaluate`` also takes a stack of such vectors along
+    leading axes and evaluates them as one batch through the same kernels;
+    each loop's result equals its single evaluation bit for bit, whatever the
     other loops of the batch, their number or its place. ``actions``
     evaluates the line-search trials of many descents this way.
     """
 
     def __init__(self, spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
-        _check_compatible(spec, loop)
+        if spec.n_bodies != loop.n_bodies or float(spec.period) != float(loop.period):
+            raise ShapeMismatch(
+                f"spec (N={spec.n_bodies}, T={spec.period}) does not fit the loop "
+                f"(N={loop.n_bodies}, T={loop.period})"
+            )
         self.spec = spec
+        self.period = loop.period
         self.grid = loopspace.quadrature_grid(loop, n_t)
         self.n_t = self.grid.times.shape[0]
         self.shape = loop.coefficients.shape
@@ -131,58 +130,39 @@ class _Evaluator:
         self.kin_diag = _kinetic_diagonal(spec, self.grid, loop)
         self.pair_kernel = _PairKernel(spec, self.grid.times)
 
-    def evaluate(self, x: np.ndarray, order: int):
-        """([value, gradient][:order + 1], kinetic, potential integral, min separation) at x.
+    def _sample(self, x: np.ndarray, order: int):
+        """(x as a LoopBatch, grid_potential's terms up to order, min separation).
 
-        order is 0 or 1. x is a flat coefficient vector in the template's
-        layout, or a stack of them along leading axes, which gives every
-        result those leading axes. It is checked as LoopConfiguration checks
-        coefficients: a wrong size or a non-finite entry raises ShapeMismatch.
-        """
-        coefficients = self._coefficients(x)
-        positions = loopspace._synthesize(self.grid.basis, coefficients)
-        return self.evaluate_sampled(coefficients, positions, order)
-
-    def _coefficients(self, x: np.ndarray) -> np.ndarray:
-        """x checked as LoopConfiguration checks coefficients, in the template's shape.
-
-        Leading axes of x are kept as batch axes of the result.
+        The one sampling path: sample_trajectory, then the bound pair kernel.
+        x is checked as LoopConfiguration checks coefficients: a wrong size
+        or a non-finite entry raises ShapeMismatch.
         """
         if x.shape[-1] != self.size:
             raise ShapeMismatch(f"flat vector has {x.shape[-1]} entries, expected {self.size}")
         if not np.isfinite(x).all():
             raise ShapeMismatch("coefficients must be finite")
-        return x.reshape(*x.shape[:-1], *self.shape)
-
-    def hessp(self, x: np.ndarray) -> _HessianProduct:
-        """The product v -> H v with the action Hessian at x (checked as ``evaluate`` checks it).
-
-        The node blocks of grid_potential's order-2 term are computed here,
-        once per x; each product then costs two basis matmuls and one
-        batched (N k, N k) product per node.
-        """
-        positions = loopspace._synthesize(self.grid.basis, self._coefficients(x))
-        terms, _ = grid_potential(
-            self.spec, self.grid.times, positions, 2, kernel=self.pair_kernel
-        )
-        n_pos = positions.shape[1] * positions.shape[2]
-        node_blocks = -self.weight * terms[2].reshape(self.n_t, n_pos, n_pos)
-        kin_rows = self.kin_diag.transpose(1, 2, 0, 3).reshape(-1, n_pos)
-        return _HessianProduct(self.grid.basis, node_blocks, kin_rows, self.shape)
-
-    def evaluate_sampled(self, coefficients: np.ndarray, positions: np.ndarray, order: int):
-        """As ``evaluate``, for (..., N, M, 2, k) coefficients already sampled at the grid nodes.
-
-        The gradient is in flat coefficient order; its potential part is
-        grid_potential's order-1 term projected onto the basis with weight
-        T/n_t. Every sum over a loop's nodes or coefficients runs along the
-        last axis, and every product is stacked per loop, so a batch sums
-        each loop in the order of its single evaluation.
-        """
-        grid, weight, n_t = self.grid, self.weight, self.n_t
+        loops = LoopBatch(self.period, x.reshape(*x.shape[:-1], *self.shape))
+        positions = loopspace.sample_trajectory(loops, self.n_t)
         terms, min_sep = grid_potential(
-            self.spec, grid.times, positions, order, kernel=self.pair_kernel
+            self.spec, self.grid.times, positions, order, kernel=self.pair_kernel
         )
+        return loops, terms, min_sep
+
+    def evaluate(self, x: np.ndarray, order: int):
+        """([value, gradient][:order + 1], kinetic, potential integral, min separation) at x.
+
+        order is 0 or 1. x is a flat coefficient vector in the template's
+        layout, or a stack of them along leading axes, which gives every
+        result those leading axes. The gradient is in flat coefficient
+        order; its potential part is grid_potential's order-1 term projected
+        onto the basis with weight T/n_t. Every sum over a loop's nodes or
+        coefficients runs along the last axis, and every product is stacked
+        per loop, so a batch sums each loop in the order of its single
+        evaluation.
+        """
+        loops, terms, min_sep = self._sample(x, order)
+        coefficients = loops.coefficients
+        grid, weight, n_t = self.grid, self.weight, self.n_t
         batch = coefficients.shape[:-4]
         # No float() casts: evaluating a higher-precision loop must yield a
         # higher-precision value, or finite-difference oracles lose their floor.
@@ -207,9 +187,35 @@ class _Evaluator:
             out.append(np.subtract(grad_kin, grad_pot, out=grad_kin).reshape(*batch, -1))
         return out, kinetic, potential_integral, min_sep
 
+    def hessp(self, x: np.ndarray) -> _HessianProduct:
+        """The product v -> H v with the action Hessian at x (checked as ``evaluate`` checks it).
+
+        The node blocks of grid_potential's order-2 term are computed here,
+        once per x; each product then costs two basis matmuls and one
+        batched (N k, N k) product per node.
+        """
+        _, terms, _ = self._sample(x, 2)
+        n_bodies, _, _, dim = self.shape
+        n_pos = n_bodies * dim
+        node_blocks = -self.weight * terms[2].reshape(self.n_t, n_pos, n_pos)
+        kin_rows = self.kin_diag.transpose(1, 2, 0, 3).reshape(-1, n_pos)
+        return _HessianProduct(self.grid.basis, node_blocks, kin_rows, self.shape)
+
+    def residual(self, x: np.ndarray) -> float:
+        """:func:`verify.euler_lagrange_residual` at the flat vector x.
+
+        Normalized by loopspace.kinetic_energy, which rounds unlike 0.5 sum D c^2.
+        """
+        loops, (_, forces), _ = self._sample(x, 1)
+        acc = loopspace.sample_acceleration(loops, self.n_t)
+        res = self.spec.masses[:, None] * acc + forces
+        l2 = math.sqrt(float(self.weight * (res**2).sum()))
+        return l2 / (1.0 + loopspace.kinetic_energy(loops, self.spec.masses))
+
     def action(self, x: np.ndarray) -> ActionEvaluation:
         """:func:`action` at the flat coefficient vector x."""
-        return _evaluation(self.evaluate(x, 1))
+        (value, gradient), *rest = self.evaluate(x, 1)
+        return ActionEvaluation(value, gradient, *rest)
 
     def actions(self, xs: np.ndarray) -> list:
         """:func:`action` at each row of the (B, n) stack xs, or None where a row samples a collision.
@@ -237,40 +243,18 @@ class _Evaluator:
         ]
 
 
-def _evaluate(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None, order: int):
-    """Bind an evaluator to loop and evaluate loop itself once.
-
-    The loop is sampled with loopspace.sample_trajectory, so these one-off
-    paths still count as one sampling each where that function is traced.
-    """
-    evaluator = _Evaluator(spec, loop, n_t)
-    positions = loopspace.sample_trajectory(loop, evaluator.n_t)
-    return evaluator.evaluate_sampled(loop.coefficients, positions, order)
-
-
-def _evaluation(result) -> ActionEvaluation:
-    (value, gradient), kinetic, pot, min_sep = result
-    return ActionEvaluation(
-        value=value,
-        gradient=gradient,
-        kinetic=kinetic,
-        potential_integral=pot,
-        min_separation=min_sep,
-    )
-
-
 def action(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None) -> ActionEvaluation:
     """Evaluate the discretized action and its exact gradient.
 
     Raises CollisionSample if two bodies coincide at a quadrature node,
     ValueError if n_t is not an integer and GridTooCoarse if n_t < 4M + 1.
     """
-    return _evaluation(_evaluate(spec, loop, n_t, 1))
+    return _Evaluator(spec, loop, n_t).action(loop.flat())
 
 
 def action_value(spec: PotentialSpec, loop: LoopConfiguration, n_t: int | None = None):
     """Value-only path for oracles and checks: (value, kinetic, min_separation)."""
-    (value,), kinetic, _, min_sep = _evaluate(spec, loop, n_t, 0)
+    (value,), kinetic, _, min_sep = _Evaluator(spec, loop, n_t).evaluate(loop.flat(), 0)
     return value, kinetic, min_sep
 
 

@@ -49,6 +49,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy integers and floats, but not for bools."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def default_grid_size(harmonics: int) -> int:
     """Default number of uniform quadrature nodes for M retained harmonics.
 
@@ -84,8 +89,7 @@ class LoopConfiguration:
             raise ShapeMismatch(
                 f"n_bodies and dim must be integers, got {self.n_bodies!r} and {self.dim!r}"
             )
-        real = (int, float, np.integer, np.floating)
-        if isinstance(self.period, bool) or not isinstance(self.period, real):
+        if not _is_real(self.period):
             raise ShapeMismatch(f"period must be a real number, got {self.period!r}")
         object.__setattr__(self, "n_bodies", int(self.n_bodies))
         object.__setattr__(self, "dim", int(self.dim))
@@ -140,10 +144,11 @@ class LoopBatch:
     """Loops of one period stacked along leading axes, coefficients (..., N, M, 2, k).
 
     Functions that read only a loop's coefficients and period
-    (:func:`sample_trajectory`, :func:`harmonic_energies`,
-    :func:`velocity_l2_norms_squared` and the Wirtinger checks in ``verify``)
-    accept a batch in place of a :class:`LoopConfiguration` and return
-    results with the same leading axes.
+    (:func:`sample_trajectory`, :func:`sample_acceleration`,
+    :func:`harmonic_energies`, :func:`velocity_l2_norms_squared` and the
+    Wirtinger checks in ``verify``) accept a batch in place of a
+    :class:`LoopConfiguration` and return results with the same leading
+    axes; :func:`kinetic_energy` accepts a batch of one loop.
     Unlike a LoopConfiguration, a batch neither copies nor validates its
     coefficients.
     """
@@ -246,7 +251,7 @@ def sample_trajectory(loop: LoopConfiguration | LoopBatch, n_t: int | None = Non
     return _synthesize(quadrature_grid(loop, n_t).basis, loop.coefficients)
 
 
-def sample_acceleration(loop: LoopConfiguration, n_t: int | None = None) -> np.ndarray:
+def sample_acceleration(loop: LoopConfiguration | LoopBatch, n_t: int | None = None) -> np.ndarray:
     """Second time derivative on the same grid as :func:`sample_trajectory`."""
     return _synthesize(quadrature_grid(loop, n_t).acceleration, loop.coefficients)
 
@@ -279,15 +284,15 @@ def harmonic_energies(loop: LoopConfiguration | LoopBatch) -> np.ndarray:
     return energies
 
 
-def kinetic_energy(loop: LoopConfiguration, masses: np.ndarray) -> float:
+def kinetic_energy(loop: LoopConfiguration | LoopBatch, masses: np.ndarray) -> float:
     """Total kinetic part sum_i (m_i/2) int_0^T |xdot_i|^2 dt, in closed form.
 
     Orthogonality gives int |xdot_i|^2 = (T/2) sum_m omega_m^2 (|a|^2+|b|^2),
     so the result is exact for the truncated series (no quadrature).
     """
     masses = np.asarray(masses, dtype=float)
-    if masses.shape != (loop.n_bodies,):
-        raise ShapeMismatch(f"masses shape {masses.shape} != ({loop.n_bodies},)")
+    if masses.shape != loop.coefficients.shape[:1] or loop.coefficients.ndim != 4:
+        raise ShapeMismatch(f"masses shape {masses.shape} does not fit one loop {loop.coefficients.shape}")
     energies = harmonic_energies(loop)
     omega_sq = loop.angular_frequencies() ** 2
     return float(0.25 * loop.period * masses @ (energies @ omega_sq))

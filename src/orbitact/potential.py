@@ -39,7 +39,7 @@ from .errors import (
     SelfPair,
     ShapeMismatch,
 )
-from .loopspace import body_pairs, pair_separations
+from .loopspace import _is_real, body_pairs, pair_separations
 
 __all__ = [
     "PotentialSpec",
@@ -58,6 +58,9 @@ BLEND_LINEAR = "linear"  # C^0 only; exists so the ledger's C^1 check has teeth
 @dataclass(frozen=True)
 class PotentialSpec:
     """Parameters of the interaction and the ambient problem.
+
+    Constants a to period must be finite reals (Python or numpy, not bools);
+    anything else raises ValueError naming the field.
 
     Attributes:
         masses: positive body masses, length N.
@@ -89,8 +92,9 @@ class PotentialSpec:
         if not np.all((masses > 0) & np.isfinite(masses)):
             raise ValueError("masses must all be positive and finite")
         for name in ("a", "g", "alpha", "theta", "r1", "r2", "modulation_eps", "period"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_is_real(value) and np.isfinite(value)):
+                raise ValueError(f"{name} must be finite and real, got {value!r}")
         if not self.a > 0:
             raise ValueError(f"inner coefficient a must be positive, got {self.a}")
         if not self.g > 0:

@@ -57,7 +57,7 @@ from .action import _Evaluator
 from .action import action_hessian as _action_hessian  # noqa: F401
 from .action import action_value as _action_value  # noqa: F401
 from .errors import InvalidStart, OrbitactError
-from .loopspace import LoopConfiguration, _is_integer, _shift_distances_sq
+from .loopspace import LoopConfiguration, _is_integer, _is_real, _shift_distances_sq
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
 
@@ -613,8 +613,8 @@ def circular_seed(
     the way force balance on the inner branch does. Gaussian noise with
     per-harmonic scale noise * radius / m^2 keeps distinct start indices
     distinct while preserving positive separations. dim, harmonics,
-    start_index and base_seed must be integers (bools do not count); anything
-    else raises ValueError.
+    start_index and base_seed must be integers (bools do not count) and noise
+    a finite real number >= 0 (not a bool); anything else raises ValueError.
     """
     for name, value in (
         ("dim", dim),
@@ -624,6 +624,8 @@ def circular_seed(
     ):
         if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, not {value!r}")
+    if not (_is_real(noise) and 0.0 <= noise < np.inf):
+        raise ValueError(f"noise must be a finite real number >= 0, not {noise!r}")
     if dim < 2:
         raise ValueError("circular seeds need dim >= 2")
     _require_valid_winding(winding, harmonics)

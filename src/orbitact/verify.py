@@ -7,6 +7,8 @@ sublevel sets of the action, and a collision blow-up probe. The checks are
 deliberately computed through routes independent of the code paths they
 audit wherever that is meaningful (e.g. the strong-force margin evaluates the
 witness from its own constants rather than reusing the potential formula).
+The residual and the blow-up probe evaluate the potential on loops, which
+only the action evaluator does, so each is one call on an evaluator.
 
 The sampled checks accept leading batch axes, so the inequality ledger
 draws each field of a block in one generator call and checks the block's
@@ -28,8 +30,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import loopspace
-from .action import _check_compatible, action as _action
-from .errors import SingleBody, ThetaOutOfRange
+from .action import _Evaluator
+from .errors import CollisionSample, SingleBody, ThetaOutOfRange
 from .loopspace import LoopBatch, LoopConfiguration
 from .potential import (
     PotentialSpec,
@@ -38,7 +40,6 @@ from .potential import (
     _inner,
     _profile,
     _tail,
-    grid_potential,
     pair_potential,
     strong_force_margin,
 )
@@ -69,18 +70,10 @@ def euler_lagrange_residual(
 
     The grid L^2 norm sqrt((T/n_t) sum_j sum_i |res_i(t_j)|^2) is divided by
     (1 + kinetic) so the figure is comparable across energy scales. Zero for
-    an exact solution of the motion equations.
+    an exact solution of the motion equations. The forces come from the
+    action evaluator, through the sampling and pair kernel of the gradient.
     """
-    _check_compatible(spec, loop)
-    grid = loopspace.quadrature_grid(loop, n_t)
-    n_t = grid.times.shape[0]
-    positions = loopspace.sample_trajectory(loop, n_t)
-    acc = loopspace.sample_acceleration(loop, n_t)
-    (_, forces), _ = grid_potential(spec, grid.times, positions, 1)
-    res = spec.masses[None, :, None] * acc + forces
-    l2 = math.sqrt(float((loop.period / n_t) * (res**2).sum()))
-    kinetic = loopspace.kinetic_energy(loop, spec.masses)
-    return l2 / (1.0 + kinetic)
+    return _Evaluator(spec, loop, n_t).residual(loop.flat())
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,11 +361,13 @@ class BlowupProbe:
 
 
 def collision_blowup_probe(spec: PotentialSpec, j_max: int = 20) -> BlowupProbe:
-    """Evaluate the action on first-harmonic pair circles of separation 2^-j.
+    """Evaluate the action on first-harmonic pair circles of separation 2^-j, j = 1..j_max.
 
     Uses the first two masses of the spec. With the strong-force inner branch
     the values must increase without bound as the separation halves, which is
-    the computable face of the collision barrier.
+    the computable face of the collision barrier. The circles are one
+    value-only batch on one evaluator. A circle that collides on the grid or
+    has a non-finite action (from j_max = 511 at alpha = 2) raises ValueError.
     """
     if spec.n_bodies < 2:
         raise SingleBody("blow-up probe needs at least two bodies")
@@ -382,15 +377,22 @@ def collision_blowup_probe(spec: PotentialSpec, j_max: int = 20) -> BlowupProbe:
         raise ValueError("j_max must be >= 1")
     pair_spec = replace(spec, masses=np.asarray(spec.masses[:2]))
     seps = 2.0 ** -np.arange(1, j_max + 1, dtype=float)
-    values = []
-    for half_sep in 0.5 * seps:
-        coeffs = np.zeros((2, 1, 2, 2))
-        coeffs[0, 0, 0, 0] = half_sep
-        coeffs[0, 0, 1, 1] = half_sep
-        coeffs[1] = -coeffs[0]
-        loop = LoopConfiguration(2, 2, spec.period, coeffs)
-        values.append(_action(pair_spec, loop).value)
-    return BlowupProbe(separations=seps, values=np.asarray(values))
+    coeffs = np.zeros((j_max, 2, 1, 2, 2))
+    coeffs[:, 0, 0, 0, 0] = coeffs[:, 0, 0, 1, 1] = 0.5 * seps
+    coeffs[:, 1] = -coeffs[:, 0]
+    evaluator = _Evaluator(pair_spec, LoopConfiguration(2, 2, spec.period, coeffs[0]))
+    try:
+        with np.errstate(all="ignore"):
+            (values,), _, _, _ = evaluator.evaluate(coeffs.reshape(j_max, -1), 0)
+        finite = np.isfinite(values).all()
+    except CollisionSample:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"j_max={j_max} is too large: a circle of separation down to 2^-{j_max} "
+            "collides on the quadrature grid or has a non-finite action"
+        )
+    return BlowupProbe(separations=seps, values=values)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,19 @@ def test_spec_validation_names_the_hypothesis():
         make_spec(masses=np.array([1.0, np.inf]))
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, 1j])
+@pytest.mark.parametrize("name", ["a", "g", "alpha", "theta", "r1", "r2", "modulation_eps", "period"])
+def test_spec_refuses_bool_and_non_real_constants(name, value):
+    # True was stored as a constant of 1; a string or None failed inside numpy
+    with pytest.raises(ValueError, match=f"^{name} must be finite and real"):
+        make_spec(**{name: value})
+
+
+def test_spec_accepts_numpy_real_constants():
+    spec = make_spec(a=np.float32(1.0), alpha=np.int64(2), period=np.float64(TWO_PI))
+    assert spec._blend_cubic == make_spec()._blend_cubic
+
+
 @pytest.mark.parametrize(
     "overrides",
     [dict(r1=1e-200, r2=1.0), dict(r1=1.0, r2=1e200, theta=1.9), dict(a=1e308, r1=0.1)],

@@ -513,6 +513,22 @@ def test_circular_seed_accepts_numpy_integers():
     assert np.array_equal(got.coefficients, circular_seed(make_spec(), 2, 8, 3, 1, 4).coefficients)
 
 
+@pytest.mark.parametrize("noise", [True, False, np.True_, "0.02", None, 1j, np.nan, np.inf, -np.inf, -0.01])
+def test_circular_seed_validates_noise(noise):
+    # True was taken as 1.0, a negative noise was accepted, and a NaN or
+    # infinite one failed later with ShapeMismatch
+    with pytest.raises(ValueError, match="noise must be a finite real number >= 0"):
+        circular_seed(make_spec(), 2, 8, 1, 0, 0, noise=noise)
+
+
+def test_circular_seed_accepts_zero_and_numpy_noise():
+    unperturbed = circular_seed(make_spec(), 2, 8, 1, 0, 0, noise=0.0).coefficients
+    assert np.array_equal(circular_seed(make_spec(), 2, 8, 1, 0, 0, noise=0).coefficients, unperturbed)
+    assert not unperturbed[:, 1:].any()  # the winding-1 circle alone
+    default = circular_seed(make_spec(), 2, 8, 1, 0, 0).coefficients
+    assert np.array_equal(circular_seed(make_spec(), 2, 8, 1, 0, 0, noise=np.float64(0.02)).coefficients, default)
+
+
 def test_resolve_workers_explicit_and_env(monkeypatch):
     monkeypatch.delenv("ORBITACT_THREADS", raising=False)
     assert resolve_workers(3, n_tasks=8) == 3

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from orbitact.loopspace import (
     kinetic_energy,
     velocity_l2_norms_squared,
 )
-from orbitact.action import action_value
+from orbitact.action import action, action_value
 from orbitact.potential import BLEND_LINEAR, strong_force_margin
 from orbitact.verify import (
     LEDGER_CHUNK,
@@ -64,6 +65,39 @@ def test_euler_lagrange_residual_rejects_incompatible_loop():
         euler_lagrange_residual(spec, pair_circle(0.5, period=1.0))
     with pytest.raises(ShapeMismatch):
         euler_lagrange_residual(spec, LoopConfiguration(3, 2, TWO_PI, np.ones((3, 1, 2, 2))))
+
+
+def _residual_inline(spec, loop):
+    """The residual's formula on its own route: the loop's own sampling, a pair
+    kernel that grid_potential binds afresh, and the closed-form kinetic energy."""
+    grid = loopspace.quadrature_grid(loop)
+    n_t = grid.times.shape[0]
+    positions = loopspace.sample_trajectory(loop, n_t)
+    acc = loopspace.sample_acceleration(loop, n_t)
+    (_, forces), _ = potential.grid_potential(spec, grid.times, positions, 1)
+    res = spec.masses[None, :, None] * acc + forces
+    l2 = math.sqrt(float((loop.period / n_t) * (res**2).sum()))
+    return l2 / (1.0 + kinetic_energy(loop, spec.masses))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
+def test_euler_lagrange_residual_equals_the_inline_formula_bit_for_bit(n_bodies, dim, dtype):
+    # One loop inside r1 and one whose pair distances cross r1, the start of
+    # the blend window, under modulation with unequal masses.
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), modulation_eps=0.3)
+    base = random_loop(np.random.default_rng(10 * n_bodies + dim), n_bodies=n_bodies, dim=dim)
+    _, dist = loopspace.pair_separations(loopspace.sample_trajectory(base))
+    widest, closest = (dist.max(), dist.min()) if n_bodies > 1 else (1.0, 1.0)
+    inner, crossing = 0.9 * spec.r1 / widest, spec.r1 / np.sqrt(widest * closest)
+    for scale in (inner, crossing):
+        loop = LoopConfiguration(n_bodies, dim, TWO_PI, (base.coefficients * scale).astype(dtype))
+        assert loop.coefficients.dtype == dtype
+        if n_bodies > 1:
+            _, dist = loopspace.pair_separations(loopspace.sample_trajectory(loop))
+            assert dist.max() < spec.r1 if scale == inner else dist.min() < spec.r1 < dist.max()
+        assert euler_lagrange_residual(spec, loop) == _residual_inline(spec, loop)
 
 
 def test_pairwise_identity_random():
@@ -261,6 +295,30 @@ def test_blowup_probe_input_checks():
         with pytest.raises(ValueError, match="j_max must be an integer"):
             collision_blowup_probe(make_spec(), j_max=bad)
     assert collision_blowup_probe(make_spec(), j_max=np.int64(3)).separations.size == 3
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_blowup_probe_values_equal_single_circle_actions_bit_for_bit(alpha):
+    spec = make_spec(alpha=alpha, modulation_eps=0.3, masses=np.array([0.8, 1.3, 2.0]))
+    probe = collision_blowup_probe(spec, j_max=20)
+    pair_spec = replace(spec, masses=spec.masses[:2])
+    for sep, value in zip(probe.separations, probe.values):
+        coeffs = np.zeros((2, 1, 2, 2))
+        coeffs[0, 0, 0, 0] = coeffs[0, 0, 1, 1] = 0.5 * sep
+        coeffs[1] = -coeffs[0]
+        assert value == action(pair_spec, LoopConfiguration(2, 2, TWO_PI, coeffs)).value
+
+
+def test_blowup_probe_range_is_checked():
+    # At alpha = 2 the values stay finite and increasing up to j_max = 510;
+    # beyond, the action overflows (511) or the circle collides on the grid
+    # (600). No numpy warning escapes: pytest turns warnings into errors.
+    probe = collision_blowup_probe(make_spec(), j_max=510)
+    assert probe.strictly_increasing
+    assert np.isfinite(probe.values).all()
+    for j_max in (511, 600):
+        with pytest.raises(ValueError, match=f"j_max={j_max}"):
+            collision_blowup_probe(make_spec(), j_max=j_max)
 
 
 def test_ledger_passes_on_reference_problem():

@@ -28,7 +28,9 @@ shape are also evaluated as one batch by ``_Evaluator.actions``, the call
 that evaluates the trials of a serial search; each ``action_batch`` entry
 hashes one loop's result in the byte format of its ``action`` hash, so the
 two hashes are equal exactly when the loop's bits do not depend on the
-batch it shares.
+batch it shares. Each of these loops also gets a ``residual`` entry, the
+hash of ``euler_lagrange_residual`` there: the figure that decides whether
+a search keeps a converged orbit.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -141,6 +143,12 @@ def action_digest(n_bodies: int, dim: int, scale: float) -> dict:
     }
 
 
+def residual_digest(n_bodies: int, dim: int, scale: float) -> str:
+    """Hash of ``euler_lagrange_residual`` at the seeded loop of one action entry."""
+    loop = action_loop(n_bodies, dim, scale)[0]
+    return hashlib.sha256(_floats([verify.euler_lagrange_residual(action_spec(n_bodies), loop)])).hexdigest()
+
+
 def action_batch_digest(n_bodies: int, dim: int, scales) -> dict:
     """Per scale, the hash of that loop's evaluation in one batch with the other scales' loops."""
     loops = [action_loop(n_bodies, dim, scale)[0] for scale in scales]
@@ -176,6 +184,7 @@ def main() -> None:
     for n_bodies, dim in itertools.product(bodies, dims):
         for scale in scales:
             out[f"action/N{n_bodies}/dim{dim}/scale{scale}"] = action_digest(n_bodies, dim, scale)
+            out[f"residual/N{n_bodies}/dim{dim}/scale{scale}"] = residual_digest(n_bodies, dim, scale)
         for scale, digest in action_batch_digest(n_bodies, dim, scales).items():
             out[f"action_batch/N{n_bodies}/dim{dim}/scale{scale}"] = digest
     json.dump(out, sys.stdout, sort_keys=True, indent=1)

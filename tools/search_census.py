@@ -7,7 +7,10 @@ prepares them (equal unit masses, windings {1, 3, 5} x 4 starts, serial
 iterations summed over the starts, the count of each final status, the
 number of converged starts the residual filter dropped and the distinct
 kept actions: sorted, neighbours within 1e-6 relatively merged into the
-first, each rounded to 9 significant digits. Each search also gets
+first, each rounded to 9 significant digits. For ladder2 and ring6 it
+also lists the problems that the workload's own check (``assess``, the
+half of ``prepare`` that the benchmark scores ``ok_frac`` with) finds in
+the result: an empty list when the check passes. Each search also gets
 its converged count and its iterations summed over the seeds; iteration
 counts are deterministic, so they compare across checkouts like the rest.
 So does the cost of its Newton polish, summed over the seeds: the MINRES
@@ -26,7 +29,8 @@ trades eps = 0 convergence for eps > 0 convergence.
 
 A change to the solver must converge at least as many starts per search,
 summed over the seeds, and lose none of the parent's distinct actions at
-any seed; a new distinct action is allowed, but the change must name it.
+any seed, and must leave every problems list empty; a new distinct action
+is allowed, but the change must name it.
 The result goes to stdout as canonical JSON, so two checkouts compare with
 ``diff``:
 
@@ -58,14 +62,20 @@ from orbitact.solver import SolveOptions, multistart  # noqa: E402
 
 
 def benchmark_search(name: str):
-    """The seeded search of the benchmark workload ``name``."""
-    return lambda seed: WORKLOADS[name].prepare(seed)[0]()
+    """The seeded search of the benchmark workload ``name``: (result, its check's problems)."""
+
+    def run(seed: int):
+        operate, assess = WORKLOADS[name].prepare(seed)
+        result = operate()
+        return result, list(assess(result).problems)
+
+    return run
 
 
 def modulated4(seed: int):
-    """ring6's search setup at N=4, M=16 under modulation eps = 0.3."""
+    """ring6's search setup at N=4, M=16 under modulation eps = 0.3: (result, None), no check."""
     ring6 = WORKLOADS["ring6"]
-    return multistart(
+    result = multistart(
         equal_mass_spec(4, 0.3),
         SEARCH_WINDINGS,
         ring6.starts_per_class,
@@ -74,9 +84,10 @@ def modulated4(seed: int):
         harmonics=16,
         workers=1,
     )
+    return result, None
 
 
-# search name -> (seed -> MultistartResult, seeds)
+# search name -> (seed -> (MultistartResult, problems or None), seeds)
 SEARCHES = {
     "ladder2": (benchmark_search("ladder2"), range(20)),
     "ring6": (benchmark_search("ring6"), range(20)),
@@ -85,8 +96,8 @@ SEARCHES = {
 
 
 def census(run, seed: int) -> dict:
-    result = run(seed)
-    return {
+    result, problems = run(seed)
+    row = {
         "converged": result.n_converged,
         "iterations": sum(start.report.iterations for start in result.reports),
         "statuses": dict(Counter(start.report.status.value for start in result.reports)),
@@ -96,6 +107,9 @@ def census(run, seed: int) -> dict:
             for value in distinct_values(record.action_value for record in result.records)
         ],
     }
+    if problems is not None:
+        row["problems"] = problems
+    return row
 
 
 def counting_minres(tally: Counter):
