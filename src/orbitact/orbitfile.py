@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OrbitFileInvalid, ShapeMismatch
-from .loopspace import LoopConfiguration, evaluate_positions
+from .loopspace import LoopConfiguration, _is_integer, evaluate_positions
 from .version import __version__
 
 __all__ = [
@@ -137,8 +137,11 @@ def export_trajectory(orbit_path, out_path=None, n_samples: int = 256) -> Path:
 
     Columns are the time followed by each body's coordinates in body-major
     order; the header tags every column with its unit. Samples are taken at
-    n_samples uniform times over one period.
+    n_samples uniform times over one period. n_samples must be an integer
+    >= 1 (numpy integers count, bools do not), or ValueError is raised.
     """
+    if not _is_integer(n_samples):
+        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     _, loop = load_orbit(orbit_path)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import TWO_PI, balance_radius, make_spec, pair_circle, random_loop
 from orbitact.action import (
+    ACTION_PAIR_NODES,
     _Evaluator,
     _kinetic_diagonal,
     action,
@@ -453,3 +454,65 @@ def test_batch_with_a_colliding_loop_rejects_only_that_loop():
         evaluator.actions(bad)
     with pytest.raises(ShapeMismatch):
         evaluator.actions(xs[:, :-1])
+
+
+def batch_sizes(monkeypatch, evaluator):
+    """The row counts of the evaluator's batched evaluate calls, recorded as they happen."""
+    sizes = []
+    evaluate = evaluator.evaluate
+
+    def recording(x, order):
+        sizes.append(len(x))
+        return evaluate(x, order)
+
+    monkeypatch.setattr(evaluator, "evaluate", recording)
+    return sizes
+
+
+def test_actions_in_several_batches_equal_row_by_row_bit_for_bit(monkeypatch):
+    # N = 6, M = 24: 1575 pair-nodes per loop, so 13 rows take several batches
+    spec = make_spec(masses=np.linspace(0.8, 1.3, 6))
+    rng = np.random.default_rng(27)
+    scales = np.geomspace(0.2, 4.0, 13)
+    loops = [random_loop(rng, n_bodies=6, harmonics=24, scale=s) for s in scales]
+    xs = np.stack([loop.flat() for loop in loops])
+    colliding = loops[7].coefficients.copy()
+    colliding[4] = colliding[2]  # bodies 2 and 4 coincide at every node
+    xs[7] = colliding.reshape(-1)
+    evaluator = _Evaluator(spec, loops[0])
+    rows = ACTION_PAIR_NODES // (evaluator.n_t * 15)
+    assert rows <= 7 < 2 * rows < len(xs)  # row 7 sits in the second of three batches
+    singles = [evaluator.action(x) if b != 7 else None for b, x in enumerate(xs)]
+    with pytest.raises(CollisionSample):
+        evaluator.action(xs[7])
+
+    sizes = batch_sizes(monkeypatch, evaluator)
+    got = evaluator.actions(xs)
+    assert len(got) == len(xs)
+    assert got[7] is None
+    for b in set(range(len(xs))) - {7}:
+        assert_same_evaluation(got[b], singles[b])
+    # only the batch holding the colliding row is evaluated again row by row
+    assert sizes == [rows, rows] + [1] * rows + [len(xs) - 2 * rows]
+
+    sizes.clear()
+    without = np.delete(xs, 7, axis=0)
+    for got_row, want in zip(evaluator.actions(without), singles[:7] + singles[8:]):
+        assert_same_evaluation(got_row, want)
+    assert max(sizes) <= rows and sum(sizes) == len(without)
+
+
+@pytest.mark.parametrize("n_bodies, harmonics", [(1, 24), (2, 8)])
+def test_actions_on_few_pair_nodes_take_one_batch(monkeypatch, n_bodies, harmonics):
+    # a single body has no pairs; N = 2, M = 8 loops have 41 pair-nodes each
+    spec = make_spec(masses=np.ones(n_bodies))
+    rng = np.random.default_rng(n_bodies)
+    loops = [random_loop(rng, n_bodies=n_bodies, harmonics=harmonics) for _ in range(12)]
+    xs = np.stack([loop.flat() for loop in loops])
+    evaluator = _Evaluator(spec, loops[0])
+    sizes = batch_sizes(monkeypatch, evaluator)
+    got = evaluator.actions(xs)
+    assert sizes == [12]
+    for x, evaluation in zip(xs, got):
+        assert_same_evaluation(evaluation, evaluator.action(x))
+    assert evaluator.actions(xs[:0]) == []

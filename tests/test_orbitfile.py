@@ -157,3 +157,20 @@ def test_export_trajectory_custom_target_and_validation(tmp_path):
     assert target.read_text(encoding="utf-8").count("\n") == 2
     with pytest.raises(ValueError):
         export_trajectory(path, n_samples=0)
+
+
+@pytest.mark.parametrize("n_samples", [True, False, 2.5, 8.0, "8", None])
+def test_export_trajectory_refuses_non_integer_counts(tmp_path, n_samples):
+    # True wrote one row and 2.5 died with a bare TypeError from range
+    path = tmp_path / "orbit_000.json"
+    save_orbit(path, orbit_payload(sample_record(), sample_config()))
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        export_trajectory(path, n_samples=n_samples)
+    assert not (tmp_path / "orbit_000.csv").exists()
+
+
+def test_export_trajectory_takes_numpy_integer_counts(tmp_path):
+    path = tmp_path / "orbit_000.json"
+    save_orbit(path, orbit_payload(sample_record(), sample_config()))
+    out = export_trajectory(path, n_samples=np.int64(4))
+    assert out.read_text(encoding="utf-8").count("\n") == 5

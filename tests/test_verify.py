@@ -246,6 +246,22 @@ def test_solve_energy_bound_rejects_non_finite_inputs(C, B, theta, K):
         solve_energy_bound(C, B, theta, K)
 
 
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_solve_energy_bound_refuses_bools(position, flag):
+    # solve_energy_bound(True, 0.0, 1.0, 2.0) returned 4.0
+    args = [1.0, 0.5, 0.5, 2.0]
+    args[position] = flag
+    with pytest.raises(ValueError, match="not bools"):
+        solve_energy_bound(*args)
+
+
+def test_coercivity_bound_refuses_a_bool_level():
+    for K in (True, False):
+        with pytest.raises(ValueError, match="not bools"):
+            coercivity_bound(make_spec(), K)
+
+
 def test_coercivity_bound_rejects_non_finite_level():
     for K in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="must be finite"):
