@@ -33,9 +33,10 @@ __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 # (1575 pair-nodes each) go 6 to a call, N = 2, M = 8 loops (41 each) 243.
 # Measured on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6) at N = 6, M = 24:
 # two calls of 6 loops instead of one of 12 take an order-1 round's
-# tracemalloc peak from 1.40 to 0.73 MiB, and the benchmark's ring6 search
-# peak RSS from 42.95 to 41.85 MB (medians of 10 runs) at the same time per
-# search. Rows are evaluated independently, so no result depends on it.
+# tracemalloc peak from 1.40 to 0.73 MiB (2.03 to 1.02 MiB when 4 of the 12
+# loops cross r1), and the benchmark's ring6 search peak RSS from 42.98 to
+# 41.99 MB (medians of 10 alternating runs) at the same time per search.
+# Rows are evaluated independently, so no result depends on it.
 ACTION_PAIR_NODES = 10_000
 
 

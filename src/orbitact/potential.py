@@ -204,30 +204,21 @@ def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
     """Unit-mass radial profile [w, w', w''][:order + 1] at positive separations.
 
     All-inner input, the common case, takes the inner branch alone. Any
-    other input evaluates each nonempty branch only on the separations in
-    its own interval, gathered by the indices of its mask, and scatters the
-    results into one array per order; every entry is elementwise arithmetic
-    on its own separation, so it does not depend on which others share its
-    branch. Integer indices gather and scatter faster than the boolean masks.
+    other input evaluates each branch on r clamped to its own interval, so no
+    branch sees a separation it cannot take, and one select picks each
+    separation's branch.
     """
     r = np.asarray(r)
     inner = r < spec.r1
     if inner.all():
         return _inner(spec, r, order)
-    flat, inner = r.reshape(-1), inner.reshape(-1)
-    tail = flat >= spec.r2
-    parts = []
-    for mask, branch in ((inner, _inner), (tail, _tail), (~(inner | tail), _blend)):
-        index = np.flatnonzero(mask)
-        if index.size:
-            parts.append((index, branch(spec, flat[index], order)))
-    out = []
-    for k in range(order + 1):
-        w = np.empty(flat.shape, np.result_type(*(terms[k] for _, terms in parts)))
-        for index, terms in parts:
-            w[index] = terms[k]
-        out.append(w.reshape(r.shape))
-    return out
+    tail = r >= spec.r2
+    branches = zip(
+        _inner(spec, np.minimum(r, spec.r1), order),
+        _tail(spec, np.maximum(r, spec.r2), order),
+        _blend(spec, np.clip(r, spec.r1, spec.r2), order),
+    )
+    return [np.where(inner, w_in, np.where(tail, w_tail, w_mid)) for w_in, w_tail, w_mid in branches]
 
 
 def _check_pair(spec: PotentialSpec, i: int, j: int):

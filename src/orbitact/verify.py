@@ -241,12 +241,11 @@ def solve_energy_bound(C: float, B: float, theta: float, K: float) -> float:
     sublevel set {phi <= K} is bounded; its supremum is the returned A. When
     no E >= 0 satisfies the inequality the bound is vacuous and 0 is returned.
     Closed forms are used when the equation is linear in E (C = 0 or theta = 0).
-    A bool, NaN or infinite argument raises ValueError.
+    An argument that is not a real number (a bool, a string, None), NaN or
+    infinite raises ValueError.
     """
-    if any(isinstance(value, (bool, np.bool_)) for value in (C, B, theta, K)):
-        raise ValueError(
-            f"C, B, theta and K must be numbers, not bools, got {C!r}, {B!r}, {theta!r} and {K!r}"
-        )
+    if not all(map(loopspace._is_real, (C, B, theta, K))):
+        raise ValueError(f"C, B, theta and K must be real numbers, got {C!r}, {B!r}, {theta!r} and {K!r}")
     if not all(map(math.isfinite, (C, B, theta, K))):
         raise ValueError(f"C, B, theta and K must be finite, got {C}, {B}, {theta} and {K}")
     if theta >= 2:
@@ -339,8 +338,8 @@ def coercivity_constants(spec: PotentialSpec) -> tuple[float, float]:
 def coercivity_bound(spec: PotentialSpec, K: float) -> float:
     """Upper bound A(K) on kinetic energy over the action sublevel {f <= K}.
 
-    K is checked as :func:`solve_energy_bound` checks it: a bool, NaN or
-    infinite level raises ValueError.
+    K is checked as :func:`solve_energy_bound` checks it: a level that is
+    not a real number, NaN or infinite raises ValueError.
     """
     C, B = coercivity_constants(spec)
     return solve_energy_bound(C, B, spec.theta, K)

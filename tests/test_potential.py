@@ -15,10 +15,7 @@ from orbitact.loopspace import body_pairs, quadrature_grid, sample_trajectory
 from orbitact.potential import (
     BLEND_LINEAR,
     PotentialSpec,
-    _blend,
-    _inner,
     _profile,
-    _tail,
     grid_potential,
     pair_potential,
     strong_force_margin,
@@ -423,51 +420,6 @@ def test_scalar_profile_path_batched_equals_single_calls(n_bodies, alpha, eps):
     assert type(pair_potential(spec, 0.3, i, j, 1.0)) is float
     assert type(strong_force_margin(spec, i, j, 0.5)) is float
     assert type(wit.grad_norm_sq(0.5)) is float
-
-
-def clamped_select_profile(spec, r, order):
-    """The profile as every branch on r clamped to its interval, picked by a nested select."""
-    r = np.asarray(r)
-    inner = r < spec.r1
-    if inner.all():
-        return _inner(spec, r, order)
-    tail = r >= spec.r2
-    branches = zip(
-        _inner(spec, np.minimum(r, spec.r1), order),
-        _tail(spec, np.maximum(r, spec.r2), order),
-        _blend(spec, np.clip(r, spec.r1, spec.r2), order),
-    )
-    return [np.where(inner, w_in, np.where(tail, w_tail, w_mid)) for w_in, w_tail, w_mid in branches]
-
-
-def assert_same_terms(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        assert np.shape(g) == np.shape(w) and np.result_type(g) == np.result_type(w)
-        assert np.array_equal(g, w)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("blend", ["hermite", BLEND_LINEAR])
-@pytest.mark.parametrize("alpha, theta", [(2.0, 1.0), (3.0, 0.5), (4.5, -0.7)])
-def test_per_branch_profile_equals_clamped_select_bit_for_bit(order, blend, alpha, theta):
-    spec = make_spec(alpha=alpha, theta=theta, g=0.3, blend=blend)
-    r1, r2 = spec.r1, spec.r2
-    edges = [0.3 * r1, np.nextafter(r1, 0.0), r1, 0.5 * (r1 + r2), np.nextafter(r2, 0.0), r2, 4.0 * r2]
-    for r in edges:  # one scalar per branch and at both seams
-        assert_same_terms(_profile(spec, r, order), clamped_select_profile(spec, r, order))
-    rng = np.random.default_rng(int(10 * alpha) + order)
-    # lengths around every SIMD width leave each branch a different tail
-    for n in [*range(1, 40), 63, 64, 65, 127, 128, 129, 1000]:
-        for dtype in (np.float64, np.longdouble):
-            r = rng.uniform(0.05, 2.0 * r2, size=n).astype(dtype)
-            r[: len(edges)] = edges[:n]
-            assert_same_terms(_profile(spec, r, order), clamped_select_profile(spec, r, order))
-    # batch axes, a strided view and an all-inner array
-    r = rng.uniform(0.05, 2.0 * r2, size=(3, 7, 15))
-    for view in (r, r[:, ::2, 1::3], r.T, 0.9 * r1 * r / r.max()):
-        assert_same_terms(_profile(spec, view, order), clamped_select_profile(spec, view, order))
 
 
 def test_batched_scalar_path_checks_every_entry():

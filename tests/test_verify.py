@@ -247,18 +247,25 @@ def test_solve_energy_bound_rejects_non_finite_inputs(C, B, theta, K):
 
 
 @pytest.mark.parametrize("position", range(4))
-@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
-def test_solve_energy_bound_refuses_bools(position, flag):
-    # solve_energy_bound(True, 0.0, 1.0, 2.0) returned 4.0
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1j])
+def test_solve_energy_bound_refuses_non_real_arguments(position, value):
+    # solve_energy_bound(True, 0.0, 1.0, 2.0) returned 4.0, and "1" or None
+    # died with a bare TypeError from math.isfinite
     args = [1.0, 0.5, 0.5, 2.0]
-    args[position] = flag
-    with pytest.raises(ValueError, match="not bools"):
+    args[position] = value
+    with pytest.raises(ValueError, match="must be real numbers"):
         solve_energy_bound(*args)
 
 
-def test_coercivity_bound_refuses_a_bool_level():
-    for K in (True, False):
-        with pytest.raises(ValueError, match="not bools"):
+def test_solve_energy_bound_takes_numpy_reals():
+    want = solve_energy_bound(1.0, 0.5, 0.5, 2.0)
+    assert solve_energy_bound(np.float64(1.0), np.float32(0.5), 0.5, np.int64(2)) == want
+    assert solve_energy_bound(1, 0, 1, 3) == solve_energy_bound(1.0, 0.0, 1.0, 3.0)
+
+
+def test_coercivity_bound_refuses_a_non_real_level():
+    for K in (True, False, "2", None):
+        with pytest.raises(ValueError, match="must be real numbers"):
             coercivity_bound(make_spec(), K)
 
 
