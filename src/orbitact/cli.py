@@ -142,6 +142,12 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
         return _fail("--samples must be >= 0")
     if seed < 0:
         return _fail("--seed must be >= 0")
+    # Made before sampling, so an unwritable path fails before the work.
+    out_path = Path(out) if out else Path(cfg.output_dir) / "ledger.json"
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot write {out_path}: {exc}")
     if samples == 0:
         print(
             "warning: 0 samples requested; every check passes vacuously",
@@ -157,7 +163,6 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
     n_pass = sum(1 for c in report.checks if c.passed)
     print(f"ledger: {'PASS' if report.passed else 'FAIL'} ({n_pass}/{len(report.checks)} checks)")
 
-    out_path = Path(out) if out else Path(cfg.output_dir) / "ledger.json"
     payload = {
         "format": "orbitact.ledger/1",
         "tool_version": __version__,
@@ -165,7 +170,6 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
     }
     payload.update(report.to_dict())
     try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(canonical_dumps(payload))
     except OSError as exc:

@@ -15,7 +15,9 @@ draws each field of a block in one generator call and checks the block's
 draws at once: per body count (and per theta) for the pair checks, in one
 call for the scalar checks, and per chunk of loops only where the
 coefficient blocks are large. It draws only what a check reads, and its
-report does not depend on the chunk size. A batched call equals a loop of
+report does not depend on the chunk size. One generator makes every draw
+in stream order on a producer thread, so the draws overlap the checks
+without changing the report. A batched call equals a loop of
 single calls bit for bit: sums over pairs run along a contiguous axis, dot
 products go through the same 1-D kernel per row, and the powers that a
 single call takes of numpy scalars stay the C library's pow
@@ -91,17 +93,37 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
+def _sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """values.sum(axis) bit for bit, by whole-array adds when the axis has fewer than 8 entries.
+
+    numpy adds fewer than 8 terms left to right onto +0, so the explicit adds
+    round the same, at a fraction of a reduction's cost on many short rows.
+    """
+    parts = np.moveaxis(values, axis, 0)
+    if not 0 < len(parts) < 8:
+        return values.sum(axis=axis)
+    total = parts[0] + 0.0
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 def _pair_table(masses: np.ndarray, positions: np.ndarray):
     """Pair weights m_i m_j and squared separations |x_i - x_j|^2 over i < j, each (..., P).
 
-    Both come out C-contiguous, so that sums over pairs run along the
-    contiguous axis and round as for one configuration; fancy indexing behind
-    an ellipsis would put the pair axis outermost in memory.
+    The separations are one product with the search's cached pair map
+    (:func:`loopspace._pair_map`), which gives each x_i - x_j exactly as a
+    subtraction would. Both tables come out C-contiguous, so that sums over
+    pairs run along the contiguous axis and round as for one configuration.
     """
-    iu, ju, _ = loopspace.body_pairs(masses.shape[-1])
+    *lead, n_bodies, dim = positions.shape
+    iu, ju, _ = loopspace.body_pairs(n_bodies)
     weights = np.take(masses, iu, axis=-1) * np.take(masses, ju, axis=-1)
-    diff = np.take(positions, iu, axis=-2) - np.take(positions, ju, axis=-2)
-    return weights, (diff**2).sum(axis=-1)
+    diff = (positions.reshape(-1, n_bodies * dim) @ loopspace._pair_map(n_bodies, dim)).reshape(
+        *lead, iu.size, dim
+    )
+    diff *= diff
+    return weights, _sum(diff)
 
 
 def _pairwise_sides(masses: np.ndarray, positions: np.ndarray):
@@ -109,11 +131,11 @@ def _pairwise_sides(masses: np.ndarray, positions: np.ndarray):
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
     weights, sq = _pair_table(masses, positions)
-    lhs = (weights * sq).sum(axis=-1)
-    total = masses.sum(axis=-1)
-    weighted = (masses * (positions**2).sum(axis=-1)).sum(axis=-1)
-    center = (masses[..., None] * positions).sum(axis=-2)
-    rhs = total * weighted - (center**2).sum(axis=-1)
+    lhs = _sum(weights * sq)
+    total = _sum(masses)
+    weighted = _sum(masses * _sum(positions**2))
+    center = _sum(masses[..., None] * positions, axis=-2)
+    rhs = total * weighted - _sum(center**2)
     return lhs, rhs
 
 
@@ -147,8 +169,8 @@ def _holder_table_sides(weights: np.ndarray, rsq: np.ndarray, theta: float):
     two powers of the RHS are the C library's pow (np.float_power), as for
     the numpy scalars of one configuration, so batches round the same.
     """
-    lhs = (weights * rsq ** (theta / 2.0)).sum(axis=-1)
-    rhs = np.float_power(weights.sum(axis=-1), (2.0 - theta) / 2.0) * np.float_power(
+    lhs = _sum(weights * rsq ** (theta / 2.0))
+    rhs = np.float_power(_sum(weights), (2.0 - theta) / 2.0) * np.float_power(
         _dot(weights, rsq), theta / 2.0
     )
     return lhs, rhs
@@ -444,18 +466,38 @@ class LedgerReport:
 
 
 # Loops per batched call of the ledger's coefficient blocks (Wirtinger,
-# antiperiodicity), which it keeps small. The draws do not depend on it.
-LEDGER_CHUNK = 256
+# antiperiodicity), which it keeps small; the draws do not depend on it. On
+# the benchmark's 5000-sample ledger (N = 4, M = 8, 2-vCPU VM) 256-loop
+# chunks ran about 3% faster but peaked 0.9 MB higher (42.3-42.6 against
+# 41.5-41.7 MB): allocations made on the producer thread land in a second
+# malloc arena, and at 256 the same draws peak 0.65 MB higher there than on
+# the main thread.
+LEDGER_CHUNK = 128
+
+# The ledger's checks with their tolerances and sides, in report order.
+_LEDGER_CHECKS = (
+    ("pairwise_identity", 1e-10, False),
+    ("holder_upper_bound", 1e-12, True),
+    ("wirtinger", 1e-12, True),
+    ("wirtinger_first_harmonic", 1e-12, False),
+    ("strong_force_margin", 1e-12, True),
+    ("modulation_symmetry", 1e-12, False),
+    ("blend_c1", 1e-10, False),
+    ("antiperiodicity", 1e-12, False),
+    ("zero_mean", 1e-12, False),
+)
 
 
 def _random_coefficients(rng, batch: tuple, n_bodies: int, dim: int, harmonics: int) -> np.ndarray:
     """Normal coefficients (*batch, N, M, 2, k) damped by 1/m^2, drawn in one call.
 
-    One call over a batch draws the same stream as one call per loop.
+    One call over a batch draws the same stream as one call per loop. The
+    divisor is one contiguous (M, 2, k) block, which gives the quotients of
+    a broadcast (M, 1, 1) one in fewer, longer inner loops.
     """
     coeffs = rng.standard_normal((*batch, n_bodies, harmonics, 2, dim))
     orders = np.arange(1, 2 * harmonics, 2, dtype=float)
-    coeffs /= (orders**2)[:, None, None]
+    coeffs /= np.repeat(orders**2, 2 * dim).reshape(harmonics, 2, dim)
     return coeffs
 
 
@@ -472,17 +514,97 @@ def _random_loop_chunks(rng, period: float, count: int, n_bodies: int, dim: int,
 def _random_body_groups(rng, n: int, dim: int):
     """Two to six bodies for each of n samples, grouped by body count.
 
-    One call draws every body count; then per count, in increasing order, one
-    call draws the group's masses in [0.1, 3) and one its normal positions.
-    Yields (indices, masses (G, b), positions (G, b, k)) per body count b,
-    indices being the group's sample indices in 0..n-1.
+    One call draws every body count; then per count present, in increasing
+    order, one call draws the group's masses in [0.1, 3) and one its normal
+    positions. Yields (indices, masses (G, b), positions (G, b, k)) per body
+    count b, indices being the group's sample indices in 0..n-1.
     """
     counts = rng.integers(2, 7, size=n)
-    for bodies in np.unique(counts):
+    for bodies in range(2, 7):
         members = np.flatnonzero(counts == bodies)
-        masses = rng.uniform(0.1, 3.0, size=(members.size, bodies))
-        positions = rng.normal(scale=1.5, size=(members.size, bodies, dim))
-        yield members, masses, positions
+        if members.size:
+            masses = rng.uniform(0.1, 3.0, size=(members.size, bodies))
+            positions = rng.normal(scale=1.5, size=(members.size, bodies, dim))
+            yield members, masses, positions
+
+
+def _ledger_draws(rng, spec: PotentialSpec, dim: int, harmonics: int, n: int):
+    """Every generator call of the ledger, in stream order, as (block, draws) items.
+
+    Both pair blocks yield (indices, masses, positions) per body count; the
+    Wirtinger block its general then its first-harmonic loops, and the
+    representation block its loops, as LoopBatches of at most LEDGER_CHUNK;
+    the strong-force block its radii r and the symmetry block (t, directions
+    of xi, |xi|). A block is named after its check, the representation block
+    "representation".
+    """
+    for block in ("pairwise_identity", "holder_upper_bound"):
+        for group in _random_body_groups(rng, n, dim):
+            yield block, group
+    first = -(-n // 4)
+    for block, count, drawn in (("wirtinger", n - first, harmonics), ("wirtinger_first_harmonic", first, 1)):
+        for loops in _random_loop_chunks(rng, spec.period, count, spec.n_bodies, dim, drawn):
+            yield block, loops
+    if n:
+        log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
+        yield "strong_force_margin", np.exp(rng.uniform(log_lo, log_hi, size=n))
+        times = rng.uniform(0.0, spec.period, size=n)
+        directions = rng.normal(size=(n, dim))
+        yield "modulation_symmetry", (times, directions, rng.uniform(0.05, 3.0 * spec.r2, size=n))
+    n_loops = max(n // 10, min(n, 1))
+    for loops in _random_loop_chunks(rng, spec.period, n_loops, spec.n_bodies, dim, harmonics):
+        yield "representation", loops
+
+
+def _on_producer_thread(items):
+    """Iterate items while one producer thread makes the next one.
+
+    The thread runs at most one item ahead: it makes item k + 1 while the
+    caller works on item k, then waits to be asked for more. An exception
+    raised in items reaches the caller as it was raised. The thread is
+    joined when the iteration ends, by exhaustion, by that exception or by
+    closing this generator, which the caller must do when it stops early.
+    """
+    import queue
+    import threading
+
+    done = object()
+    made, wanted = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def produce():
+        try:
+            for item in items:
+                made.put((item, None))
+                if not wanted.get():
+                    return
+            made.put((done, None))
+        except BaseException as exc:  # forwarded to the caller
+            made.put((None, exc))
+
+    # joined below on every path; a daemon only so that a fault there cannot
+    # hold the interpreter open at exit
+    thread = threading.Thread(target=produce, name="orbitact-ledger-draws", daemon=True)
+    thread.start()
+    try:
+        while True:
+            item, exc = made.get()
+            if exc is not None:
+                raise exc
+            if item is done:
+                return
+            wanted.put(True)
+            yield item
+    finally:
+        wanted.put(False)
+        thread.join()
+
+
+def _abs_max(values: np.ndarray, axis) -> np.ndarray:
+    """np.abs(values).max(axis), from a max and a min pass, without a full-size |values|.
+
+    The outer abs only turns a zero maximum into +0, as np.abs gives it.
+    """
+    return np.abs(np.maximum(values.max(axis=axis), -values.min(axis=axis)))
 
 
 def _ledger_check(name: str, slacks: list, tolerance: float, *, lower: bool) -> LedgerCheck:
@@ -531,6 +653,12 @@ def run_inequality_ledger(
     antiperiodicity) are drawn and checked in chunks of LEDGER_CHUNK loops,
     which bounds the large arrays; back-to-back draws form one stream, so
     the report does not depend on LEDGER_CHUNK.
+
+    :func:`_ledger_draws` makes every generator call, in stream order, on
+    one producer thread at most one item ahead of the checks, so the draws
+    overlap the checks while the report depends on neither the thread's
+    timing nor LEDGER_CHUNK. The thread is joined before this returns or
+    raises, and an exception raised in the draws reaches the caller.
     """
     for name, value in (("dim", dim), ("harmonics", harmonics), ("n_samples", n_samples), ("seed", seed)):
         if not loopspace._is_integer(value):
@@ -542,84 +670,64 @@ def run_inequality_ledger(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     dim, harmonics, n, seed = int(dim), int(harmonics), int(n_samples), int(seed)
-    rng = np.random.default_rng(seed)
-    checks = []
 
-    # Pairwise-distance identity over random masses and positions, relative
-    # to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2.
-    slacks = []
-    for _, masses, positions in _random_body_groups(rng, n, dim):
-        lhs, rhs = _pairwise_sides(masses, positions)
-        slacks.append(np.abs(lhs - rhs) / (1.0 + lhs))
-    checks.append(_ledger_check("pairwise_identity", slacks, 1e-10, lower=False))
-
-    # Pairwise power-sum upper bound, exponents in the valid band [0, 2).
+    # Power-sum exponents in the valid band [0, 2).
     theta_grid = [0.0, 0.5, 1.0, 1.5, 1.9]
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
-    slacks = []
-    for members, masses, positions in _random_body_groups(rng, n, dim):
-        weights, rsq = _pair_table(masses, positions)
-        grid_index = members % len(theta_grid)
-        for k in np.unique(grid_index):
-            same = grid_index == k
-            lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta_grid[k])
-            slacks.append((rhs - lhs) / (1.0 + rhs))
-    checks.append(_ledger_check("holder_upper_bound", slacks, 1e-12, lower=True))
-
-    # Wirtinger comparison on random loops, plus tightness on loops drawn
-    # with the first harmonic only.
-    slacks, slacks_eq = [], []
-    first = -(-n // 4)
-    for drawn, count, tight in ((harmonics, n - first, False), (1, first, True)):
-        for loops in _random_loop_chunks(rng, spec.period, count, spec.n_bodies, dim, drawn):
-            energies = loopspace.harmonic_energies(loops)
-            slack = _wirtinger_slack(loops, energies)
-            scale = 1.0 + _wirtinger_kinetic(loops, energies)
-            slacks.append((slack / scale).min(axis=-1))
-            if tight:
-                slacks_eq.append((np.abs(slack) / scale).max(axis=-1))
-    checks.append(_ledger_check("wirtinger", slacks, 1e-12, lower=True))
-    checks.append(_ledger_check("wirtinger_first_harmonic", slacks_eq, 1e-12, lower=False))
-
-    # Strong-force margin on a log grid below r1.
+    # The scalar checks read the first pair of bodies, two copies of a lone body.
     pair_spec = spec if spec.n_bodies >= 2 else replace(
         spec, masses=np.asarray([spec.masses[0], spec.masses[0]])
     )
     v_coeff = (1.0 - spec.modulation_eps) * pair_spec.masses[0] * pair_spec.masses[1] * spec.a
-    log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
-    slacks = []
-    if n:
-        r = np.exp(rng.uniform(log_lo, log_hi, size=n))
-        margin = strong_force_margin(pair_spec, 0, 1, r)
-        # float_power is the C library's pow, as for one float r
-        slacks.append(margin / np.maximum(v_coeff * np.float_power(r, -spec.alpha), 1e-300))
-    checks.append(_ledger_check("strong_force_margin", slacks, 1e-12, lower=True))
-
-    # Half-period reflection symmetry of the modulated pair potential.
-    slacks = []
-    if n:
-        times = rng.uniform(0.0, spec.period, size=n)
-        directions = rng.normal(size=(n, dim))
-        radii = rng.uniform(0.05, 3.0 * spec.r2, size=n)
-        xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
-        slacks.append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
-    checks.append(_ledger_check("modulation_symmetry", slacks, 1e-12, lower=False))
-
-    # One-sided C^1 regularity of the blend window.
-    checks.append(_ledger_check("blend_c1", [check_blend_c1(spec)] if n else [], 1e-10, lower=False))
-
-    # Antiperiodicity and zero mean of the representation.
-    slacks_ap, slacks_zm = [], []
     n_t = 4 * harmonics + 10  # even, so t + T/2 lands on the grid
     half = n_t // 2  # pairs (t, t + T/2) over the first half cover the whole grid
-    n_loops = max(n // 10, min(n, 1))
-    for loops in _random_loop_chunks(rng, spec.period, n_loops, spec.n_bodies, dim, harmonics):
-        pos = loopspace.sample_trajectory(loops, n_t)  # (loops, n_t, N, k)
-        scale = 1.0 + np.abs(pos).max(axis=(1, 2, 3))
-        slacks_ap.append(np.abs(pos[:, half:] + pos[:, :half]).max(axis=(1, 2, 3)) / scale)
-        slacks_zm.append(np.abs(pos.mean(axis=1)).max(axis=(1, 2)) / scale)
-    checks.append(_ledger_check("antiperiodicity", slacks_ap, 1e-12, lower=False))
-    checks.append(_ledger_check("zero_mean", slacks_zm, 1e-12, lower=False))
 
-    return LedgerReport(checks=tuple(checks), samples=n, seed=seed)
+    slacks = {name: [] for name, _, _ in _LEDGER_CHECKS}
+    draws = _on_producer_thread(_ledger_draws(np.random.default_rng(seed), spec, dim, harmonics, n))
+    try:
+        for block, item in draws:
+            if block == "pairwise_identity":
+                # relative to the identity's own LHS sum_{i<j} m_i m_j |x_i - x_j|^2
+                _, masses, positions = item
+                lhs, rhs = _pairwise_sides(masses, positions)
+                slacks[block].append(np.abs(lhs - rhs) / (1.0 + lhs))
+            elif block == "holder_upper_bound":
+                members, masses, positions = item
+                weights, rsq = _pair_table(masses, positions)
+                grid_index = members % len(theta_grid)
+                for k, theta in enumerate(theta_grid):
+                    same = grid_index == k
+                    if same.any():
+                        lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta)
+                        slacks[block].append((rhs - lhs) / (1.0 + rhs))
+            elif block in ("wirtinger", "wirtinger_first_harmonic"):
+                # the comparison on every loop, and its tightness on first-harmonic ones
+                energies = loopspace.harmonic_energies(item)
+                slack = _wirtinger_slack(item, energies)
+                scale = 1.0 + _wirtinger_kinetic(item, energies)
+                slacks["wirtinger"].append((slack / scale).min(axis=-1))
+                if block == "wirtinger_first_harmonic":
+                    slacks[block].append((np.abs(slack) / scale).max(axis=-1))
+            elif block == "strong_force_margin":
+                # float_power is the C library's pow, as for one float r
+                margin = strong_force_margin(pair_spec, 0, 1, item)
+                slacks[block].append(margin / np.maximum(v_coeff * np.float_power(item, -spec.alpha), 1e-300))
+            elif block == "modulation_symmetry":
+                # half-period reflection of the modulated pair potential
+                times, directions, radii = item
+                xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
+                slacks[block].append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
+            else:
+                # antiperiodicity and zero mean of the representation
+                pos = loopspace.sample_trajectory(item, n_t)  # (loops, n_t, N, k)
+                scale = 1.0 + _abs_max(pos, (1, 2, 3))
+                slacks["antiperiodicity"].append(_abs_max(pos[:, half:] + pos[:, :half], (1, 2, 3)) / scale)
+                slacks["zero_mean"].append(_abs_max(pos.mean(axis=1), (1, 2)) / scale)
+    finally:
+        draws.close()
+    if n:
+        # one-sided C^1 regularity of the blend window
+        slacks["blend_c1"].append(check_blend_c1(spec))
+    checks = tuple(_ledger_check(name, slacks[name], tol, lower=lower) for name, tol, lower in _LEDGER_CHECKS)
+    return LedgerReport(checks=checks, samples=n, seed=seed)

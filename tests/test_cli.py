@@ -221,7 +221,11 @@ def test_unwritable_output_path_exits_invalid(tmp_path, monkeypatch, capsys, com
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran before its output directory was made")
 
+    def no_ledger(*args, **kwargs):
+        raise AssertionError("the ledger ran before its output directory was made")
+
     monkeypatch.setattr(cli, "multistart", no_search)
+    monkeypatch.setattr(cli, "run_inequality_ledger", no_ledger)
     capsys.readouterr()
     assert main(argv) == EXIT_INVALID_INPUT
     assert capsys.readouterr().err.startswith("error: cannot write")

@@ -27,7 +27,7 @@ from conftest import make_spec
 
 result = orbitact.multistart(make_spec(), [1], 2, harmonics=4, workers=1)
 assert result.n_started == 2
-loaded = [m for m in ("concurrent.futures", "multiprocessing", "json", "orbitact.runconfig") if m in sys.modules]
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "queue", "json", "orbitact.runconfig") if m in sys.modules]
 assert loaded == [], loaded
 assert orbitact.RunConfig is orbitact.runconfig.RunConfig
 try:

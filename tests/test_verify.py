@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -590,7 +593,7 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
             "checks": [c.to_dict() for c in checks]}
 
 
-# 588 general Wirtinger loops in three chunks, then 197 first-harmonic loops in one
+# three chunks of general Wirtinger loops, then one of first-harmonic loops
 MULTI_CHUNK_SAMPLES = 3 * LEDGER_CHUNK + 17
 
 
@@ -692,10 +695,113 @@ def test_ledger_checks_each_pair_and_scalar_block_in_one_call_per_body_count(mon
         "_pairwise_sides": 5,
         "_pair_table": 10,
         "_holder_table_sides": 5 * 6,  # the theta grid holds spec.theta = 1.0 once more
-        # 588 general and 197 first-harmonic Wirtinger loops, 78 representation loops
+        # 300 general and 101 first-harmonic Wirtinger loops, 40 representation loops (128-loop chunks)
         "_random_coefficients": 3 + 1 + 1,
         "rng.standard_normal": 3 + 1 + 1,
         "harmonic_energies": 3 + 1,
         "strong_force_margin": 1,
         "check_modulation_symmetry": 1,
     }
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_short_axis_sums_and_abs_max_equal_numpy_bit_for_bit(length):
+    # fewer than 8 terms are added explicitly, 8 or more by numpy itself; zero rows
+    # of either sign must come out +0, as numpy's reductions give them
+    rng = np.random.default_rng(length)
+    values = rng.normal(size=(40, length, 3)) * rng.uniform(0.0, 1e3, size=(40, length, 3))
+    values[:5] = -0.0
+    values[5:10] = 0.0
+    for axis in (-1, -2, 0):
+        want = values.sum(axis=axis)
+        assert np.array_equal(verify._sum(values, axis).view(np.int64), want.view(np.int64))
+    for axis in ((1, 2), 1, -1):
+        want = np.abs(values).max(axis=axis)
+        assert np.array_equal(verify._abs_max(values, axis).view(np.int64), want.view(np.int64))
+
+
+class _Planted(Exception):
+    pass
+
+
+def _raise_in_check(monkeypatch, error):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(verify, "_holder_table_sides", failing)
+
+
+def _raise_in_draw(k):
+    """A plant whose k-th coefficient draw raises, on the producer thread."""
+
+    def plant(monkeypatch, error):
+        original = verify._random_coefficients
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(verify, "_random_coefficients", failing)
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "n_samples, plant",
+    [
+        (300, None),
+        (0, None),
+        (300, _raise_in_check),
+        # at LEDGER_CHUNK = 128, 300 samples draw 2 + 1 Wirtinger chunks, then 1 representation chunk
+        (300, _raise_in_draw(1)),
+        (300, _raise_in_draw(3)),
+        (300, _raise_in_draw(4)),
+    ],
+    ids=["normal", "zero_samples", "check_raises", "draw_1_raises", "draw_3_raises", "draw_4_raises"],
+)
+def test_no_thread_outlives_the_ledger(monkeypatch, n_samples, plant):
+    spec = make_spec(masses=np.linspace(0.7, 1.9, 4), modulation_eps=0.3)
+    before = threading.active_count()
+    if plant is None:
+        report = run_inequality_ledger(spec, 2, 3, n_samples, seed=5)
+        assert report.to_dict() == _sample_by_sample_ledger(spec, 2, 3, n_samples, 5)
+    else:
+        error = _Planted()
+        plant(monkeypatch, error)
+        with pytest.raises(_Planted) as excinfo:
+            run_inequality_ledger(spec, 2, 3, n_samples, seed=5)
+        assert excinfo.value is error
+    assert threading.active_count() == before
+
+
+def test_ledger_draws_run_at_most_one_item_ahead():
+    made = []
+
+    def items():
+        for index in range(40):
+            made.append(index)
+            yield index
+
+    consumed = []
+    for index in verify._on_producer_thread(items()):
+        time.sleep(0.001)  # time for the producer to run further ahead if it could
+        assert len(made) <= index + 2
+        consumed.append(index)
+    assert consumed == list(range(40))
+
+
+def test_ledger_report_does_not_depend_on_thread_timing():
+    # thread switches every microsecond interleave the draws and the checks
+    # at many more points than the default 5 ms interval
+    spec = make_spec(masses=np.linspace(0.7, 1.9, 3), theta=-0.5, modulation_eps=0.3)
+    want = _sample_by_sample_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_inequality_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, seed=6).to_dict()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
