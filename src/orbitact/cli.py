@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, OrbitactError, OrbitFileInvalid
-from .orbitfile import canonical_dumps, export_trajectory, orbit_payload, save_orbit
+from .orbitfile import export_trajectory, orbit_payload, save_canonical
 from .runconfig import load_config, resolved_dict
 from .solver import multistart
 from .verify import coercivity_bound, run_inequality_ledger
@@ -104,9 +104,8 @@ def run_solve(config_path: str) -> int:
     }
     try:
         for name, payload in payloads.items():
-            save_orbit(out_dir / name, payload)
-        with open(out_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(canonical_dumps(summary))
+            save_canonical(out_dir / name, payload)
+        save_canonical(out_dir / "summary.json", summary)
     except OSError as exc:
         return _fail(f"cannot write {out_dir}: {exc}")
 
@@ -170,8 +169,7 @@ def run_ledger(config_path: str, samples: int, seed: int, out: str | None) -> in
     }
     payload.update(report.to_dict())
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(canonical_dumps(payload))
+        save_canonical(out_path, payload)
     except OSError as exc:
         return _fail(f"cannot write {out_path}: {exc}")
     print(f"wrote {out_path}")

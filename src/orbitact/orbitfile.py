@@ -25,7 +25,7 @@ __all__ = [
     "ORBIT_FORMAT",
     "canonical_dumps",
     "orbit_payload",
-    "save_orbit",
+    "save_canonical",
     "load_orbit",
     "export_trajectory",
 ]
@@ -66,7 +66,8 @@ def orbit_payload(record, resolved_config: dict) -> dict:
     }
 
 
-def save_orbit(path, payload: dict) -> None:
+def save_canonical(path, payload: dict) -> None:
+    """Write payload as :func:`canonical_dumps` text in UTF-8: orbit files, summaries, ledger reports."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(canonical_dumps(payload))
 

@@ -301,7 +301,6 @@ class _Descent:
         self.evaluator = evaluator
         self.dinv = dinv
         self.opts = opts
-        self.guard_active = loop0.n_bodies >= 2
         self.guard_hit = False
         self.rows = []
         self.step(loop0.flat(), ev, ev.value)
@@ -335,7 +334,7 @@ class _Descent:
             if ev is None:
                 self.guard_hit = True
             elif math.isfinite(ev.value):
-                if self.guard_active and ev.min_separation < bound:
+                if ev.min_separation < bound:
                     self.guard_hit = True
                 else:
                     value = accept(alpha, ev)

@@ -12,7 +12,8 @@ only the action evaluator does, so each is one call on an evaluator.
 
 The sampled checks accept leading batch axes, so the inequality ledger
 draws each field of a block in one generator call and checks the block's
-draws at once: per body count (and per theta) for the pair checks, in one
+draws at once: one pair block of body configurations, whose one pair table
+per body count serves both pair checks (the power-sum bound per theta), one
 call for the scalar checks, and per chunk of loops only where the
 coefficient blocks are large. It draws only what a check reads, and its
 report does not depend on the chunk size. One generator makes every draw
@@ -126,40 +127,14 @@ def _pair_table(masses: np.ndarray, positions: np.ndarray):
     return weights, _sum(diff)
 
 
-def _pairwise_sides(masses: np.ndarray, positions: np.ndarray):
-    """Both sides (lhs, rhs) of the weighted pairwise-distance identity, each (...)."""
-    masses = np.asarray(masses, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    weights, sq = _pair_table(masses, positions)
+def _pairwise_table_sides(masses: np.ndarray, positions: np.ndarray, weights: np.ndarray, sq: np.ndarray):
+    """Both sides (lhs, rhs) of the pairwise-distance identity from a :func:`_pair_table`, each (...)."""
     lhs = _sum(weights * sq)
     total = _sum(masses)
     weighted = _sum(masses * _sum(positions**2))
     center = _sum(masses[..., None] * positions, axis=-2)
     rhs = total * weighted - _sum(center**2)
     return lhs, rhs
-
-
-def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray):
-    """|LHS - RHS| of the weighted pairwise-distance identity.
-
-    sum_{i<j} m_i m_j |x_i - x_j|^2
-        == (sum_i m_i)(sum_i m_i |x_i|^2) - |sum_i m_i x_i|^2.
-
-    masses (..., N) and positions (..., N, k) may carry the same leading
-    batch axes, giving one value per configuration; one configuration gives
-    a numpy float. Each entry equals the single call bit for bit.
-    """
-    lhs, rhs = _pairwise_sides(masses, positions)
-    return np.abs(lhs - rhs)
-
-
-def _holder_sides(masses: np.ndarray, positions: np.ndarray, theta: float):
-    """Both sides (lhs, rhs) of the pairwise power-sum bound, each (...)."""
-    if theta >= 2:
-        raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
-    masses = np.asarray(masses, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    return _holder_table_sides(*_pair_table(masses, positions), theta)
 
 
 def _holder_table_sides(weights: np.ndarray, rsq: np.ndarray, theta: float):
@@ -176,6 +151,22 @@ def _holder_table_sides(weights: np.ndarray, rsq: np.ndarray, theta: float):
     return lhs, rhs
 
 
+def check_pairwise_identity(masses: np.ndarray, positions: np.ndarray):
+    """|LHS - RHS| of the weighted pairwise-distance identity.
+
+    sum_{i<j} m_i m_j |x_i - x_j|^2
+        == (sum_i m_i)(sum_i m_i |x_i|^2) - |sum_i m_i x_i|^2.
+
+    masses (..., N) and positions (..., N, k) may carry the same leading
+    batch axes, giving one value per configuration; one configuration gives
+    a numpy float. Each entry equals the single call bit for bit.
+    """
+    masses = np.asarray(masses, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    lhs, rhs = _pairwise_table_sides(masses, positions, *_pair_table(masses, positions))
+    return np.abs(lhs - rhs)
+
+
 def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float):
     """Slack RHS - LHS of the pairwise power-sum upper bound.
 
@@ -188,7 +179,11 @@ def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float):
     Batch axes work as in :func:`check_pairwise_identity`; one configuration
     gives a float.
     """
-    lhs, rhs = _holder_sides(masses, positions, theta)
+    if theta >= 2:
+        raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
+    masses = np.asarray(masses, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    lhs, rhs = _holder_table_sides(*_pair_table(masses, positions), theta)
     return _float_if_scalar(rhs - lhs)
 
 
@@ -512,12 +507,13 @@ def _random_loop_chunks(rng, period: float, count: int, n_bodies: int, dim: int,
 
 
 def _random_body_groups(rng, n: int, dim: int):
-    """Two to six bodies for each of n samples, grouped by body count.
+    """Two to six bodies for each of n samples, grouped by body count: the ledger's pair block.
 
     One call draws every body count; then per count present, in increasing
     order, one call draws the group's masses in [0.1, 3) and one its normal
     positions. Yields (indices, masses (G, b), positions (G, b, k)) per body
-    count b, indices being the group's sample indices in 0..n-1.
+    count b, indices being the group's sample indices in 0..n-1. The ledger
+    makes one such pass and checks both pair inequalities on it.
     """
     counts = rng.integers(2, 7, size=n)
     for bodies in range(2, 7):
@@ -531,16 +527,16 @@ def _random_body_groups(rng, n: int, dim: int):
 def _ledger_draws(rng, spec: PotentialSpec, dim: int, harmonics: int, n: int):
     """Every generator call of the ledger, in stream order, as (block, draws) items.
 
-    Both pair blocks yield (indices, masses, positions) per body count; the
-    Wirtinger block its general then its first-harmonic loops, and the
-    representation block its loops, as LoopBatches of at most LEDGER_CHUNK;
-    the strong-force block its radii r and the symmetry block (t, directions
-    of xi, |xi|). A block is named after its check, the representation block
+    The pair block "pairs", whose configurations both pair checks read,
+    yields (indices, masses, positions) per body count; the Wirtinger block
+    its general then its first-harmonic loops, and the representation block
+    its loops, as LoopBatches of at most LEDGER_CHUNK; the strong-force block
+    its radii r and the symmetry block (t, directions of xi, |xi|). Any other
+    block is named after its check, the representation block
     "representation".
     """
-    for block in ("pairwise_identity", "holder_upper_bound"):
-        for group in _random_body_groups(rng, n, dim):
-            yield block, group
+    for group in _random_body_groups(rng, n, dim):
+        yield "pairs", group
     first = -(-n // 4)
     for block, count, drawn in (("wirtinger", n - first, harmonics), ("wirtinger_first_harmonic", first, 1)):
         for loops in _random_loop_chunks(rng, spec.period, count, spec.n_bodies, dim, drawn):
@@ -642,17 +638,17 @@ def run_inequality_ledger(
     check reports vacuously (zero samples, pass); callers should warn then.
 
     One stream per block, no draw discarded. Each block draws each of its
-    fields in one generator call: the pair blocks their body counts, then
-    per body count the masses and the positions; the strong-force block its
-    radii; the symmetry block its times, directions and radii. The pair
-    checks make one batched call per body count (the power-sum bound one
-    pair table per body count, sliced per theta), and the strong-force and
-    symmetry checks one call each. The Wirtinger block draws its
-    n - ceil(n/4) general loops, then its ceil(n/4) first-harmonic loops
-    with the first harmonic only. The coefficient blocks (Wirtinger,
-    antiperiodicity) are drawn and checked in chunks of LEDGER_CHUNK loops,
-    which bounds the large arrays; back-to-back draws form one stream, so
-    the report does not depend on LEDGER_CHUNK.
+    fields in one generator call: the pair block its body counts, then per
+    body count the masses and the positions; the strong-force block its
+    radii; the symmetry block its times, directions and radii. Both pair
+    checks read the one pair block: per body count one pair table serves
+    the identity's batched call and the power-sum bound's slices per theta.
+    The strong-force and symmetry checks make one call each. The Wirtinger
+    block draws its n - ceil(n/4) general loops, then its ceil(n/4)
+    first-harmonic loops with the first harmonic only. The coefficient
+    blocks (Wirtinger, antiperiodicity) are drawn and checked in chunks of
+    LEDGER_CHUNK loops, which bounds the large arrays; back-to-back draws
+    form one stream, so the report does not depend on LEDGER_CHUNK.
 
     :func:`_ledger_draws` makes every generator call, in stream order, on
     one producer thread at most one item ahead of the checks, so the draws
@@ -687,20 +683,19 @@ def run_inequality_ledger(
     draws = _on_producer_thread(_ledger_draws(np.random.default_rng(seed), spec, dim, harmonics, n))
     try:
         for block, item in draws:
-            if block == "pairwise_identity":
-                # relative to the identity's own LHS sum_{i<j} m_i m_j |x_i - x_j|^2
-                _, masses, positions = item
-                lhs, rhs = _pairwise_sides(masses, positions)
-                slacks[block].append(np.abs(lhs - rhs) / (1.0 + lhs))
-            elif block == "holder_upper_bound":
+            if block == "pairs":
+                # one pair table for both checks; the identity's slack is
+                # relative to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2
                 members, masses, positions = item
                 weights, rsq = _pair_table(masses, positions)
+                lhs, rhs = _pairwise_table_sides(masses, positions, weights, rsq)
+                slacks["pairwise_identity"].append(np.abs(lhs - rhs) / (1.0 + lhs))
                 grid_index = members % len(theta_grid)
                 for k, theta in enumerate(theta_grid):
                     same = grid_index == k
                     if same.any():
                         lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta)
-                        slacks[block].append((rhs - lhs) / (1.0 + rhs))
+                        slacks["holder_upper_bound"].append((rhs - lhs) / (1.0 + rhs))
             elif block in ("wirtinger", "wirtinger_first_harmonic"):
                 # the comparison on every loop, and its tightness on first-harmonic ones
                 energies = loopspace.harmonic_energies(item)

@@ -12,7 +12,7 @@ from orbitact.orbitfile import (
     export_trajectory,
     load_orbit,
     orbit_payload,
-    save_orbit,
+    save_canonical,
 )
 from orbitact.runconfig import config_from_dict, resolved_dict
 from orbitact.solver import OrbitRecord
@@ -65,7 +65,7 @@ def test_round_trip_bytes_and_coefficients(tmp_path):
     record = sample_record()
     payload = orbit_payload(record, sample_config())
     path = tmp_path / "orbit_000.json"
-    save_orbit(path, payload)
+    save_canonical(path, payload)
 
     loaded_payload, loop = load_orbit(path)
     assert np.array_equal(loop.coefficients, record.loop.coefficients)
@@ -130,7 +130,7 @@ def test_load_rejects_malformed_files(tmp_path):
 def test_export_trajectory_samples_and_antiperiodicity(tmp_path):
     record = sample_record()
     path = tmp_path / "orbit_000.json"
-    save_orbit(path, orbit_payload(record, sample_config()))
+    save_canonical(path, orbit_payload(record, sample_config()))
 
     out = export_trajectory(path, n_samples=8)
     assert out == tmp_path / "orbit_000.csv"
@@ -151,7 +151,7 @@ def test_export_trajectory_samples_and_antiperiodicity(tmp_path):
 def test_export_trajectory_custom_target_and_validation(tmp_path):
     record = sample_record()
     path = tmp_path / "orbit_000.json"
-    save_orbit(path, orbit_payload(record, sample_config()))
+    save_canonical(path, orbit_payload(record, sample_config()))
     target = tmp_path / "custom.csv"
     assert export_trajectory(path, target, n_samples=1) == target
     assert target.read_text(encoding="utf-8").count("\n") == 2
@@ -163,7 +163,7 @@ def test_export_trajectory_custom_target_and_validation(tmp_path):
 def test_export_trajectory_refuses_non_integer_counts(tmp_path, n_samples):
     # True wrote one row and 2.5 died with a bare TypeError from range
     path = tmp_path / "orbit_000.json"
-    save_orbit(path, orbit_payload(sample_record(), sample_config()))
+    save_canonical(path, orbit_payload(sample_record(), sample_config()))
     with pytest.raises(ValueError, match="n_samples must be an integer"):
         export_trajectory(path, n_samples=n_samples)
     assert not (tmp_path / "orbit_000.csv").exists()
@@ -171,6 +171,6 @@ def test_export_trajectory_refuses_non_integer_counts(tmp_path, n_samples):
 
 def test_export_trajectory_takes_numpy_integer_counts(tmp_path):
     path = tmp_path / "orbit_000.json"
-    save_orbit(path, orbit_payload(sample_record(), sample_config()))
+    save_canonical(path, orbit_payload(sample_record(), sample_config()))
     out = export_trajectory(path, n_samples=np.int64(4))
     assert out.read_text(encoding="utf-8").count("\n") == 5

@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -428,6 +429,17 @@ def test_step_guard_limits_separation_drop():
     seps = report.min_separation_trace
     for before, after in zip(seps, seps[1:]):
         assert after >= (1.0 - 0.25) * before - 1e-12
+
+
+def test_one_body_descent_converges_with_no_separation_to_guard():
+    # a lone body has no pair, so its minimum separation is +inf and the
+    # step guard's bound (1 - step_guard) * inf never refuses a trial; the
+    # action is the kinetic energy alone, minimal at the zero loop
+    spec = make_spec(masses=np.array([1.3]), modulation_eps=0.3)
+    report = descend(spec, random_loop(np.random.default_rng(0), n_bodies=1, harmonics=4))
+    assert report.status is SolveStatus.CONVERGED
+    assert abs(report.action_value) < 1e-12
+    assert report.min_separation_trace == (math.inf,) * (report.iterations + 1)
 
 
 def test_three_body_choreography_start_converges():

@@ -490,7 +490,7 @@ def test_modulation_symmetry_batched_equals_single_calls(n_bodies, dim):
 
 
 def _drawn_bodies(rng, n, dim):
-    """(index, masses, positions) per sample, drawn one sample at a time in the ledger's block order.
+    """(index, masses, positions) per sample, drawn one sample at a time in the ledger's pair-block order.
 
     The body counts come first, then per body count, in increasing order,
     every member's masses and then every member's positions.
@@ -509,15 +509,16 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     """The ledger drawn and checked one sample at a time: the oracle.
 
     Each block draws its fields one sample at a time, in the ledger's order,
-    so the stream matches its one call per field. The pairwise slack is
-    relative to the identity's own LHS.
+    so the stream matches its one call per field. Both pair checks read one
+    body population. The pairwise slack is relative to the identity's own LHS.
     """
     rng = np.random.default_rng(seed)
     n = n_samples
     checks = []
 
+    bodies = _drawn_bodies(rng, n, dim)
     slacks = []
-    for _, masses, positions in _drawn_bodies(rng, n, dim):
+    for _, masses, positions in bodies:
         iu, ju, _ = loopspace.body_pairs(masses.size)
         sq = ((positions[iu] - positions[ju]) ** 2).sum(axis=1)
         lhs = float((masses[iu] * masses[ju] * sq).sum())
@@ -528,7 +529,7 @@ def _sample_by_sample_ledger(spec, dim, harmonics, n_samples, seed):
     if 0.0 <= spec.theta < 2.0:
         theta_grid.append(spec.theta)
     slacks = []
-    for idx, masses, positions in _drawn_bodies(rng, n, dim):
+    for idx, masses, positions in bodies:
         theta = theta_grid[idx % len(theta_grid)]
         slack = check_holder_bound(masses, positions, theta)
         iu, ju, _ = loopspace.body_pairs(masses.size)
@@ -617,6 +618,24 @@ def test_ledger_equals_sample_by_sample_oracle(n_bodies, dim, theta, eps, n_samp
     assert report.to_dict() == _sample_by_sample_ledger(spec, dim, 3, n_samples, seed)
 
 
+@pytest.mark.parametrize(
+    "n_bodies, dim, alpha, theta, eps, n_samples",
+    [
+        (n_bodies, dim, alpha, theta, eps, n_samples)
+        for n_bodies, dim, (alpha, theta), eps, n_samples in itertools.product(
+            (1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1, 300, 900)
+        )
+    ],
+)
+def test_every_ledger_edge_configuration_passes(n_bodies, dim, alpha, theta, eps, n_samples):
+    # the edge sweep of tools/report_digest.py (LEDGER_EDGES), which pins these
+    # reports only by hash; the oracle test alone would pass if both failed
+    spec = make_spec(masses=np.linspace(0.7, 1.9, n_bodies), alpha=alpha, theta=theta, modulation_eps=eps)
+    report = run_inequality_ledger(spec, dim, 3, n_samples, 7 * n_bodies + dim)
+    assert report.samples == n_samples
+    assert report.passed, [check for check in report.checks if not check.passed]
+
+
 @pytest.mark.parametrize("chunk", [7, 256, 10**6])
 def test_ledger_report_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # back-to-back chunks of the coefficient blocks draw one stream
@@ -633,7 +652,7 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
     spec = make_spec()
     for seed in range(3):
         report = run_inequality_ledger(spec, 2, 3, 200, seed)
-        rng = np.random.default_rng(seed)  # the pairwise block draws first
+        rng = np.random.default_rng(seed)  # the pair block draws first
         worst = 0.0
         for _, group_masses, group_positions in _random_body_groups(rng, 200, 2):
             for masses, positions in zip(group_masses, group_positions):
@@ -650,8 +669,9 @@ def test_ledger_pairwise_slack_is_relative_to_the_identity_lhs():
 
 def test_ledger_checks_each_pair_and_scalar_block_in_one_call_per_body_count(monkeypatch):
     # one stream per block: each field of a block comes from one generator
-    # call, the pair tables are built once per body count and block, the
-    # scalar checks run once, and only the coefficient blocks go chunk by chunk
+    # call, one body population serves both pair checks through one pair
+    # table per body count, the scalar checks run once, and only the
+    # coefficient blocks go chunk by chunk
     calls = {}
 
     def count(name):
@@ -681,19 +701,19 @@ def test_ledger_checks_each_pair_and_scalar_block_in_one_call_per_body_count(mon
 
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed)))
-    for name in ("_random_body_groups", "_random_coefficients", "_pair_table", "_pairwise_sides",
+    for name in ("_random_body_groups", "_random_coefficients", "_pair_table", "_pairwise_table_sides",
                  "_holder_table_sides", "strong_force_margin", "check_modulation_symmetry"):
         counted(verify, name)
     counted(loopspace, "harmonic_energies")
     spec = make_spec(masses=np.linspace(0.7, 1.9, 4), modulation_eps=0.3)
     run_inequality_ledger(spec, 2, 3, MULTI_CHUNK_SAMPLES, seed=2)
     assert calls == {
-        "_random_body_groups": 2,
-        "rng.integers": 2,  # the body counts of both pair blocks
-        "rng.uniform": 2 * 5 + 1 + 2,  # masses per body count, the radii r, then t and |xi|
-        "rng.normal": 2 * 5 + 1,  # positions per body count, then the directions of xi
-        "_pairwise_sides": 5,
-        "_pair_table": 10,
+        "_random_body_groups": 1,
+        "rng.integers": 1,  # the body counts of the pair block
+        "rng.uniform": 5 + 1 + 2,  # masses per body count, the radii r, then t and |xi|
+        "rng.normal": 5 + 1,  # positions per body count, then the directions of xi
+        "_pair_table": 5,
+        "_pairwise_table_sides": 5,
         "_holder_table_sides": 5 * 6,  # the theta grid holds spec.theta = 1.0 once more
         # 300 general and 101 first-harmonic Wirtinger loops, 40 representation loops (128-loop chunks)
         "_random_coefficients": 3 + 1 + 1,
