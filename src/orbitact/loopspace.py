@@ -54,6 +54,20 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _require_integer(name: str, value, minimum=None) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer (see _is_integer) >= minimum."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite positive real (see _is_real)."""
+    if not (_is_real(value) and 0 < value < np.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def default_grid_size(harmonics: int) -> int:
     """Default number of uniform quadrature nodes for M retained harmonics.
 
@@ -221,8 +235,8 @@ def quadrature_grid(loop: LoopConfiguration, n_t: int | None = None) -> FourierG
     m = loop.harmonics
     if n_t is None:
         n_t = default_grid_size(m)
-    elif not _is_integer(n_t):
-        raise ValueError(f"n_t must be an integer, not {n_t!r}")
+    else:
+        _require_integer("n_t", n_t)
     if n_t < 4 * m + 1:
         raise GridTooCoarse(f"n_t={n_t} < 4M+1={4 * m + 1} for M={m}")
     return _fourier_grid(loop.period, m, n_t, loop.coefficients.dtype)

@@ -1,4 +1,9 @@
-"""Reading, writing, and exporting orbit files.
+"""Reading and writing every JSON file, and exporting orbit files.
+
+Every JSON output (orbit files, run summaries, ledger reports) is written
+here, and every JSON input (orbit files here, run configurations through
+``runconfig``) is read through :func:`_read_json`, which turns an unreadable
+or malformed file into the caller's error naming the file.
 
 An orbit file is a JSON document with three parts: the loop block (body count
 N, dimension k, period T, harmonic count M, and the flat coefficient list in
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OrbitFileInvalid, ShapeMismatch
-from .loopspace import LoopConfiguration, _is_integer, evaluate_positions
+from .loopspace import LoopConfiguration, _require_integer, evaluate_positions
 from .version import __version__
 
 __all__ = [
@@ -72,6 +77,40 @@ def save_canonical(path, payload: dict) -> None:
         handle.write(canonical_dumps(payload))
 
 
+def _read_json(path, error, kind: str):
+    """The parsed JSON document at path.
+
+    A file that cannot be read or parsed raises ``error`` with a message
+    naming the kind of file ("orbit", "config") and the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{kind} file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{kind} file {path} nests too deeply to parse") from None
+
+
+def _json_integer(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_finite(value) -> bool:
+    """True for a JSON number finite as a float; json.load parses Infinity, NaN and huge integers.
+
+    The bound is compared directly because math.isfinite overflows on huge integers.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _require(condition: bool, message: str):
     if not condition:
         raise OrbitFileInvalid(message)
@@ -79,16 +118,7 @@ def _require(condition: bool, message: str):
 
 def load_orbit(path):
     """Parse and validate an orbit file; returns (payload, LoopConfiguration)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise OrbitFileInvalid(f"cannot read orbit file {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise OrbitFileInvalid(f"orbit file {path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise OrbitFileInvalid(f"orbit file {path} nests too deeply to parse") from None
-
+    payload = _read_json(path, OrbitFileInvalid, "orbit")
     _require(isinstance(payload, dict), "orbit file root must be an object")
     _require(payload.get("format") == ORBIT_FORMAT, f"orbit file format must be {ORBIT_FORMAT!r}")
     _require(isinstance(payload.get("meta"), dict), "orbit file must contain a 'meta' object")
@@ -96,17 +126,9 @@ def load_orbit(path):
     _require(isinstance(loop_block, dict), "orbit file must contain a 'loop' object")
     for key in ("N", "k", "M"):
         value = loop_block.get(key)
-        _require(
-            isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-            f"loop.{key} must be a positive integer",
-        )
+        _require(_json_integer(value) and value >= 1, f"loop.{key} must be a positive integer")
     period = loop_block.get("T")
-    _require(
-        isinstance(period, (int, float))
-        and not isinstance(period, bool)
-        and 0 < period <= sys.float_info.max,  # finite as a float, so no inf or huge integer
-        "loop.T must be a finite positive number",
-    )
+    _require(_json_finite(period) and period > 0, "loop.T must be a finite positive number")
     coeffs = loop_block.get("coefficients")
     _require(isinstance(coeffs, list), "loop.coefficients must be a list")
     n, k, m = loop_block["N"], loop_block["k"], loop_block["M"]
@@ -115,15 +137,7 @@ def load_orbit(path):
         len(coeffs) == expected,
         f"loop.coefficients must have N*M*2*k = {expected} entries, got {len(coeffs)}",
     )
-    _require(
-        all(
-            isinstance(v, (int, float))
-            and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max  # as for loop.T; math.isfinite overflows on huge integers
-            for v in coeffs
-        ),
-        "loop.coefficients must be finite numbers",
-    )
+    _require(all(map(_json_finite, coeffs)), "loop.coefficients must be finite numbers")
     try:
         loop = LoopConfiguration.from_flat(
             np.asarray(coeffs, dtype=float), n, k, float(period), m
@@ -141,10 +155,7 @@ def export_trajectory(orbit_path, out_path=None, n_samples: int = 256) -> Path:
     n_samples uniform times over one period. n_samples must be an integer
     >= 1 (numpy integers count, bools do not), or ValueError is raised.
     """
-    if not _is_integer(n_samples):
-        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _require_integer("n_samples", n_samples, 1)
     _, loop = load_orbit(orbit_path)
     times = np.arange(n_samples) * (loop.period / n_samples)
     positions = evaluate_positions(loop, times)

@@ -11,14 +11,13 @@ resolved form embedded in outputs is complete.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid
 from .loopspace import default_grid_size
+from .orbitfile import _json_finite, _json_integer, _read_json
 from .potential import BLEND_HERMITE, PotentialSpec
 from .solver import (
     ACTION_REL_TOL,
@@ -48,7 +47,6 @@ _SECTION_KEYS = {
     "output": ("directory", "action_rel_tol", "path_tol", "el_residual_tol"),
 }
 _REQUIRED_SECTIONS = ("problem", "potential", "output")
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def _number(sec: dict, section: str, key: str, default=None) -> float:
 
 def _finite(value, name: str) -> float:
     """value as a float, or ConfigInvalid naming ``name``; json.load parses Infinity and NaN."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+    if not _json_finite(value):
         raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -104,7 +102,7 @@ def _integer(sec: dict, section: str, key: str, default=None, minimum=None) -> i
         value = default
     else:
         value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _json_integer(value):
         raise ConfigInvalid(f"{section}.{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigInvalid(f"{section}.{key} must be >= {minimum}, got {value}")
@@ -221,16 +219,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Read, parse, and validate a JSON configuration file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read config file {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigInvalid(f"config file {path} is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigInvalid(f"config file {path} nests too deeply to parse") from None
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path, ConfigInvalid, "config"))
 
 
 def resolved_dict(cfg: RunConfig) -> dict:

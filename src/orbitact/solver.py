@@ -57,7 +57,14 @@ from .action import _Evaluator
 from .action import action_hessian as _action_hessian  # noqa: F401
 from .action import action_value as _action_value  # noqa: F401
 from .errors import InvalidStart, OrbitactError
-from .loopspace import LoopConfiguration, _is_integer, _is_real, _shift_distances_sq
+from .loopspace import (
+    LoopConfiguration,
+    _is_integer,
+    _is_real,
+    _require_integer,
+    _require_positive,
+    _shift_distances_sq,
+)
 from .potential import PotentialSpec
 from .verify import euler_lagrange_residual
 
@@ -92,12 +99,6 @@ class SolveStatus(Enum):
     STALLED_NEAR_COLLISION = "stalled_near_collision"
 
 
-def _require_positive_tol(name, value):
-    """Raise ValueError unless value is a finite positive number; bools are refused."""
-    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     """Descent controls. step_guard is the largest allowed fractional drop of
@@ -110,17 +111,11 @@ class SolveOptions:
     step_guard: float = 0.5
 
     def __post_init__(self):
-        for name in ("max_iters", "history_len", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        _require_positive_tol("grad_tol", self.grad_tol)
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0.0 < self.step_guard < 1.0:
+        _require_integer("max_iters", self.max_iters, 1)
+        _require_positive("grad_tol", self.grad_tol)
+        _require_integer("history_len", self.history_len, 1)
+        _require_integer("seed", self.seed, 0)
+        if not (_is_real(self.step_guard) and 0.0 < self.step_guard < 1.0):
             raise ValueError("step_guard must lie strictly between 0 and 1")
 
 
@@ -612,17 +607,14 @@ def circular_seed(
     the way force balance on the inner branch does. Gaussian noise with
     per-harmonic scale noise * radius / m^2 keeps distinct start indices
     distinct while preserving positive separations. dim, harmonics,
-    start_index and base_seed must be integers (bools do not count) and noise
-    a finite real number >= 0 (not a bool); anything else raises ValueError.
+    start_index and base_seed must be integers (bools do not count), the last
+    two >= 0, and noise a finite real number >= 0 (not a bool); anything else
+    raises ValueError.
     """
-    for name, value in (
-        ("dim", dim),
-        ("harmonics", harmonics),
-        ("start_index", start_index),
-        ("base_seed", base_seed),
-    ):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+    _require_integer("dim", dim)
+    _require_integer("harmonics", harmonics)
+    _require_integer("start_index", start_index, 0)
+    _require_integer("base_seed", base_seed, 0)
     if not (_is_real(noise) and 0.0 <= noise < np.inf):
         raise ValueError(f"noise must be a finite real number >= 0, not {noise!r}")
     if dim < 2:
@@ -715,26 +707,19 @@ def multistart(
     one start ends the whole search. Starts that fail to converge, or
     converge with a motion-equation residual at or above el_residual_tol,
     are dropped (and tallied); survivors are grouped into orbits. The three
-    tolerances must be finite and positive, as a run configuration requires.
+    tolerances must be finite and positive, as a run configuration requires;
+    :func:`circular_seed` checks dim, harmonics and the winding classes
+    before any start runs.
     """
     if opts is None:
         opts = SolveOptions()
-    for name, value in (("starts_per_class", starts_per_class), ("harmonics", harmonics), ("dim", dim)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer")
-    if starts_per_class < 1:
-        raise ValueError("starts_per_class must be >= 1")
+    _require_integer("starts_per_class", starts_per_class, 1)
     classes = list(winding_classes)
     if not classes:
         raise ValueError("winding_classes must be non-empty")
-    for w in classes:
-        _require_valid_winding(w, harmonics)
-    for name, value in (
-        ("action_rel_tol", action_rel_tol),
-        ("path_tol", path_tol),
-        ("el_residual_tol", el_residual_tol),
-    ):
-        _require_positive_tol(name, value)
+    _require_positive("action_rel_tol", action_rel_tol)
+    _require_positive("path_tol", path_tol)
+    _require_positive("el_residual_tol", el_residual_tol)
 
     tasks = [(w, s) for w in classes for s in range(starts_per_class)]
     seeds = [circular_seed(spec, dim, harmonics, w, s, opts.seed) for (w, s) in tasks]
@@ -826,8 +811,8 @@ def dedupe(
     smallest gradient norm, tagged with a content hash. Both tolerances must
     be finite and positive.
     """
-    _require_positive_tol("action_rel_tol", action_rel_tol)
-    _require_positive_tol("path_tol", path_tol)
+    _require_positive("action_rel_tol", action_rel_tol)
+    _require_positive("path_tol", path_tol)
     ordered = sorted(
         records, key=lambda r: (r.action_value, r.winding_seed_class, r.start_index)
     )

@@ -395,10 +395,7 @@ def collision_blowup_probe(spec: PotentialSpec, j_max: int = 20) -> BlowupProbe:
     """
     if spec.n_bodies < 2:
         raise SingleBody("blow-up probe needs at least two bodies")
-    if not loopspace._is_integer(j_max):
-        raise ValueError(f"j_max must be an integer, not {j_max!r}")
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    loopspace._require_integer("j_max", j_max, 1)
     pair_spec = replace(spec, masses=np.asarray(spec.masses[:2]))
     seps = 2.0 ** -np.arange(1, j_max + 1, dtype=float)
     coeffs = np.zeros((j_max, 2, 1, 2, 2))
@@ -656,15 +653,10 @@ def run_inequality_ledger(
     timing nor LEDGER_CHUNK. The thread is joined before this returns or
     raises, and an exception raised in the draws reaches the caller.
     """
-    for name, value in (("dim", dim), ("harmonics", harmonics), ("n_samples", n_samples), ("seed", seed)):
-        if not loopspace._is_integer(value):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-    if dim < 1 or harmonics < 1:
-        raise ValueError(f"dim and harmonics must be >= 1, got {dim} and {harmonics}")
-    if n_samples < 0:
-        raise ValueError("n_samples must be >= 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    loopspace._require_integer("dim", dim, 1)
+    loopspace._require_integer("harmonics", harmonics, 1)
+    loopspace._require_integer("n_samples", n_samples, 0)
+    loopspace._require_integer("seed", seed, 0)
     dim, harmonics, n, seed = int(dim), int(harmonics), int(n_samples), int(seed)
 
     # Power-sum exponents in the valid band [0, 2).

@@ -110,7 +110,7 @@ def test_load_rejects_malformed_files(tmp_path):
     for mutate in cases:
         with pytest.raises(OrbitFileInvalid):
             load_orbit(write(mutate))
-    with pytest.raises(OrbitFileInvalid):
+    with pytest.raises(OrbitFileInvalid, match="cannot read orbit file"):
         load_orbit(tmp_path / "absent.json")
     not_json = tmp_path / "not.json"
     not_json.write_text("[1, 2", encoding="utf-8")

@@ -49,6 +49,14 @@ def test_options_validation():
     assert SolveOptions(max_iters=np.int64(7), seed=np.int32(0)).max_iters == 7
 
 
+@pytest.mark.parametrize("name", ["grad_tol", "step_guard"])
+@pytest.mark.parametrize("bad", ["1e-9", None, 1j, np.array([1e-9, 1e-9])])
+def test_options_refuse_non_real_arguments(name, bad):
+    # a bare TypeError, or numpy's ambiguous truth value for the array
+    with pytest.raises(ValueError, match=name):
+        SolveOptions(**{name: bad})
+
+
 def _forbid_eigh(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("eigh called where the MINRES step is a descent step")
@@ -520,6 +528,15 @@ def test_circular_seed_validates_integer_arguments(args, name):
         circular_seed(make_spec(), *args)
 
 
+@pytest.mark.parametrize(
+    "args, name", [((2, 8, 1, -1, 0), "start_index"), ((2, 8, 1, 0, -1), "base_seed")]
+)
+def test_circular_seed_refuses_negative_indices(args, name):
+    # failed inside numpy, which named neither argument
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+        circular_seed(make_spec(), *args)
+
+
 def test_circular_seed_accepts_numpy_integers():
     got = circular_seed(make_spec(), np.int64(2), np.int32(8), np.int64(3), np.uint8(1), np.int64(4))
     assert np.array_equal(got.coefficients, circular_seed(make_spec(), 2, 8, 3, 1, 4).coefficients)
@@ -664,7 +681,7 @@ def test_multistart_validates_input():
             multistart(spec, [1], **kwargs)
     # the tolerances are checked before any start runs, as config_from_dict checks them
     for name in ("action_rel_tol", "path_tol", "el_residual_tol"):
-        for bad in (-0.5, 0.0, float("nan"), float("inf"), True):
+        for bad in (-0.5, 0.0, float("nan"), float("inf"), True, "0.5", None):
             with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
                 multistart(spec, [1], 3, **{name: bad})
             if name != "el_residual_tol":

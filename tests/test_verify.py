@@ -390,9 +390,9 @@ def test_ledger_rejects_negative_samples():
         ({"seed": True}, "seed must be an integer"),
         ({"seed": 1.0}, "seed must be an integer"),
         ({"seed": -1}, "seed must be >= 0"),
-        ({"dim": 0}, "dim and harmonics must be >= 1"),
+        ({"dim": 0}, "dim must be >= 1"),
         ({"dim": 2.0}, "dim must be an integer"),
-        ({"harmonics": 0}, "dim and harmonics must be >= 1"),
+        ({"harmonics": 0}, "harmonics must be >= 1"),
         ({"harmonics": True}, "harmonics must be an integer"),
     ],
 )

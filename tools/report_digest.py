@@ -31,6 +31,14 @@ two hashes are equal exactly when the loop's bits do not depend on the
 batch it shares. Each of these loops also gets a ``residual`` entry, the
 hash of ``euler_lagrange_residual`` there: the figure that decides whether
 a search keeps a converged orbit.
+Last it runs the command line end to end, in a fresh temporary working
+directory with ``ORBITACT_THREADS=1``: ``solve`` of a config with 3 unit
+masses, modulation 0.1, winding classes 1 and 3 and 2 starts per class,
+writing to ``out`` (a relative directory, so the resolved config embedded
+in every output names no temporary path), then ``ledger --samples 300`` of
+the same config and ``export`` of ``out/orbit_000.json``. The ``cli``
+entry lists the three exit codes and the SHA-256 of every file written
+under ``out``: the orbit files, the summary, the ledger report and the CSV.
 The result goes to stdout as canonical JSON, so two checkouts agree bit for
 bit exactly when their outputs are equal:
 
@@ -42,21 +50,26 @@ It takes no arguments and runs the sources of the checkout it sits in.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import struct
 import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import numpy as np  # noqa: E402
 from workloads import WORKLOADS, equal_mass_spec  # noqa: E402
 
-from orbitact import verify  # noqa: E402
+from orbitact import cli, verify  # noqa: E402
 from orbitact.action import _Evaluator, action, action_hessian  # noqa: E402
 from orbitact.loopspace import LoopConfiguration  # noqa: E402
 
@@ -67,6 +80,20 @@ LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1,
 # the action sweep: bodies, dims, loop scales (0.3 stays inside r1 = 2, 2.0 crosses it)
 ACTION_SHAPES = ((1, 2, 3, 6), (1, 2, 3), (0.3, 2.0))
 ACTION_HARMONICS = 4
+# the command-line run: its config and the subcommands run in order on it
+CLI_CONFIG = {
+    "problem": {"n_bodies": 3, "period": 2.0 * np.pi, "masses": [1.0, 1.0, 1.0]},
+    "potential": {
+        "a": 1.0, "g": 0.01, "alpha": 2.0, "theta": 1.0, "r1": 2.0, "r2": 3.0, "modulation_eps": 0.1
+    },
+    "solver": {"winding_classes": [1, 3], "starts_per_class": 2},
+    "output": {"directory": "out"},
+}
+CLI_STEPS = (
+    ["solve", "config.json"],
+    ["ledger", "config.json", "--samples", "300"],
+    ["export", "out/orbit_000.json"],
+)
 
 
 def _floats(values) -> bytes:
@@ -156,6 +183,23 @@ def action_batch_digest(n_bodies: int, dim: int, scales) -> dict:
     return {scale: evaluation_hash(ev) for scale, ev in zip(scales, batch)}
 
 
+def cli_digest() -> dict:
+    """Exit codes of the CLI_STEPS and the hash of every file they write, run in a fresh directory."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir, mock.patch.dict(os.environ, ORBITACT_THREADS="1"):
+        os.chdir(workdir)
+        try:
+            Path("config.json").write_text(json.dumps(CLI_CONFIG), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes = [cli.main(step) for step in CLI_STEPS]
+            files = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("out").iterdir()
+            }
+        finally:
+            os.chdir(home)
+    return {"exit_codes": codes, "files": files}
+
+
 def main() -> None:
     out = {}
     for name in ("ladder2", "ring6"):
@@ -187,6 +231,7 @@ def main() -> None:
             out[f"residual/N{n_bodies}/dim{dim}/scale{scale}"] = residual_digest(n_bodies, dim, scale)
         for scale, digest in action_batch_digest(n_bodies, dim, scales).items():
             out[f"action_batch/N{n_bodies}/dim{dim}/scale{scale}"] = digest
+    out["cli"] = cli_digest()
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
 
