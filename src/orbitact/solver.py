@@ -200,12 +200,14 @@ def _minres(apply, b, minv, maxiter, rtol):
     stored basis V: with W = V R^-1, x = W phi = V (R^-1 phi), where R is
     upper triangular with two superdiagonals and phi the rotated right-hand
     side, so the usual per-iteration update of W and x is not needed.
+    V holds only the k vectors the iteration makes: k x n floats, stacked
+    into one block for that final product, not maxiter x n.
     """
     y = minv * b
     beta1 = math.sqrt(float(b.dot(y)))
     if beta1 == 0.0:
         return np.zeros_like(b)
-    basis = np.empty((maxiter, b.size), dtype=b.dtype)
+    basis = []
     columns = []  # (gamma, delta, epsilon, phi): R's diagonal, superdiagonals and phi
     r1 = r2 = b
     scratch = np.empty_like(b)
@@ -213,7 +215,8 @@ def _minres(apply, b, minv, maxiter, rtol):
     cs, sn = -1.0, 0.0
     tiny = float(np.finfo(np.float64).eps)
     for itn in range(maxiter):
-        v = np.multiply(y, 1.0 / beta, out=basis[itn])
+        v = np.multiply(y, 1.0 / beta)
+        basis.append(v)
         y = apply(v)
         if itn:
             y -= np.multiply(r1, beta / oldb, out=scratch)
@@ -243,7 +246,7 @@ def _minres(apply, b, minv, maxiter, rtol):
         coeffs[j] = cj = (phi - delta1 * c1 - eps2 * c2) / gamma
         c1, c2 = cj, c1
         delta1, eps1, eps2 = delta, eps, eps1
-    return coeffs @ basis[: len(columns)]
+    return coeffs @ np.array(basis)
 
 
 def _newton_step(product):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,31 @@ def test_minres_matches_dense_solve(kind, n):
         want = np.linalg.solve(a, b)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert np.array_equal(_minres(lambda v: a @ v, np.zeros(n), minv, n, rtol=1e-13), np.zeros(n))
+
+
+def test_minres_basis_holds_only_the_vectors_it_makes():
+    # A diagonal with three distinct eigenvalues: its Krylov space has
+    # dimension 3, so MINRES stops after 3 products although maxiter = n.
+    # The memory it traces must follow those 3 Lanczos vectors, not the
+    # n x n floats (32 MB) of a basis sized to maxiter.
+    n = 2000
+    diagonal = np.array([1.0, 2.0, 3.0])[np.arange(n) % 3]
+    b = np.random.default_rng(0).standard_normal(n)
+    products = []
+
+    def apply(v):
+        products.append(v.size)
+        return diagonal * v
+
+    tracemalloc.start()
+    try:
+        x = _minres(apply, b, np.ones(n), n, rtol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(products) == 3
+    assert np.abs(diagonal * x - b).max() <= 1e-12 * np.abs(b).max()
+    assert peak < n * n * 8 / 32
 
 
 def _rotation_basis(x, dim):
@@ -599,6 +625,26 @@ def test_multistart_keeps_one_orbit_per_winding():
     for rec in result.records:
         assert rec.el_residual < 1e-7
         assert len(rec.dedup_key) == 16
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (1.0, 1.0, 0.2)])
+def test_unequal_mass_search_finds_lagrange_circles(masses):
+    # Each winding class converges to the rotating equilateral triangle. At
+    # alpha = 2 with every pair on the inner branch, U = a S / s^2 and
+    # I = S s^2 / sum(m) for side s and S = sum_{i<j} m_i m_j, so
+    # U I = a S^2 / sum(m) does not depend on s. At force balance the
+    # kinetic term (1/2) I w^2 equals U, so the action over T = 2 pi is
+    # 4 pi U = 4 pi w sqrt(U I / 2).
+    m = np.array(masses)
+    spec = make_spec(masses=m)
+    result = multistart(spec, [1, 3, 5], 4, SolveOptions(seed=0), harmonics=12, workers=1)
+    assert result.n_started == result.n_converged == 12
+    assert sorted(rec.winding_seed_class for rec in result.records) == [1, 3, 5]
+    i, j = np.triu_indices(3, 1)
+    u_times_i = spec.a * float((m[i] * m[j]).sum()) ** 2 / float(m.sum())
+    for rec in result.records:
+        want = 4.0 * math.pi * rec.winding_seed_class * math.sqrt(u_times_i / 2.0)
+        assert rec.action_value == pytest.approx(want, rel=1e-10)
 
 
 def test_multistart_parallel_matches_serial():

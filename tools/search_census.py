@@ -17,8 +17,10 @@ So does the cost of its Newton polish, summed over the seeds: the MINRES
 solves, the Hessian-vector products they take, the solves that reach their
 cap of n products and the solves whose step x the polish refuses because it
 is not a descent step or shows no positive curvature (b.x <= 0 or
-x.Ax <= 0; the polish then steps along -D^-1 g), all counted by wrapping
-``solver._minres`` for the duration of the search.
+x.Ax <= 0; the polish then steps along -D^-1 g). ``most_products`` is the
+most products any one solve takes: the depth of the Lanczos basis MINRES
+keeps, whose memory is that many vectors of n floats. All are counted by
+wrapping ``solver._minres`` for the duration of the search.
 
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
@@ -114,7 +116,8 @@ def census(run, seed: int) -> dict:
 
 def counting_minres(tally: Counter):
     """``solver._minres`` that adds each solve, its products, whether it hit its cap
-    and whether the polish refuses its step to tally."""
+    and whether the polish refuses its step to tally, and keeps the most
+    products of any one solve."""
     minres = solver._minres
 
     def counted(apply, b, minv, maxiter, rtol):
@@ -130,6 +133,7 @@ def counting_minres(tally: Counter):
         tally.update(
             solves=1, products=products, capped=int(products == maxiter), refused=int(refused)
         )
+        tally["most_products"] = max(tally["most_products"], products)
         return x
 
     return counted
@@ -139,7 +143,7 @@ def main() -> None:
     out = {}
     minres = solver._minres
     for name, (run, seed_range) in SEARCHES.items():
-        tally = Counter(solves=0, products=0, capped=0, refused=0)
+        tally = Counter(solves=0, products=0, most_products=0, capped=0, refused=0)
         solver._minres = counting_minres(tally)
         try:
             seeds = {str(seed): census(run, seed) for seed in seed_range}
