@@ -17,8 +17,8 @@ per body count serves both pair checks (the power-sum bound per theta), one
 call for the scalar checks, and per chunk of loops only where the
 coefficient blocks are large. It draws only what a check reads, and its
 report does not depend on the chunk size. One generator makes every draw
-in stream order on a producer thread, so the draws overlap the checks
-without changing the report. A batched call equals a loop of
+in stream order, and the checks of each drawn item run and free their
+arrays before the next item is drawn. A batched call equals a loop of
 single calls bit for bit: sums over pairs run along a contiguous axis, dot
 products go through the same 1-D kernel per row, and the powers that a
 single call takes of numpy scalars stay the C library's pow
@@ -100,7 +100,7 @@ def _sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     numpy adds fewer than 8 terms left to right onto +0, so the explicit adds
     round the same, at a fraction of a reduction's cost on many short rows.
     """
-    parts = np.moveaxis(values, axis, 0)
+    parts = np.rollaxis(values, axis)  # moveaxis(values, axis, 0), at a quarter of its call cost
     if not 0 < len(parts) < 8:
         return values.sum(axis=axis)
     total = parts[0] + 0.0
@@ -460,10 +460,9 @@ class LedgerReport:
 # Loops per batched call of the ledger's coefficient blocks (Wirtinger,
 # antiperiodicity), which it keeps small; the draws do not depend on it. On
 # the benchmark's 5000-sample ledger (N = 4, M = 8, 2-vCPU VM) 256-loop
-# chunks ran about 3% faster but peaked 0.9 MB higher (42.3-42.6 against
-# 41.5-41.7 MB): allocations made on the producer thread land in a second
-# malloc arena, and at 256 the same draws peak 0.65 MB higher there than on
-# the main thread.
+# chunks ran about 5% faster but peaked 0.66 MB higher (40.8-41.0 against
+# 40.0-40.2 MB): a representation chunk's draws and sampled positions grow
+# with the chunk and set the ledger's peak.
 LEDGER_CHUNK = 128
 
 # The ledger's checks with their tolerances and sides, in report order.
@@ -493,14 +492,14 @@ def _random_coefficients(rng, batch: tuple, n_bodies: int, dim: int, harmonics: 
     return coeffs
 
 
-def _random_loop_chunks(rng, period: float, count: int, n_bodies: int, dim: int, harmonics: int):
-    """count random loops of :func:`_random_coefficients`, as LoopBatches of at most LEDGER_CHUNK.
+def _random_loop_chunks(rng, block: str, spec: PotentialSpec, count: int, dim: int, harmonics: int):
+    """(block, LoopBatch) items of count random loops of :func:`_random_coefficients`, at most LEDGER_CHUNK per batch.
 
     The chunks are drawn back to back, so they form the stream of one call.
     """
     for start in range(0, count, LEDGER_CHUNK):
         size = min(LEDGER_CHUNK, count - start)
-        yield LoopBatch(period, _random_coefficients(rng, (size,), n_bodies, dim, harmonics))
+        yield block, LoopBatch(spec.period, _random_coefficients(rng, (size,), spec.n_bodies, dim, harmonics))
 
 
 def _random_body_groups(rng, n: int, dim: int):
@@ -530,66 +529,23 @@ def _ledger_draws(rng, spec: PotentialSpec, dim: int, harmonics: int, n: int):
     its loops, as LoopBatches of at most LEDGER_CHUNK; the strong-force block
     its radii r and the symmetry block (t, directions of xi, |xi|). Any other
     block is named after its check, the representation block
-    "representation".
+    "representation". No local here holds a block's draws after its last
+    item is yielded.
     """
-    for group in _random_body_groups(rng, n, dim):
-        yield "pairs", group
+    yield from (("pairs", group) for group in _random_body_groups(rng, n, dim))
     first = -(-n // 4)
-    for block, count, drawn in (("wirtinger", n - first, harmonics), ("wirtinger_first_harmonic", first, 1)):
-        for loops in _random_loop_chunks(rng, spec.period, count, spec.n_bodies, dim, drawn):
-            yield block, loops
+    yield from _random_loop_chunks(rng, "wirtinger", spec, n - first, dim, harmonics)
+    yield from _random_loop_chunks(rng, "wirtinger_first_harmonic", spec, first, dim, 1)
     if n:
         log_lo, log_hi = np.log(1e-8 * spec.r1), np.log(spec.r1 * (1 - 1e-12))
         yield "strong_force_margin", np.exp(rng.uniform(log_lo, log_hi, size=n))
-        times = rng.uniform(0.0, spec.period, size=n)
-        directions = rng.normal(size=(n, dim))
-        yield "modulation_symmetry", (times, directions, rng.uniform(0.05, 3.0 * spec.r2, size=n))
-    n_loops = max(n // 10, min(n, 1))
-    for loops in _random_loop_chunks(rng, spec.period, n_loops, spec.n_bodies, dim, harmonics):
-        yield "representation", loops
-
-
-def _on_producer_thread(items):
-    """Iterate items while one producer thread makes the next one.
-
-    The thread runs at most one item ahead: it makes item k + 1 while the
-    caller works on item k, then waits to be asked for more. An exception
-    raised in items reaches the caller as it was raised. The thread is
-    joined when the iteration ends, by exhaustion, by that exception or by
-    closing this generator, which the caller must do when it stops early.
-    """
-    import queue
-    import threading
-
-    done = object()
-    made, wanted = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def produce():
-        try:
-            for item in items:
-                made.put((item, None))
-                if not wanted.get():
-                    return
-            made.put((done, None))
-        except BaseException as exc:  # forwarded to the caller
-            made.put((None, exc))
-
-    # joined below on every path; a daemon only so that a fault there cannot
-    # hold the interpreter open at exit
-    thread = threading.Thread(target=produce, name="orbitact-ledger-draws", daemon=True)
-    thread.start()
-    try:
-        while True:
-            item, exc = made.get()
-            if exc is not None:
-                raise exc
-            if item is done:
-                return
-            wanted.put(True)
-            yield item
-    finally:
-        wanted.put(False)
-        thread.join()
+        # a tuple's fields are drawn left to right: t, the directions of xi, |xi|
+        yield "modulation_symmetry", (
+            rng.uniform(0.0, spec.period, size=n),
+            rng.normal(size=(n, dim)),
+            rng.uniform(0.05, 3.0 * spec.r2, size=n),
+        )
+    yield from _random_loop_chunks(rng, "representation", spec, max(n // 10, min(n, 1)), dim, harmonics)
 
 
 def _abs_max(values: np.ndarray, axis) -> np.ndarray:
@@ -647,11 +603,11 @@ def run_inequality_ledger(
     LEDGER_CHUNK loops, which bounds the large arrays; back-to-back draws
     form one stream, so the report does not depend on LEDGER_CHUNK.
 
-    :func:`_ledger_draws` makes every generator call, in stream order, on
-    one producer thread at most one item ahead of the checks, so the draws
-    overlap the checks while the report depends on neither the thread's
-    timing nor LEDGER_CHUNK. The thread is joined before this returns or
-    raises, and an exception raised in the draws reaches the caller.
+    :func:`_ledger_draws` makes every generator call in stream order, and
+    each item is checked in full before the next one is drawn, by one call
+    whose arrays are freed when it returns. So no check's arrays are alive
+    while the next item is drawn, and the working set beside the slacks is
+    one item's checks and at most two items' draws.
     """
     loopspace._require_integer("dim", dim, 1)
     loopspace._require_integer("harmonics", harmonics, 1)
@@ -672,47 +628,51 @@ def run_inequality_ledger(
     half = n_t // 2  # pairs (t, t + T/2) over the first half cover the whole grid
 
     slacks = {name: [] for name, _, _ in _LEDGER_CHECKS}
-    draws = _on_producer_thread(_ledger_draws(np.random.default_rng(seed), spec, dim, harmonics, n))
-    try:
-        for block, item in draws:
-            if block == "pairs":
-                # one pair table for both checks; the identity's slack is
-                # relative to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2
-                members, masses, positions = item
-                weights, rsq = _pair_table(masses, positions)
-                lhs, rhs = _pairwise_table_sides(masses, positions, weights, rsq)
-                slacks["pairwise_identity"].append(np.abs(lhs - rhs) / (1.0 + lhs))
-                grid_index = members % len(theta_grid)
-                for k, theta in enumerate(theta_grid):
-                    same = grid_index == k
-                    if same.any():
-                        lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta)
-                        slacks["holder_upper_bound"].append((rhs - lhs) / (1.0 + rhs))
-            elif block in ("wirtinger", "wirtinger_first_harmonic"):
-                # the comparison on every loop, and its tightness on first-harmonic ones
-                energies = loopspace.harmonic_energies(item)
-                slack = _wirtinger_slack(item, energies)
-                scale = 1.0 + _wirtinger_kinetic(item, energies)
-                slacks["wirtinger"].append((slack / scale).min(axis=-1))
-                if block == "wirtinger_first_harmonic":
-                    slacks[block].append((np.abs(slack) / scale).max(axis=-1))
-            elif block == "strong_force_margin":
-                # float_power is the C library's pow, as for one float r
-                margin = strong_force_margin(pair_spec, 0, 1, item)
-                slacks[block].append(margin / np.maximum(v_coeff * np.float_power(item, -spec.alpha), 1e-300))
-            elif block == "modulation_symmetry":
-                # half-period reflection of the modulated pair potential
-                times, directions, radii = item
-                xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
-                slacks[block].append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
-            else:
-                # antiperiodicity and zero mean of the representation
-                pos = loopspace.sample_trajectory(item, n_t)  # (loops, n_t, N, k)
-                scale = 1.0 + _abs_max(pos, (1, 2, 3))
-                slacks["antiperiodicity"].append(_abs_max(pos[:, half:] + pos[:, :half], (1, 2, 3)) / scale)
-                slacks["zero_mean"].append(_abs_max(pos.mean(axis=1), (1, 2)) / scale)
-    finally:
-        draws.close()
+
+    def check_block(block, item):
+        """Append the slacks of one drawn item; its arrays are freed on return."""
+        if block == "pairs":
+            # one pair table for both checks; the identity's slack is
+            # relative to its own LHS sum_{i<j} m_i m_j |x_i - x_j|^2
+            members, masses, positions = item
+            weights, rsq = _pair_table(masses, positions)
+            lhs, rhs = _pairwise_table_sides(masses, positions, weights, rsq)
+            slacks["pairwise_identity"].append(np.abs(lhs - rhs) / (1.0 + lhs))
+            grid_index = members % len(theta_grid)
+            for k, theta in enumerate(theta_grid):
+                same = grid_index == k
+                if same.any():
+                    lhs, rhs = _holder_table_sides(weights[same], rsq[same], theta)
+                    slacks["holder_upper_bound"].append((rhs - lhs) / (1.0 + rhs))
+        elif block in ("wirtinger", "wirtinger_first_harmonic"):
+            # the comparison on every loop, and its tightness on first-harmonic ones
+            energies = loopspace.harmonic_energies(item)
+            slack = _wirtinger_slack(item, energies)
+            scale = 1.0 + _wirtinger_kinetic(item, energies)
+            slacks["wirtinger"].append((slack / scale).min(axis=-1))
+            if block == "wirtinger_first_harmonic":
+                slacks[block].append((np.abs(slack) / scale).max(axis=-1))
+        elif block == "strong_force_margin":
+            # float_power is the C library's pow, as for one float r
+            margin = strong_force_margin(pair_spec, 0, 1, item)
+            slacks[block].append(margin / np.maximum(v_coeff * np.float_power(item, -spec.alpha), 1e-300))
+        elif block == "modulation_symmetry":
+            # half-period reflection of the modulated pair potential
+            times, directions, radii = item
+            xi = directions / np.maximum(_norm(directions), 1e-12)[:, None] * radii[:, None]
+            slacks[block].append(check_modulation_symmetry(pair_spec, 0, 1, times, xi))
+        else:
+            # antiperiodicity and zero mean of the representation
+            pos = loopspace.sample_trajectory(item, n_t)  # (loops, n_t, N, k)
+            scale = 1.0 + _abs_max(pos, (1, 2, 3))
+            slacks["zero_mean"].append(_abs_max(pos.mean(axis=1), (1, 2)) / scale)
+            # x(t + T/2) + x(t) folded into the second half, with no temporary
+            folded = pos[:, half:]
+            folded += pos[:, :half]
+            slacks["antiperiodicity"].append(_abs_max(folded, (1, 2, 3)) / scale)
+
+    for block, item in _ledger_draws(np.random.default_rng(seed), spec, dim, harmonics, n):
+        check_block(block, item)
     if n:
         # one-sided C^1 regularity of the blend window
         slacks["blend_c1"].append(check_blend_c1(spec))

@@ -29,6 +29,14 @@ Most of its converged starts fail the residual filter, so its distinct
 actions are few; its converged count is what shows a solver change that
 trades eps = 0 convergence for eps > 0 convergence.
 
+And one search with unequal masses, unequal3: N=3, masses (1, 2, 3), M=12,
+eps = 0, the same windings, starts and options, at seeds 0-9. Every start
+should converge to the rotating Lagrange triangle, whose action has a
+closed form: at alpha = 2 with every pair on the inner branch, U I =
+a S^2 / sum(m) with S = sum_{i<j} m_i m_j (121/6 here), and the action of
+winding w over T = 2 pi is 4 pi w sqrt(U I / 2). Its ``problems`` list
+every kept action that misses that value by more than 1e-10 relatively.
+
 A change to the solver must converge at least as many starts per search,
 summed over the seeds, and lose none of the parent's distinct actions at
 any seed, and must leave every problems list empty; a new distinct action
@@ -45,9 +53,13 @@ It takes no arguments and runs the sources of the checkout it sits in.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -74,19 +86,45 @@ def benchmark_search(name: str):
     return run
 
 
-def modulated4(seed: int):
-    """ring6's search setup at N=4, M=16 under modulation eps = 0.3: (result, None), no check."""
+def ring6_search(spec, harmonics: int, seed: int):
+    """A serial multistart of ``spec`` with ring6's windings, starts and options."""
     ring6 = WORKLOADS["ring6"]
-    result = multistart(
-        equal_mass_spec(4, 0.3),
+    return multistart(
+        spec,
         SEARCH_WINDINGS,
         ring6.starts_per_class,
         SolveOptions(max_iters=ring6.max_iters, seed=seed),
         dim=DIM,
-        harmonics=16,
+        harmonics=harmonics,
         workers=1,
     )
-    return result, None
+
+
+def modulated4(seed: int):
+    """ring6's search setup at N=4, M=16 under modulation eps = 0.3: (result, None), no check."""
+    return ring6_search(equal_mass_spec(4, 0.3), 16, seed), None
+
+
+LAGRANGE_REL = 1e-10
+
+
+def unequal3(seed: int):
+    """ring6's search setup at N=3, masses (1, 2, 3), M=12: (result, problems against the closed form)."""
+    spec = replace(equal_mass_spec(3), masses=np.array([1.0, 2.0, 3.0]))
+    result = ring6_search(spec, 12, seed)
+    m = spec.masses
+    pair_sum = float(m[0] * m[1] + m[0] * m[2] + m[1] * m[2])
+    u_times_i = spec.a * pair_sum**2 / float(m.sum())
+    problems = []
+    for record in result.records:
+        got = float(record.action_value)
+        want = 4.0 * math.pi * record.winding_seed_class * math.sqrt(u_times_i / 2.0)
+        if not abs(got - want) <= LAGRANGE_REL * want:
+            problems.append(
+                f"winding {record.winding_seed_class}: action {got!r} misses the Lagrange "
+                f"triangle's {want!r} by more than {LAGRANGE_REL:g} relatively"
+            )
+    return result, problems
 
 
 # search name -> (seed -> (MultistartResult, problems or None), seeds)
@@ -94,6 +132,7 @@ SEARCHES = {
     "ladder2": (benchmark_search("ladder2"), range(20)),
     "ring6": (benchmark_search("ring6"), range(20)),
     "modulated4": (modulated4, range(10)),
+    "unequal3": (unequal3, range(10)),
 }
 
 
