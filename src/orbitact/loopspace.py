@@ -367,7 +367,8 @@ def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     summed explicitly, which gives einsum's bits in about a third of its
     time at ring6 batch sizes. For k >= 3 einsum stays: its summation order
     differs between float64 and longdouble, so no single explicit order
-    reproduces it.
+    reproduces it. The square root is taken in place on the summed squares,
+    which are a new C-contiguous array in every dimension.
     """
     *lead, n_bodies, dim = positions.shape
     pair_map = _pair_map(n_bodies, dim)
@@ -375,9 +376,11 @@ def pair_separations(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         *lead, pair_map.shape[1] // dim, dim
     )
     if dim > 2:
-        return diff, np.sqrt(np.einsum("...pd,...pd->...p", diff, diff))
-    square = diff * diff
-    return diff, np.sqrt(square[..., 0] + square[..., 1] if dim == 2 else square[..., 0])
+        dist = np.einsum("...pd,...pd->...p", diff, diff)
+    else:
+        square = diff * diff
+        dist = square[..., 0] + square[..., 1] if dim == 2 else square[..., 0]
+    return diff, np.sqrt(dist, out=dist)
 
 
 def _common_harmonics(first: LoopConfiguration, second: LoopConfiguration):

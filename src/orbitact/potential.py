@@ -39,7 +39,7 @@ from .errors import (
     SelfPair,
     ShapeMismatch,
 )
-from .loopspace import _is_real, body_pairs, pair_separations
+from .loopspace import _is_real, _require_integer, body_pairs, pair_separations
 
 __all__ = [
     "PotentialSpec",
@@ -182,11 +182,18 @@ def _blend(spec: PotentialSpec, r, order: int = 0) -> list:
 
 
 def _power(coef: float, expo: float, r, order: int) -> list:
-    """c r^e and its first ``order`` derivatives, all from one power of r."""
-    value = coef * r**expo
+    """c r^e and its first ``order`` derivatives, all from one power of r.
+
+    The power is scaled by c in place, and e c r^e divided by r in place, so
+    order 1 allocates no array beyond the two it returns.
+    """
+    value = r**expo
+    value *= coef
     out = [value]
     if order >= 1:
-        out.append(expo * value / r)
+        slope = expo * value
+        slope /= r
+        out.append(slope)
     if order >= 2:
         out.append(expo * (expo - 1.0) * value / (r * r))
     return out
@@ -204,24 +211,29 @@ def _profile(spec: PotentialSpec, r, order: int = 0) -> list:
     """Unit-mass radial profile [w, w', w''][:order + 1] at positive separations.
 
     All-inner input, the common case, takes the inner branch alone. Any
-    other input evaluates each branch on r clamped to its own interval, so no
-    branch sees a separation it cannot take, and one select picks each
-    separation's branch.
+    other input evaluates each branch only on its own separations, r[mask],
+    so no branch sees a separation it cannot take, and writes the results
+    into one output array per derivative order, in the dtype the branches
+    produce. Each entry equals the scalar call on that separation bit for bit.
     """
     r = np.asarray(r)
     inner = r < spec.r1
     if inner.all():
         return _inner(spec, r, order)
     tail = r >= spec.r2
-    branches = zip(
-        _inner(spec, np.minimum(r, spec.r1), order),
-        _tail(spec, np.maximum(r, spec.r2), order),
-        _blend(spec, np.clip(r, spec.r1, spec.r2), order),
-    )
-    return [np.where(inner, w_in, np.where(tail, w_tail, w_mid)) for w_in, w_tail, w_mid in branches]
+    out = []
+    for mask, branch in ((inner, _inner), (tail, _tail), (~(inner | tail), _blend)):
+        for d, values in enumerate(branch(spec, r[mask], order)):
+            if d == len(out):
+                out.append(np.empty(r.shape, values.dtype))
+            out[d][mask] = values
+    return out
 
 
 def _check_pair(spec: PotentialSpec, i: int, j: int):
+    """Raise unless i != j are body indices of spec: integers (not bools) in [0, N)."""
+    _require_integer("i", i)
+    _require_integer("j", j)
     n = spec.n_bodies
     if not (0 <= i < n and 0 <= j < n):
         raise ShapeMismatch(f"pair ({i}, {j}) out of range for {n} bodies")
@@ -287,6 +299,12 @@ def grid_potential(
     the same grid. Every term then has the same leading axes, each block equal
     to the single call bit for bit, and min_separation is an array over them;
     CollisionSample is raised when any loop of the batch collides.
+
+    The order-1 temporaries are reused in place: the radial weight
+    mu m_i m_j w'/r is formed as scale * w' and then divided by r in place,
+    and at order 1 the pair forces overwrite the separations, which nothing
+    reads after them. Order 2 writes the forces to a new array, since its
+    unit vectors read the separations.
     """
     *batch, n_t, n, k = positions.shape
     if n != spec.n_bodies:
@@ -301,8 +319,11 @@ def grid_potential(
     out = [kernel.mu * (profile[0] @ kernel.mass_prod)]
     if order >= 1:
         scale = kernel.scale
-        radial = scale * profile[1] / dist
-        out.append(kernel.incidence @ (radial[..., None] * diff))  # (..., n_t, N, k)
+        radial = scale * profile[1]
+        radial /= dist
+        # Order 1 reads diff no further, so the pair forces overwrite it.
+        forces = np.multiply(radial[..., None], diff, out=diff if order == 1 else None)
+        out.append(kernel.incidence @ forces)  # (..., n_t, N, k)
     if order >= 2:
         _, wp, wpp = profile
         incidence = kernel.incidence

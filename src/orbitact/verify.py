@@ -177,8 +177,11 @@ def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float):
     with exponents 2/(2-theta) and 2/theta). For theta < 0 the power mean runs
     the other way and the slack can be negative; the function still reports it.
     Batch axes work as in :func:`check_pairwise_identity`; one configuration
-    gives a float.
+    gives a float. A theta that is not a real number (a bool, a string,
+    None), NaN or infinite raises ValueError.
     """
+    if not (loopspace._is_real(theta) and -np.inf < theta < np.inf):
+        raise ValueError(f"theta must be finite and real, got {theta!r}")
     if theta >= 2:
         raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
     masses = np.asarray(masses, dtype=float)

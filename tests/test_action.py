@@ -316,6 +316,30 @@ def test_hessian_peak_memory_stays_near_its_own_bytes():
     assert peak < 3 * hess.nbytes
 
 
+def test_mixed_branch_evaluation_peak_memory():
+    # Six N = 6, M = 24 loops whose pair distances span the inner branch, the
+    # blend window and the tail: a line-search batch of ring6's shape. Each
+    # profile branch runs only on its own separations and the order-1
+    # temporaries are reused in place; a kernel that clamps every separation
+    # for each branch and merges them with np.where traces 1.07 MB here.
+    spec = make_spec(masses=np.linspace(0.7, 1.9, 6), modulation_eps=0.3)
+    rng = np.random.default_rng(5)
+    loops = [random_loop(rng, n_bodies=6, dim=2, harmonics=24) for _ in range(6)]
+    widest = [pair_separations(sample_trajectory(loop))[1].max() for loop in loops]
+    xs = np.stack([(loop.coefficients * (4.5 / w)).ravel() for loop, w in zip(loops, widest)])
+    evaluator = _Evaluator(spec, loops[0])
+    _, dist = pair_separations(sample_trajectory(LoopBatch(TWO_PI, xs.reshape(6, *evaluator.shape))))
+    assert (dist < spec.r1).any() and ((spec.r1 <= dist) & (dist < spec.r2)).any() and (dist >= spec.r2).any()
+    evaluator.evaluate(xs, 1)  # warm: caches and the grid are built
+    tracemalloc.start()
+    try:
+        evaluator.evaluate(xs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8e6
+
+
 @pytest.mark.parametrize("n_bodies", [1, 2, 3, 6])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_hessp_matches_dense_hessian_product(n_bodies, dim):

@@ -22,6 +22,7 @@ from orbitact.potential import (
     strong_force_witness,
     time_modulation,
 )
+from orbitact.verify import check_modulation_symmetry
 
 
 def one_node_potential(spec, t, positions):
@@ -176,6 +177,56 @@ def test_pair_checks():
         pair_potential(spec, 0.0, 1, 1, 1.0)
     with pytest.raises(NonPositiveSeparation):
         pair_potential(spec, 0.0, 0, 1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 1.0, np.float64(1.0), "1", None])
+def test_pair_indices_must_be_integers(bad):
+    # a bool or fractional index is no body index: every pair entry point
+    # raises a ValueError that names the argument, not SelfPair or IndexError
+    spec = make_spec(masses=np.array([1.0, 2.0, 3.0]))
+    calls = (
+        lambda i, j: pair_potential(spec, 0.0, i, j, 1.0),
+        lambda i, j: strong_force_witness(spec, i, j),
+        lambda i, j: strong_force_margin(spec, i, j, 0.5),
+        lambda i, j: check_modulation_symmetry(spec, i, j, 0.0, np.array([0.3, 0.4])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^i must be an integer"):
+            call(bad, 2)
+        with pytest.raises(ValueError, match="^j must be an integer"):
+            call(0, bad)
+
+
+def test_pair_indices_accept_numpy_integers():
+    spec = make_spec(masses=np.array([1.0, 2.0, 3.0]))
+    for i, j in ((np.int64(0), np.int32(2)), (np.intp(2), np.uint8(0))):
+        assert pair_potential(spec, 0.3, i, j, 1.5) == pair_potential(spec, 0.3, int(i), int(j), 1.5)
+        assert strong_force_margin(spec, i, j, 0.5) == strong_force_margin(spec, int(i), int(j), 0.5)
+    with pytest.raises(ShapeMismatch):
+        pair_potential(spec, 0.0, np.int64(0), np.int64(3), 1.0)
+
+
+@pytest.mark.parametrize("blend", ["hermite", BLEND_LINEAR])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_mixed_profile_equals_scalar_calls_bit_for_bit(blend, alpha, dtype):
+    # One array across all three branches, with both seams exact: r1 takes
+    # the blend and r2 the tail. Each branch runs only on its own entries,
+    # and every entry must round as the scalar call on it, in the input dtype.
+    spec = make_spec(alpha=alpha, blend=blend)
+    r1, r2 = dtype(spec.r1), dtype(spec.r2)
+    r = np.array(
+        [0.01, np.nextafter(r1, 0), r1, 2.25, 2.5, np.nextafter(r2, 0), r2, 3.5, 1e3, 0.7, 2.9, 4.0],
+        dtype=dtype,
+    ).reshape(3, 4)
+    for order in (0, 1, 2):
+        got = _profile(spec, r, order)
+        assert len(got) == order + 1
+        for d, values in enumerate(got):
+            assert values.shape == r.shape
+            assert values.dtype == dtype
+            expected = [_profile(spec, x, order)[d] for x in r.ravel()]
+            assert np.array_equal(values.ravel(), np.array(expected, dtype=dtype))
 
 
 def test_time_modulation_even_and_half_periodic():

@@ -133,6 +133,24 @@ def test_holder_bound_reverses_below_zero():
 def test_holder_bound_rejects_theta_at_two():
     with pytest.raises(ThetaOutOfRange):
         check_holder_bound(np.ones(2), np.zeros((2, 2)), 2.0)
+    with pytest.raises(ThetaOutOfRange):  # finite, though beyond the float range
+        check_holder_bound(np.ones(2), np.zeros((2, 2)), 10**400)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), True, "1.0", None, 1j])
+def test_holder_bound_rejects_non_real_or_non_finite_theta(theta):
+    # refused by name, not turned into a NaN slack, read as 1 or left to a
+    # bare TypeError
+    with pytest.raises(ValueError, match="theta"):
+        check_holder_bound(np.ones(2), np.array([[0.0, 0.0], [1.0, 0.0]]), theta)
+
+
+def test_holder_bound_accepts_numpy_and_integer_theta():
+    masses, positions = np.array([1.0, 2.0]), np.array([[0.0, 0.0], [3.0, 4.0]])
+    expected = check_holder_bound(masses, positions, 1.0)
+    assert check_holder_bound(masses, positions, np.float64(1.0)) == expected
+    assert check_holder_bound(masses, positions, 1) == expected
+    assert check_holder_bound(masses, positions, np.int32(1)) == expected
 
 
 def test_wirtinger_frozen_value_and_tightness():

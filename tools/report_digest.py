@@ -31,6 +31,13 @@ two hashes are equal exactly when the loop's bits do not depend on the
 batch it shares. Each of these loops also gets a ``residual`` entry, the
 hash of ``euler_lagrange_residual`` there: the figure that decides whether
 a search keeps a converged orbit.
+It hashes the radial profile itself, ``potential._profile`` at orders 0,
+1 and 2, on one fixed array of separations that spans the inner branch,
+the blend window and the tail, with both seams r1 and r2 exact, in float64
+and in longdouble, for the hermite and linear blends at alpha 2 and 3: so
+the path that evaluates each branch only on its own separations is covered
+directly. Each value enters the hash as its float64 rounding followed by
+the remainder, which holds a longdouble exactly.
 Last it runs the command line end to end, in a fresh temporary working
 directory with ``ORBITACT_THREADS=1``: ``solve`` of a config with 3 unit
 masses, modulation 0.1, winding classes 1 and 3 and 2 starts per class,
@@ -72,6 +79,7 @@ from workloads import WORKLOADS, equal_mass_spec  # noqa: E402
 from orbitact import cli, verify  # noqa: E402
 from orbitact.action import _Evaluator, action, action_hessian  # noqa: E402
 from orbitact.loopspace import LoopConfiguration  # noqa: E402
+from orbitact.potential import _profile  # noqa: E402
 
 # workload -> seeds
 SEEDS = {"ladder2": range(5), "ring6": range(3), "ledger": range(3)}
@@ -80,6 +88,8 @@ LEDGER_EDGES = ((1, 2, 6), (1, 3), ((2.0, 1.0), (3.0, -0.5)), (0.0, 0.3), (0, 1,
 # the action sweep: bodies, dims, loop scales (0.3 stays inside r1 = 2, 2.0 crosses it)
 ACTION_SHAPES = ((1, 2, 3, 6), (1, 2, 3), (0.3, 2.0))
 ACTION_HARMONICS = 4
+# the profile sweep: blends, alphas and dtypes
+PROFILE_SHAPES = (("hermite", "linear"), (2.0, 3.0), ("float64", "longdouble"))
 # the command-line run: its config and the subcommands run in order on it
 CLI_CONFIG = {
     "problem": {"n_bodies": 3, "period": 2.0 * np.pi, "masses": [1.0, 1.0, 1.0]},
@@ -183,6 +193,23 @@ def action_batch_digest(n_bodies: int, dim: int, scales) -> dict:
     return {scale: evaluation_hash(ev) for scale, ev in zip(scales, batch)}
 
 
+def profile_digest(blend: str, alpha: float, dtype_name: str) -> str:
+    """Hash of ``_profile`` at orders 0-2 on separations across all three branches, seams exact."""
+    spec = replace(equal_mass_spec(2), alpha=alpha, blend=blend)
+    dtype = np.dtype(dtype_name).type
+    r1, r2 = dtype(spec.r1), dtype(spec.r2)
+    r = np.array(
+        [2.5, 0.05, r1, 3.3, np.nextafter(r1, 0), 1e3, r2, 1.0, np.nextafter(r2, 0), 2.2, 0.5, 2.8, 10.0],
+        dtype=dtype,
+    )
+    digest = hashlib.sha256()
+    for order in range(3):
+        for values in _profile(spec, r, order):
+            high = values.astype(np.float64)
+            digest.update(_floats(high) + _floats(values - high))
+    return digest.hexdigest()
+
+
 def cli_digest() -> dict:
     """Exit codes of the CLI_STEPS and the hash of every file they write, run in a fresh directory."""
     home = os.getcwd()
@@ -231,6 +258,8 @@ def main() -> None:
             out[f"residual/N{n_bodies}/dim{dim}/scale{scale}"] = residual_digest(n_bodies, dim, scale)
         for scale, digest in action_batch_digest(n_bodies, dim, scales).items():
             out[f"action_batch/N{n_bodies}/dim{dim}/scale{scale}"] = digest
+    for blend, alpha, dtype_name in itertools.product(*PROFILE_SHAPES):
+        out[f"profile/{blend}/alpha{alpha}/{dtype_name}"] = profile_digest(blend, alpha, dtype_name)
     out["cli"] = cli_digest()
     json.dump(out, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
