@@ -20,6 +20,8 @@ C-order of that array, which fixes the gradient layout used everywhere else.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +56,16 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """True for a real number (see _is_real) finite as a float: an int is compared with the
+    float range directly, since math.isfinite and np.isfinite overflow on huge integers."""
+    if not _is_real(value):
+        return False
+    if isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
+
+
 def _require_integer(name: str, value, minimum=None) -> None:
     """Raise ValueError naming ``name`` unless value is an integer (see _is_integer) >= minimum."""
     if not _is_integer(value):
@@ -63,8 +75,8 @@ def _require_integer(name: str, value, minimum=None) -> None:
 
 
 def _require_positive(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless value is a finite positive real (see _is_real)."""
-    if not (_is_real(value) and 0 < value < np.inf):
+    """Raise ValueError naming ``name`` unless value is a finite positive real (see _is_finite_real)."""
+    if not (_is_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -118,7 +130,7 @@ class LoopConfiguration:
             raise ShapeMismatch("at least one harmonic is required")
         if self.n_bodies < 1 or self.dim < 1:
             raise ShapeMismatch("n_bodies and dim must be positive")
-        if not 0.0 < self.period < np.inf:
+        if not (_is_finite_real(self.period) and self.period > 0):
             raise ShapeMismatch(f"period must be finite and positive, got {self.period}")
         if not np.all(np.isfinite(c)):
             raise ShapeMismatch("coefficients must be finite")

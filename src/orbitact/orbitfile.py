@@ -17,13 +17,12 @@ the bytes exactly.
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from .errors import OrbitFileInvalid, ShapeMismatch
-from .loopspace import LoopConfiguration, _require_integer, evaluate_positions
+from .loopspace import LoopConfiguration, _is_finite_real, _require_integer, evaluate_positions
 from .version import __version__
 
 __all__ = [
@@ -99,18 +98,6 @@ def _json_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _json_finite(value) -> bool:
-    """True for a JSON number finite as a float; json.load parses Infinity, NaN and huge integers.
-
-    The bound is compared directly because math.isfinite overflows on huge integers.
-    """
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise OrbitFileInvalid(message)
@@ -128,7 +115,7 @@ def load_orbit(path):
         value = loop_block.get(key)
         _require(_json_integer(value) and value >= 1, f"loop.{key} must be a positive integer")
     period = loop_block.get("T")
-    _require(_json_finite(period) and period > 0, "loop.T must be a finite positive number")
+    _require(_is_finite_real(period) and period > 0, "loop.T must be a finite positive number")
     coeffs = loop_block.get("coefficients")
     _require(isinstance(coeffs, list), "loop.coefficients must be a list")
     n, k, m = loop_block["N"], loop_block["k"], loop_block["M"]
@@ -137,7 +124,7 @@ def load_orbit(path):
         len(coeffs) == expected,
         f"loop.coefficients must have N*M*2*k = {expected} entries, got {len(coeffs)}",
     )
-    _require(all(map(_json_finite, coeffs)), "loop.coefficients must be finite numbers")
+    _require(all(map(_is_finite_real, coeffs)), "loop.coefficients must be finite numbers")
     try:
         loop = LoopConfiguration.from_flat(
             np.asarray(coeffs, dtype=float), n, k, float(period), m

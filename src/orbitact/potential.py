@@ -39,7 +39,7 @@ from .errors import (
     SelfPair,
     ShapeMismatch,
 )
-from .loopspace import _is_real, _require_integer, body_pairs, pair_separations
+from .loopspace import _is_finite_real, _require_integer, body_pairs, pair_separations
 
 __all__ = [
     "PotentialSpec",
@@ -59,8 +59,9 @@ BLEND_LINEAR = "linear"  # C^0 only; exists so the ledger's C^1 check has teeth
 class PotentialSpec:
     """Parameters of the interaction and the ambient problem.
 
-    Constants a to period must be finite reals (Python or numpy, not bools);
-    anything else raises ValueError naming the field.
+    Constants a to period must be finite reals (Python or numpy, not bools,
+    and integers within the float range); anything else raises ValueError
+    naming the field.
 
     Attributes:
         masses: positive body masses, length N.
@@ -93,7 +94,7 @@ class PotentialSpec:
             raise ValueError("masses must all be positive and finite")
         for name in ("a", "g", "alpha", "theta", "r1", "r2", "modulation_eps", "period"):
             value = getattr(self, name)
-            if not (_is_real(value) and np.isfinite(value)):
+            if not _is_finite_real(value):
                 raise ValueError(f"{name} must be finite and real, got {value!r}")
         if not self.a > 0:
             raise ValueError(f"inner coefficient a must be positive, got {self.a}")

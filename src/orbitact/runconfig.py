@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigInvalid
-from .loopspace import default_grid_size
-from .orbitfile import _json_finite, _json_integer, _read_json
+from .loopspace import _is_finite_real, default_grid_size
+from .orbitfile import _json_integer, _read_json
 from .potential import BLEND_HERMITE, PotentialSpec
 from .solver import (
     ACTION_REL_TOL,
@@ -89,8 +89,8 @@ def _number(sec: dict, section: str, key: str, default=None) -> float:
 
 
 def _finite(value, name: str) -> float:
-    """value as a float, or ConfigInvalid naming ``name``; json.load parses Infinity and NaN."""
-    if not _json_finite(value):
+    """value as a float, or ConfigInvalid naming ``name``; json.load parses Infinity, NaN and huge integers."""
+    if not _is_finite_real(value):
         raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -14,7 +14,9 @@ rounding floor records the gradient's line integral, not its fresh value.
 The polish forms no Hessian: it solves for its Newton step by MINRES on
 an exact Hessian-vector product, preconditioned by the kinetic diagonal D,
 and steps along -D^-1 g, MINRES's own first direction, when the MINRES step
-is not a descent direction or shows no positive curvature. The solve is
+is not a descent direction or shows no positive curvature. MINRES stores no
+Lanczos basis: its short recurrences update the solution as it iterates, so
+a solve holds a fixed handful of vectors of n floats. The solve is
 inexact: it stops at a relative residual estimate of 1e-6, a constant forcing
 term (Dembo, Eisenstat & Steihaug 1982). The true residual can be larger, so
 no rule may assume it is below that. The step is judged only by its line
@@ -59,6 +61,7 @@ from .action import action_value as _action_value  # noqa: F401
 from .errors import InvalidStart, OrbitactError
 from .loopspace import (
     LoopConfiguration,
+    _is_finite_real,
     _is_integer,
     _is_real,
     _require_integer,
@@ -193,22 +196,22 @@ def _minres(apply, b, minv, maxiter, rtol):
     apply(v) returns A v as a new array; minv is the diagonal of the
     symmetric positive definite preconditioner M, an approximation of A^-1.
     A may be indefinite, or singular with b in its range. From x = 0, each
-    iteration adds one vector to the preconditioned Lanczos basis and one
-    plane rotation to the QR factor R of its tridiagonal. The iteration stops
-    when the residual estimate ||b - A x||_M falls below rtol times
-    ||b||_M, or after maxiter iterations. x is then formed once from the
-    stored basis V: with W = V R^-1, x = W phi = V (R^-1 phi), where R is
-    upper triangular with two superdiagonals and phi the rotated right-hand
-    side, so the usual per-iteration update of W and x is not needed.
-    V holds only the k vectors the iteration makes: k x n floats, stacked
-    into one block for that final product, not maxiter x n.
+    iteration makes one preconditioned Lanczos vector v_j and one plane
+    rotation of the QR factor R of its tridiagonal, whose column j holds the
+    diagonal gamma_j and the superdiagonals delta_j and epsilon_j. The
+    directions W = V R^-1 follow by the short recurrence
+    w_j = (v_j - epsilon_j w_{j-2} - delta_j w_{j-1}) / gamma_j, and
+    x += phi_j w_j with phi_j the rotated right-hand side, so no basis is
+    stored: a solve holds a fixed handful of n-vectors whatever its number
+    of iterations. The iteration stops when the residual estimate
+    ||b - A x||_M falls below rtol times ||b||_M, or after maxiter iterations.
     """
     y = minv * b
     beta1 = math.sqrt(float(b.dot(y)))
+    x = np.zeros_like(b)
     if beta1 == 0.0:
-        return np.zeros_like(b)
-    basis = []
-    columns = []  # (gamma, delta, epsilon, phi): R's diagonal, superdiagonals and phi
+        return x
+    w = w2 = np.zeros_like(b)  # w_{j-1} and w_{j-2}
     r1 = r2 = b
     scratch = np.empty_like(b)
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
@@ -216,7 +219,6 @@ def _minres(apply, b, minv, maxiter, rtol):
     tiny = float(np.finfo(np.float64).eps)
     for itn in range(maxiter):
         v = np.multiply(y, 1.0 / beta)
-        basis.append(v)
         y = apply(v)
         if itn:
             y -= np.multiply(r1, beta / oldb, out=scratch)
@@ -234,19 +236,12 @@ def _minres(apply, b, minv, maxiter, rtol):
         dbar = -cs * beta
         gamma = max(math.hypot(gbar, beta), tiny)
         cs, sn = gbar / gamma, beta / gamma
-        columns.append((gamma, delta, oldeps, cs * phibar))
+        w, w2 = (v - oldeps * w2 - delta * w) / gamma, w
+        x += (cs * phibar) * w
         phibar *= sn
         if phibar <= rtol * beta1:
             break
-    # Back substitution c = R^-1 phi, from the last column to the first.
-    coeffs = np.empty(len(columns))
-    c1 = c2 = delta1 = eps1 = eps2 = 0.0  # c, delta and epsilon of columns j + 1 and j + 2
-    for j in range(len(columns) - 1, -1, -1):
-        gamma, delta, eps, phi = columns[j]
-        coeffs[j] = cj = (phi - delta1 * c1 - eps2 * c2) / gamma
-        c1, c2 = cj, c1
-        delta1, eps1, eps2 = delta, eps, eps1
-    return coeffs @ np.array(basis)
+    return x
 
 
 def _newton_step(product):
@@ -527,7 +522,9 @@ def descend(
     up to 12 halvings of the step length t. The Hessian H is never formed.
     p solves (H + sigma I) p = -g by preconditioned MINRES (Paige & Saunders
     1975) on the evaluator's Hessian-vector product, with the inverse of the
-    kinetic diagonal as preconditioner. MINRES stops when its residual
+    kinetic diagonal as preconditioner. MINRES updates its solution by its
+    own short recurrences and stores no Lanczos basis, so each solve holds
+    a fixed handful of vectors of n floats. MINRES stops when its residual
     estimate falls below 1e-6 of its starting value, or after n iterations
     for n coefficients. That is an inexact Newton step with a constant
     forcing term (Dembo, Eisenstat & Steihaug 1982): the line search below
@@ -618,7 +615,7 @@ def circular_seed(
     _require_integer("harmonics", harmonics)
     _require_integer("start_index", start_index, 0)
     _require_integer("base_seed", base_seed, 0)
-    if not (_is_real(noise) and 0.0 <= noise < np.inf):
+    if not (_is_finite_real(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite real number >= 0, not {noise!r}")
     if dim < 2:
         raise ValueError("circular seeds need dim >= 2")

@@ -177,13 +177,15 @@ def check_holder_bound(masses: np.ndarray, positions: np.ndarray, theta: float):
     with exponents 2/(2-theta) and 2/theta). For theta < 0 the power mean runs
     the other way and the slack can be negative; the function still reports it.
     Batch axes work as in :func:`check_pairwise_identity`; one configuration
-    gives a float. A theta that is not a real number (a bool, a string,
-    None), NaN or infinite raises ValueError.
+    gives a float. A theta >= 2 raises ThetaOutOfRange, an integer beyond
+    the float range included. A theta that is not a real number (a bool, a
+    string, None), NaN, infinite or an integer below -float max raises
+    ValueError.
     """
-    if not (loopspace._is_real(theta) and -np.inf < theta < np.inf):
-        raise ValueError(f"theta must be finite and real, got {theta!r}")
-    if theta >= 2:
+    if loopspace._is_real(theta) and 2 <= theta < np.inf:
         raise ThetaOutOfRange(f"bound requires theta < 2, got {theta}")
+    if not loopspace._is_finite_real(theta):
+        raise ValueError(f"theta must be finite and real, got {theta!r}")
     masses = np.asarray(masses, dtype=float)
     positions = np.asarray(positions, dtype=float)
     lhs, rhs = _holder_table_sides(*_pair_table(masses, positions), theta)
@@ -261,13 +263,14 @@ def solve_energy_bound(C: float, B: float, theta: float, K: float) -> float:
     sublevel set {phi <= K} is bounded; its supremum is the returned A. When
     no E >= 0 satisfies the inequality the bound is vacuous and 0 is returned.
     Closed forms are used when the equation is linear in E (C = 0 or theta = 0).
-    An argument that is not a real number (a bool, a string, None), NaN or
-    infinite raises ValueError.
+    An argument that is not a real number (a bool, a string, None), NaN,
+    infinite or an integer beyond the float range raises ValueError.
     """
     if not all(map(loopspace._is_real, (C, B, theta, K))):
         raise ValueError(f"C, B, theta and K must be real numbers, got {C!r}, {B!r}, {theta!r} and {K!r}")
-    if not all(map(math.isfinite, (C, B, theta, K))):
-        raise ValueError(f"C, B, theta and K must be finite, got {C}, {B}, {theta} and {K}")
+    for name, value in (("C", C), ("B", B), ("theta", theta), ("K", K)):
+        if not loopspace._is_finite_real(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if theta >= 2:
         raise ThetaOutOfRange(f"energy bound requires theta < 2, got {theta}")
     if C < 0 or B < 0:
@@ -359,7 +362,7 @@ def coercivity_bound(spec: PotentialSpec, K: float) -> float:
     """Upper bound A(K) on kinetic energy over the action sublevel {f <= K}.
 
     K is checked as :func:`solve_energy_bound` checks it: a level that is
-    not a real number, NaN or infinite raises ValueError.
+    not a real number, NaN, infinite or beyond the float range raises ValueError.
     """
     C, B = coercivity_constants(spec)
     return solve_energy_bound(C, B, spec.theta, K)

@@ -61,6 +61,8 @@ def test_constructor_validation():
         LoopConfiguration(2, 2, 0.0, good)
     with pytest.raises(ShapeMismatch):
         LoopConfiguration(2, 2, np.inf, good)
+    with pytest.raises(ShapeMismatch, match="period must be finite"):
+        LoopConfiguration(2, 2, 10**400, good)  # an integer no float can hold
     bad = good.copy()
     bad[0, 0, 0, 0] = np.inf
     with pytest.raises(ShapeMismatch):

@@ -81,9 +81,10 @@ def test_spec_validation_names_the_hypothesis():
         make_spec(modulation_eps=1.0)
     with pytest.raises(ValueError):
         make_spec(blend="cubic-spline")
-    # infinities pass the order checks above, so each is named on its own
+    # infinities pass the order checks above, so each is named on its own, and
+    # so is an integer beyond the float range, which np.isfinite cannot take
     for name in ("a", "g", "alpha", "theta", "r1", "r2", "period"):
-        for value in (np.inf, -np.inf):
+        for value in (np.inf, -np.inf, 10**400, -(10**400)):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 make_spec(**{name: value})
     with pytest.raises(ValueError, match="masses must all be positive and finite"):

@@ -137,10 +137,13 @@ def test_holder_bound_rejects_theta_at_two():
         check_holder_bound(np.ones(2), np.zeros((2, 2)), 10**400)
 
 
-@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), True, "1.0", None, 1j])
+@pytest.mark.parametrize(
+    "theta", [float("nan"), float("inf"), -float("inf"), True, "1.0", None, 1j, -(10**400)]
+)
 def test_holder_bound_rejects_non_real_or_non_finite_theta(theta):
     # refused by name, not turned into a NaN slack, read as 1 or left to a
-    # bare TypeError
+    # bare TypeError (or, for -10**400, a bare OverflowError; +10**400 is
+    # ThetaOutOfRange, above)
     with pytest.raises(ValueError, match="theta"):
         check_holder_bound(np.ones(2), np.array([[0.0, 0.0], [1.0, 0.0]]), theta)
 
@@ -260,11 +263,26 @@ def test_solve_energy_bound_input_checks():
         (1.0, np.inf, 0.5, 1.0),
         (1.0, 1.0, -np.inf, 1.0),
         (1.0, 1.0, np.inf, 1.0),
+        # integers beyond the float range gave a bare OverflowError
+        (10**400, 1.0, 0.5, 1.0),
+        (1.0, 10**400, 0.5, 1.0),
+        (1.0, 1.0, -(10**400), 1.0),
+        (1.0, 1.0, 10**400, 1.0),
+        (1.0, 1.0, 0.5, -(10**400)),
     ],
 )
 def test_solve_energy_bound_rejects_non_finite_inputs(C, B, theta, K):
     with pytest.raises(ValueError, match="must be finite"):
         solve_energy_bound(C, B, theta, K)
+
+
+@pytest.mark.parametrize("position, name", enumerate(["C", "B", "theta", "K"]))
+@pytest.mark.parametrize("value", [np.nan, 10**400, -(10**400)])
+def test_solve_energy_bound_names_the_non_finite_argument(position, name, value):
+    args = [1.0, 0.5, 0.5, 2.0]
+    args[position] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve_energy_bound(*args)
 
 
 @pytest.mark.parametrize("position", range(4))
@@ -291,8 +309,8 @@ def test_coercivity_bound_refuses_a_non_real_level():
 
 
 def test_coercivity_bound_rejects_non_finite_level():
-    for K in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="must be finite"):
+    for K in (np.nan, np.inf, -np.inf, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="K must be finite"):
             coercivity_bound(make_spec(), K)
 
 

@@ -18,9 +18,11 @@ solves, the Hessian-vector products they take, the solves that reach their
 cap of n products and the solves whose step x the polish refuses because it
 is not a descent step or shows no positive curvature (b.x <= 0 or
 x.Ax <= 0; the polish then steps along -D^-1 g). ``most_products`` is the
-most products any one solve takes: the depth of the Lanczos basis MINRES
-keeps, whose memory is that many vectors of n floats. All are counted by
-wrapping ``solver._minres`` for the duration of the search.
+most products any one solve takes. It measures work only: MINRES forms
+its solution by short recurrences and stores no Lanczos basis, so a solve
+holds a fixed handful of vectors of n floats whatever its number of
+products. All are counted by wrapping ``solver._minres`` for the duration
+of the search.
 
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
