@@ -30,14 +30,16 @@ __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 
 # Pair-nodes (rows x n_t x pairs) per batched call of _Evaluator.actions,
 # which bounds the arrays of one grid_potential call. N = 6, M = 24 loops
-# (1575 pair-nodes each) go 6 to a call, N = 2, M = 8 loops (41 each) 243.
+# (1575 pair-nodes each) go 3 to a call, N = 2, M = 8 loops (41 each) 121.
 # Measured on a 2-vCPU VM (Python 3.11.7, numpy 2.4.6) at N = 6, M = 24:
-# two calls of 6 loops instead of one of 12 take an order-1 round's
-# tracemalloc peak from 1.40 to 0.73 MiB (2.03 to 1.02 MiB when 4 of the 12
-# loops cross r1), and the benchmark's ring6 search peak RSS from 42.98 to
-# 41.99 MB (medians of 10 alternating runs) at the same time per search.
-# Rows are evaluated independently, so no result depends on it.
-ACTION_PAIR_NODES = 10_000
+# four calls of 3 loops instead of two of 6 take the tracemalloc peak of an
+# order-1 round of the 12 circular starts from 0.589 to 0.356 MiB, and the
+# minor page faults of a warm ring6 search (seeds 0, 13, 35, 50) from
+# 6.0k-6.9k to 0.15k-0.21k, because glibc no longer trims and regrows its
+# heap between the calls. At 6_400 (4 loops a call) a search still faulted
+# about 5k times, and at 3_200 (2 loops) it took 4.6% longer. Rows are
+# evaluated independently, so no result depends on it.
+ACTION_PAIR_NODES = 5_000
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,22 @@ def _is_finite_real(value) -> bool:
     return math.isfinite(value)
 
 
+def _real_array(value) -> np.ndarray | None:
+    """value as an array of real numbers, or None if an entry is not one.
+
+    A floating array is kept in its dtype and a bool or integer one cast to
+    float. An object array (a list holding an int beyond int64, say) is cast
+    only if every entry is a finite real (see _is_finite_real). Complex and
+    string arrays give None, since casting them would drop the imaginary part
+    or fail inside numpy.
+    """
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind in "biu" or (kind == "O" and all(_is_finite_real(v) for v in array.flat)):
+        return array.astype(float)
+    return array if kind == "f" else None
+
+
 def _require_integer(name: str, value, minimum=None) -> None:
     """Raise ValueError naming ``name`` unless value is an integer (see _is_integer) >= minimum."""
     if not _is_integer(value):
@@ -101,7 +117,8 @@ class LoopConfiguration:
         coefficients: array of shape (N, M, 2, k), immutable after init.
 
     n_bodies and dim must be integers (numpy integers count and are stored
-    as int, bools do not) and the period a real number other than a bool;
+    as int, bools do not), the period a real number other than a bool and
+    the coefficients finite real numbers (not complex values or strings);
     anything else raises ShapeMismatch.
     """
 
@@ -119,9 +136,9 @@ class LoopConfiguration:
             raise ShapeMismatch(f"period must be a real number, got {self.period!r}")
         object.__setattr__(self, "n_bodies", int(self.n_bodies))
         object.__setattr__(self, "dim", int(self.dim))
-        c = np.asarray(self.coefficients)
-        if not np.issubdtype(c.dtype, np.floating):
-            c = c.astype(float)
+        c = _real_array(self.coefficients)
+        if c is None:
+            raise ShapeMismatch("coefficients must be finite real numbers")
         if c.ndim != 4 or c.shape[0] != self.n_bodies or c.shape[2] != 2 or c.shape[3] != self.dim:
             raise ShapeMismatch(
                 f"coefficients shape {c.shape} does not match (N={self.n_bodies}, M, 2, k={self.dim})"

@@ -39,7 +39,7 @@ from .errors import (
     SelfPair,
     ShapeMismatch,
 )
-from .loopspace import _is_finite_real, _require_integer, body_pairs, pair_separations
+from .loopspace import _is_finite_real, _real_array, _require_integer, body_pairs, pair_separations
 
 __all__ = [
     "PotentialSpec",
@@ -64,7 +64,8 @@ class PotentialSpec:
     naming the field.
 
     Attributes:
-        masses: positive body masses, length N.
+        masses: positive finite real body masses, length N (anything else,
+            complex values and strings included, raises ValueError).
         a: inner coefficient, > 0.
         g: tail coefficient, > 0.
         alpha: inner decay exponent, >= 2 (strong force).
@@ -87,7 +88,10 @@ class PotentialSpec:
     blend: str = BLEND_HERMITE
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
+        masses = _real_array(self.masses)
+        if masses is None:
+            raise ValueError(f"masses must be finite real numbers, got {self.masses!r}")
+        masses = masses.astype(float)
         if masses.ndim != 1 or masses.size < 1:
             raise ValueError("masses must be a 1-d array with at least one entry")
         if not np.all((masses > 0) & np.isfinite(masses)):
@@ -116,7 +120,6 @@ class PotentialSpec:
             raise ValueError(
                 f"blend must be {BLEND_HERMITE!r} or {BLEND_LINEAR!r}, got {self.blend!r}"
             )
-        masses = masses.copy()
         masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         # Derived, not a field: bound once so no profile pass recomputes it.

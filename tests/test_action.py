@@ -500,30 +500,51 @@ def test_actions_in_several_batches_equal_row_by_row_bit_for_bit(monkeypatch):
     scales = np.geomspace(0.2, 4.0, 13)
     loops = [random_loop(rng, n_bodies=6, harmonics=24, scale=s) for s in scales]
     xs = np.stack([loop.flat() for loop in loops])
-    colliding = loops[7].coefficients.copy()
-    colliding[4] = colliding[2]  # bodies 2 and 4 coincide at every node
-    xs[7] = colliding.reshape(-1)
     evaluator = _Evaluator(spec, loops[0])
     rows = ACTION_PAIR_NODES // (evaluator.n_t * 15)
-    assert rows <= 7 < 2 * rows < len(xs)  # row 7 sits in the second of three batches
-    singles = [evaluator.action(x) if b != 7 else None for b, x in enumerate(xs)]
+    bad = rows + 1
+    assert rows < bad < 2 * rows < len(xs)  # the colliding row sits in the second of several batches
+    colliding = loops[bad].coefficients.copy()
+    colliding[4] = colliding[2]  # bodies 2 and 4 coincide at every node
+    xs[bad] = colliding.reshape(-1)
+    singles = [evaluator.action(x) if b != bad else None for b, x in enumerate(xs)]
     with pytest.raises(CollisionSample):
-        evaluator.action(xs[7])
+        evaluator.action(xs[bad])
 
     sizes = batch_sizes(monkeypatch, evaluator)
     got = evaluator.actions(xs)
     assert len(got) == len(xs)
-    assert got[7] is None
-    for b in set(range(len(xs))) - {7}:
+    assert got[bad] is None
+    for b in set(range(len(xs))) - {bad}:
         assert_same_evaluation(got[b], singles[b])
     # only the batch holding the colliding row is evaluated again row by row
-    assert sizes == [rows, rows] + [1] * rows + [len(xs) - 2 * rows]
+    whole = [min(rows, len(xs) - start) for start in range(0, len(xs), rows)]
+    assert sizes == whole[:2] + [1] * rows + whole[2:]
 
     sizes.clear()
-    without = np.delete(xs, 7, axis=0)
-    for got_row, want in zip(evaluator.actions(without), singles[:7] + singles[8:]):
+    without = np.delete(xs, bad, axis=0)
+    for got_row, want in zip(evaluator.actions(without), singles[:bad] + singles[bad + 1 :]):
         assert_same_evaluation(got_row, want)
     assert max(sizes) <= rows and sum(sizes) == len(without)
+
+
+def test_ring6_round_peak_memory():
+    # The 12 circular starts of the ring6 search (N = 6, M = 24, windings
+    # {1, 3, 5} x 4, seed 0) as one order-1 round: evaluated 6 loops to a
+    # grid_potential call, its traced peak was 0.589 MiB; 3 to a call, 0.356.
+    spec = make_spec(masses=np.ones(6))
+    starts = [circular_seed(spec, 2, 24, w, s, 0) for w in (1, 3, 5) for s in range(4)]
+    xs = np.stack([start.flat() for start in starts])
+    evaluator = _Evaluator(spec, starts[0])
+    evaluator.actions(xs)  # warm: caches and the grid are built
+    tracemalloc.start()
+    try:
+        got = evaluator.actions(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(evaluation is not None for evaluation in got)
+    assert peak < 0.45 * 2**20
 
 
 @pytest.mark.parametrize("n_bodies, harmonics", [(1, 24), (2, 8)])

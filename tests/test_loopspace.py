@@ -88,6 +88,17 @@ def test_constructor_rejects_non_integer_counts_and_non_real_period(n_bodies, di
         LoopConfiguration(n_bodies, dim, period, np.zeros((2, 1, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [10**400, 1 + 1j, "a"])
+def test_constructor_and_from_flat_refuse_coefficients_that_are_not_finite_reals(bad):
+    # gave a bare OverflowError, a cast to real with only a ComplexWarning, and
+    # numpy's ValueError
+    coefficients = [[[[bad, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]]]]
+    with pytest.raises(ShapeMismatch, match="^coefficients must be finite real numbers"):
+        LoopConfiguration(2, 2, TWO_PI, coefficients)
+    with pytest.raises(ShapeMismatch, match="^coefficients must be finite real numbers"):
+        LoopConfiguration.from_flat([bad] + [0.0] * 7, 2, 2, TWO_PI, 1)
+
+
 def test_constructor_stores_numpy_integer_counts_as_int():
     loop = LoopConfiguration(np.int64(2), np.int32(2), np.float64(TWO_PI), np.zeros((2, 1, 2, 2)))
     assert type(loop.n_bodies) is int and type(loop.dim) is int

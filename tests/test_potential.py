@@ -99,6 +99,13 @@ def test_spec_refuses_bool_and_non_real_constants(name, value):
         make_spec(**{name: value})
 
 
+@pytest.mark.parametrize("bad", [10**400, 1 + 1j, "a"])
+def test_spec_refuses_masses_that_are_not_finite_reals(bad):
+    # gave a bare OverflowError, a bare TypeError and numpy's ValueError
+    with pytest.raises(ValueError, match="^masses must be"):
+        make_spec(masses=[bad, 1.0])
+
+
 def test_spec_accepts_numpy_real_constants():
     spec = make_spec(a=np.float32(1.0), alpha=np.int64(2), period=np.float64(TWO_PI))
     assert spec._blend_cubic == make_spec()._blend_cubic
