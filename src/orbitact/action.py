@@ -38,7 +38,9 @@ __all__ = ["ActionEvaluation", "action", "action_value", "action_hessian"]
 # 6.0k-6.9k to 0.15k-0.21k, because glibc no longer trims and regrows its
 # heap between the calls. At 6_400 (4 loops a call) a search still faulted
 # about 5k times, and at 3_200 (2 loops) it took 4.6% longer. Rows are
-# evaluated independently, so no result depends on it.
+# evaluated independently, so no result depends on it. The same row count
+# is the window of a serial lockstep, the most descents it keeps live, so it
+# also bounds how many L-BFGS memories a search holds (solver._lockstep).
 ACTION_PAIR_NODES = 5_000
 
 
@@ -230,17 +232,26 @@ class _Evaluator:
         (value, gradient), *rest = self.evaluate(x, 1)
         return ActionEvaluation(value, gradient, *rest)
 
+    def batch_rows(self, count: int) -> int:
+        """The rows of one batched call of :meth:`actions` among count rows.
+
+        As many rows as fit in ACTION_PAIR_NODES pair-nodes (rows x n_t x
+        pairs), at least one, or all count rows when the loops have no pairs.
+        A serial lockstep of count starts keeps this many descents live.
+        """
+        pair_nodes = self.n_t * self.pair_kernel.mass_prod.size
+        return max(1, ACTION_PAIR_NODES // pair_nodes if pair_nodes else count)
+
     def actions(self, xs: np.ndarray) -> list:
         """:func:`action` at each row of the (B, n) stack xs, or None where a row samples a collision.
 
-        The rows are evaluated in consecutive batches of as many rows as fit
-        in ACTION_PAIR_NODES pair-nodes (at least one row). When a batch
-        raises CollisionSample, its rows are evaluated again one by one, so
-        only the colliding rows give None. Each gradient is copied out of its
-        batch, so a kept evaluation holds no other row's data.
+        The rows are evaluated in consecutive batches of ``batch_rows(B)``
+        rows. When a batch raises CollisionSample, its rows are evaluated
+        again one by one, so only the colliding rows give None. Each gradient
+        is copied out of its batch, so a kept evaluation holds no other row's
+        data.
         """
-        pair_nodes = self.n_t * self.pair_kernel.mass_prod.size
-        rows = max(1, ACTION_PAIR_NODES // pair_nodes if pair_nodes else len(xs))
+        rows = self.batch_rows(len(xs))
         return [
             evaluation
             for start in range(0, len(xs), rows)

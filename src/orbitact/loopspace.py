@@ -73,9 +73,13 @@ def _real_array(value) -> np.ndarray | None:
     float. An object array (a list holding an int beyond int64, say) is cast
     only if every entry is a finite real (see _is_finite_real). Complex and
     string arrays give None, since casting them would drop the imaginary part
-    or fail inside numpy.
+    or fail inside numpy, and so does a ragged nest of sequences, whose
+    inhomogeneous shape np.asarray refuses with a ValueError.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        return None
     kind = array.dtype.kind
     if kind in "biu" or (kind == "O" and all(_is_finite_real(v) for v in array.flat)):
         return array.astype(float)

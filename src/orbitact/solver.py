@@ -26,10 +26,12 @@ Descents run in lockstep. A descent is a generator that yields each trial
 point and receives its evaluation, or None when the trial samples an exact
 collision. A driver gathers the pending trial of every live descent,
 evaluates them as one batch through one action evaluator and sends each
-descent its result. A serial ``multistart`` is the lockstep of all its
-starts and ``descend`` the lockstep of one, so there is one descent code
-path. A loop's evaluation is the same bit for bit in any batch, which makes
-a descent's result independent of the descents it ran beside.
+descent its result. At most one evaluator call's rows of descents are live
+at once; when one ends, the next pending start joins. A serial
+``multistart`` is the lockstep of its starts through that window and
+``descend`` the lockstep of one, so there is one descent code path. A
+loop's evaluation is the same bit for bit in any batch, which makes a
+descent's result independent of the descents it ran beside.
 
 `multistart` fans out over winding classes and perturbed circular starts
 (in lockstep, or one ``descend`` per start across processes), filters by
@@ -451,12 +453,17 @@ def _lockstep(spec, loops, opts, n_t):
     The loops share one shape, and one action evaluator bound to the first
     serves every run. The start loops are evaluated as one batch; the first
     start, in the order of loops, that samples an exact collision or has a
-    non-finite action raises InvalidStart. Each round then gathers the
-    pending line-search trial of every live run, evaluates them as one batch
-    with ``_Evaluator.actions`` and sends each run its evaluation; a run
-    leaves when it returns its report. A loop's evaluation is bit for bit
-    the same in any batch, so each report equals that of the loop's descent
-    run alone. An exception raised in one run propagates and ends them all.
+    non-finite action raises InvalidStart. At most ``batch_rows`` runs, the
+    rows of one ``_Evaluator.actions`` call, are live at once, so the search
+    holds that many L-BFGS memories however many starts it has. Starts join
+    from the end of loops, each dropping its start evaluation as it joins:
+    ``multistart`` lists its starts by winding class, so given increasing
+    windings it starts the longest descents first. Each round gathers the pending line-search trial of every live
+    run, evaluates them as one batch and sends each run its evaluation; a
+    run leaves when it returns its report, and the next pending start joins
+    before the next round. A loop's evaluation is bit for bit the same in
+    any batch, so each report equals that of the loop's descent run alone.
+    An exception raised in one run propagates and ends them all.
     """
     evaluator = _Evaluator(spec, loops[0], n_t)
     dinv = 1.0 / evaluator.kin_diag.reshape(-1)
@@ -466,8 +473,9 @@ def _lockstep(spec, loops, opts, n_t):
             raise InvalidStart("initial loop samples an exact collision")
         if not np.isfinite(ev.value):
             raise InvalidStart("initial loop has non-finite action")
-    runs = [_Descent(loop0, opts, evaluator, dinv, ev).solve() for loop0, ev in zip(loops, starts)]
-    reports = [None] * len(runs)
+    window = evaluator.batch_rows(len(loops))
+    pending = list(range(len(loops)))  # joins from the end
+    reports = [None] * len(loops)
     live = []  # (index, run, pending trial point)
 
     def advance(index, run, ev):
@@ -476,13 +484,19 @@ def _lockstep(spec, loops, opts, n_t):
         except StopIteration as done:
             reports[index] = done.value
 
-    for index, run in enumerate(runs):
-        advance(index, run, None)
+    def admit():
+        while pending and len(live) < window:
+            index = pending.pop()
+            ev, starts[index] = starts[index], None
+            advance(index, _Descent(loops[index], opts, evaluator, dinv, ev).solve(), None)
+
+    admit()
     while live:
         batch, live = live, []
         evaluations = evaluator.actions(np.array([x for _, _, x in batch]))
         for (index, run, _), ev in zip(batch, evaluations):
             advance(index, run, ev)
+        admit()
     return reports
 
 
@@ -698,8 +712,9 @@ def multistart(
     """Run descents from every (winding class, start index) pair and dedup.
 
     With one worker the descents run in lockstep: each round evaluates the
-    pending line-search trials of all live starts as one batch through one
-    action evaluator bound for the search. With more, a process pool maps
+    pending line-search trials of the live starts as one batch through one
+    action evaluator bound for the search, and at most one batch's rows of
+    starts are live at once (see ``_lockstep``). With more, a process pool maps
     ``descend`` over the starts. Identical inputs give identical results
     regardless of worker count: seeds depend only on (opts.seed, winding,
     start index), a loop's evaluation does not depend on the batch it is in,

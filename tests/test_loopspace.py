@@ -99,6 +99,13 @@ def test_constructor_and_from_flat_refuse_coefficients_that_are_not_finite_reals
         LoopConfiguration.from_flat([bad] + [0.0] * 7, 2, 2, TWO_PI, 1)
 
 
+def test_constructor_refuses_ragged_coefficients_by_name():
+    # numpy's bare "inhomogeneous shape" ValueError, not the ShapeMismatch naming them
+    for ragged in ([[1.0], [1.0, 2.0]], [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0]]]]):
+        with pytest.raises(ShapeMismatch, match="^coefficients must be finite real numbers"):
+            LoopConfiguration(2, 2, TWO_PI, ragged)
+
+
 def test_constructor_stores_numpy_integer_counts_as_int():
     loop = LoopConfiguration(np.int64(2), np.int32(2), np.float64(TWO_PI), np.zeros((2, 1, 2, 2)))
     assert type(loop.n_bodies) is int and type(loop.dim) is int

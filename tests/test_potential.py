@@ -106,6 +106,12 @@ def test_spec_refuses_masses_that_are_not_finite_reals(bad):
         make_spec(masses=[bad, 1.0])
 
 
+def test_spec_refuses_ragged_masses_by_name():
+    # numpy's bare "inhomogeneous shape" ValueError, which did not name the field
+    with pytest.raises(ValueError, match="^masses must be finite real numbers"):
+        make_spec(masses=[[1.0], [1.0, 2.0]])
+
+
 def test_spec_accepts_numpy_real_constants():
     spec = make_spec(a=np.float32(1.0), alpha=np.int64(2), period=np.float64(TWO_PI))
     assert spec._blend_cubic == make_spec()._blend_cubic

@@ -700,6 +700,60 @@ def test_serial_multistart_equals_per_start_descents(eps, windings):
     assert len(iterations) > 1  # runs left the lockstep at different rounds
 
 
+def test_serial_multistart_through_a_window_smaller_than_its_starts(monkeypatch):
+    # N = 6, M = 24: one _Evaluator.actions call takes 3 loops, so only 3 of
+    # the 6 starts are live at once and the others join as runs end
+    spec = make_spec(masses=np.ones(6))
+    opts = SolveOptions(max_iters=30, seed=0)
+    sizes = []
+    actions = _Evaluator.actions
+
+    def recorded(self, xs):
+        sizes.append((len(xs), self.batch_rows(len(xs))))
+        return actions(self, xs)
+
+    monkeypatch.setattr(_Evaluator, "actions", recorded)
+    result = multistart(spec, (1, 3, 5), 2, opts, harmonics=24, workers=1)
+    monkeypatch.undo()
+    (starts, window), *trials = sizes
+    assert starts == 6 and window == 3
+    assert max(rows for rows, _ in trials) == window
+    for start in result.reports:
+        loop0 = circular_seed(spec, 2, 24, start.winding_class, start.start_index, opts.seed)
+        assert_same_report(start.report, descend(spec, loop0, opts))
+
+
+def test_serial_multistart_of_single_bodies_returns_every_report():
+    # no pairs, so one batch takes every start and the window covers them all
+    spec = make_spec(masses=np.ones(1))
+    opts = SolveOptions(seed=0)
+    result = multistart(spec, (1, 3, 5), 2, opts, harmonics=4, workers=1)
+    assert len(result.reports) == result.n_converged == 6
+    for start in result.reports:
+        loop0 = circular_seed(spec, 2, 4, start.winding_class, start.start_index, opts.seed)
+        assert_same_report(start.report, descend(spec, loop0, opts))
+
+
+def test_ring6_search_peak_memory():
+    # The ring6 search shape (N = 6, M = 24, windings {1, 3, 5} x 4, seed 0)
+    # cut at 40 iterations. With all 12 starts live it traced a 2.03 MiB peak;
+    # with 3 live at once, each holding its L-BFGS memory, 0.95 MiB.
+    spec = make_spec(masses=np.ones(6))
+
+    def search():
+        return multistart(spec, (1, 3, 5), 4, SolveOptions(max_iters=40, seed=0), harmonics=24, workers=1)
+
+    search()  # warm: caches and the grid are built
+    tracemalloc.start()
+    try:
+        result = search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.reports) == 12
+    assert peak < 1.4 * 2**20
+
+
 def test_multistart_drops_unconverged():
     spec = make_spec()
     result = multistart(spec, [1], 2, SolveOptions(max_iters=2), harmonics=4)

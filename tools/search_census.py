@@ -24,6 +24,16 @@ holds a fixed handful of vectors of n floats whatever its number of
 products. All are counted by wrapping ``solver._minres`` for the duration
 of the search.
 
+Each search also gets the work of its batched evaluator, summed over the
+seeds: ``calls`` counts the batches ``_Evaluator.actions`` evaluates (one
+pair-kernel call each, the start batch and collision fallbacks included),
+``largest_trial`` the most rows any ``actions`` call after a seed's start
+batch takes, and ``rows`` the evaluator's row count per batch, which is
+also the most descents the serial lockstep keeps live (the least over the
+seeds). ``largest_trial`` above ``rows`` means the lockstep outgrew its
+window. They are counted by wrapping ``_Evaluator.actions`` and
+``_Evaluator._batch``.
+
 It also runs one search in the paper's non-autonomous setting, built here
 and not in the benchmark: modulated4, N=4 equal unit masses, M=16,
 modulation eps = 0.3, the same windings, starts and options, at seeds 0-9.
@@ -74,6 +84,7 @@ from workloads import (  # noqa: E402
 )
 
 from orbitact import solver  # noqa: E402
+from orbitact.action import _Evaluator  # noqa: E402
 from orbitact.solver import SolveOptions, multistart  # noqa: E402
 
 
@@ -180,17 +191,49 @@ def counting_minres(tally: Counter):
     return counted
 
 
+def counting_batches(tally: dict):
+    """``_Evaluator.actions`` and ``_Evaluator._batch`` that add each batch to tally's
+    ``calls`` and keep the largest trial call and the least row count.
+
+    The first ``actions`` call on an evaluator is its start batch; the
+    evaluator of the last start batch stays referenced, so a later one is
+    never taken for it.
+    """
+    actions, batch = _Evaluator.actions, _Evaluator._batch
+    last = [None]
+
+    def counted_actions(self, xs):
+        if self is last[0]:
+            tally["largest_trial"] = max(tally["largest_trial"], len(xs))
+        else:
+            last[0] = self
+            rows = self.batch_rows(len(xs))
+            tally["rows"] = rows if tally["rows"] is None else min(tally["rows"], rows)
+        return actions(self, xs)
+
+    def counted_batch(self, xs):
+        tally["calls"] += 1
+        return batch(self, xs)
+
+    return counted_actions, counted_batch
+
+
 def main() -> None:
     out = {}
     minres = solver._minres
+    actions, batch = _Evaluator.actions, _Evaluator._batch
     for name, (run, seed_range) in SEARCHES.items():
         tally = Counter(solves=0, products=0, most_products=0, capped=0, refused=0)
+        batches = {"calls": 0, "largest_trial": 0, "rows": None}
         solver._minres = counting_minres(tally)
+        _Evaluator.actions, _Evaluator._batch = counting_batches(batches)
         try:
             seeds = {str(seed): census(run, seed) for seed in seed_range}
         finally:
             solver._minres = minres
+            _Evaluator.actions, _Evaluator._batch = actions, batch
         out[name] = {
+            "batches": batches,
             "converged_total": sum(row["converged"] for row in seeds.values()),
             "iterations_total": sum(row["iterations"] for row in seeds.values()),
             "minres": dict(tally),
