@@ -47,11 +47,9 @@ def _audit_coercivity(cfg, result):
     violations = 0
     for start in result.reports:
         rep = start.report
-        for (value, _), kinetic in zip(rep.ps_trace, rep.kinetic_trace):
-            if value <= K:
-                checked += 1
-                if kinetic > A:
-                    violations += 1
+        inside = rep.ps_trace[:, 0] <= K
+        checked += int(inside.sum())
+        violations += int((rep.kinetic_trace[inside] > A).sum())
     return {"K": K, "A": A, "iterates_checked": checked, "violations": violations}
 
 

@@ -244,7 +244,7 @@ def _odd_frequencies(period: float, harmonics: int, dtype) -> np.ndarray:
 def _trig_basis(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Interleaved cos/sin rows of shape (2M, len(times))."""
     angles = np.outer(omega, times)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1, times.shape[0])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(2 * len(omega), len(times))
 
 
 @functools.lru_cache(maxsize=32)

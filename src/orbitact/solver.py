@@ -40,12 +40,12 @@ duplicates by action value plus time-shift-minimized H^1 distance. That
 distance comes from per-harmonic cross terms of the two loops, evaluated on
 the whole shift grid at once, not from one shifted loop per shift.
 The process pool and its imports load on the first run with more than one
-worker, so importing this module or running a serial search does not load them.
+worker, so importing this module or running a serial search does not load them;
+``hashlib`` loads on the first dedup key the same way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -126,7 +126,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Terminal state and per-iteration traces of one descent run."""
+    """Terminal state and per-iteration traces of one descent run.
+
+    The traces have one row per iterate, the start first, so
+    ``iterations + 1`` rows. They are columns of one read-only table per
+    run, in the dtype of the run's rows (float64, or longdouble for a
+    longdouble loop; a report sent back from a worker process holds
+    copies): ps_trace is the (rows, 2) array of (f, grad_norm), and
+    kinetic_trace and min_separation_trace are (rows,) arrays. The scalar
+    fields are the last row's entries, with their own types.
+    """
 
     final_loop: LoopConfiguration
     status: SolveStatus
@@ -134,14 +143,14 @@ class SolveReport:
     kinetic: float
     grad_norm: float
     iterations: int
-    ps_trace: tuple
-    kinetic_trace: tuple
-    min_separation_trace: tuple
+    ps_trace: np.ndarray  # (rows, 2): f, grad_norm
+    kinetic_trace: np.ndarray  # (rows,)
+    min_separation_trace: np.ndarray  # (rows,)
 
 
-def _tail_quiet(ps_trace) -> bool:
-    """True when f changed by < 1e-12 (1+|f|) over the last five steps."""
-    values = [entry[0] for entry in ps_trace[-6:]]
+def _tail_quiet(rows) -> bool:
+    """True when f changed by < 1e-12 (1+|f|) over the last five steps of the rows."""
+    values = [row[0] for row in rows[-6:]]
     return all(
         abs(b - a) < 1e-12 * (1.0 + abs(b)) for a, b in zip(values, values[1:])
     )
@@ -433,17 +442,19 @@ class _Descent:
         status = None
         while status is None:
             status = (yield from self.quasi_newton()) or (yield from self.polish())
-        values, grad_norms, kinetics, separations = zip(*self.rows)
+        f, grad_norm, kinetic, _ = self.rows[-1]
+        table = np.array(self.rows)
+        table.flags.writeable = False
         return SolveReport(
             final_loop=self.loop0.with_flat(self.x),
             status=status,
-            action_value=values[-1],
-            kinetic=kinetics[-1],
-            grad_norm=grad_norms[-1],
+            action_value=f,
+            kinetic=kinetic,
+            grad_norm=grad_norm,
             iterations=self.iterations,
-            ps_trace=tuple(zip(values, grad_norms)),
-            kinetic_trace=kinetics,
-            min_separation_trace=separations,
+            ps_trace=table[:, :2],
+            kinetic_trace=table[:, 2],
+            min_separation_trace=table[:, 3],
         )
 
 
@@ -797,6 +808,8 @@ def _same_orbit(a: OrbitRecord, b: OrbitRecord, action_rel_tol, path_tol, half_p
 
 
 def _dedup_key(record: OrbitRecord) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     digest.update(struct.pack("<d", float(record.action_value)))
     digest.update(

@@ -39,11 +39,31 @@ else:
 """
 
 
-def test_serial_search_loads_no_pool_or_config_modules():
-    # a fresh interpreter, since this suite's own imports already hold those modules
+# no numpy random numbers here: numpy's generators load hashlib themselves
+ONE_ACTION = """
+import sys
+
+import orbitact
+from conftest import make_spec, pair_circle
+
+orbitact.action(make_spec(), pair_circle(1.0))
+loaded = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def run_fresh(source):
+    """Run source in a fresh interpreter, since this suite's own imports already hold the modules it checks."""
     tests_dir = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])}
-    run = subprocess.run(
-        [sys.executable, "-c", SERIAL_SEARCH], env=env, capture_output=True, text=True, timeout=120
-    )
+    run = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_serial_search_loads_no_pool_or_config_modules():
+    run_fresh(SERIAL_SEARCH)
+
+
+def test_import_and_one_action_load_no_hash_modules():
+    # only dedup hashes, so its hashlib (and OpenSSL's _hashlib) loads on first use
+    run_fresh(ONE_ACTION)

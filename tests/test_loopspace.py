@@ -281,6 +281,10 @@ def test_evaluate_positions_matches_grid_sampling():
     loop = random_loop(rng, harmonics=3)
     free = evaluate_positions(loop, np.asarray(quadrature_grid(loop, 16).times))
     assert np.abs(free - sample_trajectory(loop, 16)).max() < 1e-13
+    # no times, no positions: an empty (0, N, k) array, not a reshape error
+    for times in ([], np.empty(0)):
+        empty = evaluate_positions(loop, times)
+        assert empty.shape == (0, loop.n_bodies, loop.dim)
 
 
 def test_dtype_preserved_through_sampling():

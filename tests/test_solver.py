@@ -481,7 +481,7 @@ def test_one_body_descent_converges_with_no_separation_to_guard():
     report = descend(spec, random_loop(np.random.default_rng(0), n_bodies=1, harmonics=4))
     assert report.status is SolveStatus.CONVERGED
     assert abs(report.action_value) < 1e-12
-    assert report.min_separation_trace == (math.inf,) * (report.iterations + 1)
+    assert_same_array(report.min_separation_trace, np.full(report.iterations + 1, math.inf))
 
 
 def test_three_body_choreography_start_converges():
@@ -677,9 +677,15 @@ def assert_same_report(got, want):
     assert (got.action_value, got.kinetic, got.grad_norm) == (
         want.action_value, want.kinetic, want.grad_norm
     )
-    assert got.ps_trace == want.ps_trace
-    assert got.kinetic_trace == want.kinetic_trace
-    assert got.min_separation_trace == want.min_separation_trace
+    for name in ("ps_trace", "kinetic_trace", "min_separation_trace"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+
+
+def assert_same_array(got, want):
+    # bit for bit: unlike ==, this tells -0.0 from 0.0
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -856,3 +862,36 @@ def test_dedupe_deterministic_order():
     ]
     kept = dedupe(records)
     assert [r.action_value for r in kept] == [3.0, 7.0]
+
+
+def test_search_traces_hold_under_100_bytes_per_row():
+    # Each run's traces are columns of one float table. Held as tuples of
+    # numpy scalars, this search's 123 trace rows took 117 B each; as the
+    # table, 72 B.
+    spec = make_spec()
+
+    def search():
+        return multistart(spec, (1, 3), 2, SolveOptions(seed=0), harmonics=8, workers=1)
+
+    search()  # warm: caches and the grid are built
+    tracemalloc.start()
+    try:
+        result = search()
+        traces = []
+        rows = 0
+        for start in result.reports:
+            rep = start.report
+            n = rep.iterations + 1
+            assert rep.ps_trace.shape == (n, 2)
+            assert rep.kinetic_trace.shape == rep.min_separation_trace.shape == (n,)
+            for trace in (rep.ps_trace, rep.kinetic_trace, rep.min_separation_trace):
+                assert trace.dtype == np.float64
+                assert not trace.flags.writeable
+            traces.append((rep.ps_trace, rep.kinetic_trace, rep.min_separation_trace))
+            rows += n
+        del result, start, rep, trace
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == 4
+    assert held < 100 * rows, held / rows
